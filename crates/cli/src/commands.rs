@@ -6,7 +6,8 @@ use odyssey_core::index::{Index, IndexConfig};
 use odyssey_core::persist;
 use odyssey_core::search::engine::{BatchAnswer, BatchEngine, BatchQuery, QueryKind};
 use odyssey_core::search::exact::SearchParams;
-use odyssey_sched::{AdmissionController, ThresholdModel};
+use odyssey_sched::scheduler::dynamic_order;
+use odyssey_sched::ThresholdModel;
 use odyssey_workloads::generator;
 use odyssey_workloads::io as wio;
 use std::path::Path;
@@ -119,14 +120,12 @@ fn cmd_index_info(args: &Args) -> Result<(), String> {
 /// sigmoid fit needs at least four points; smaller files skip training.
 const TH_PILOT: usize = 8;
 
-/// Answers the whole query file as **one concurrent batch** on a
-/// persistent [`BatchEngine`]: the worker pool and scratch arenas are
-/// set up once, per-query cost estimates (the PREDICT-* feature) drive
-/// the admission plan — predicted-hard queries take the full pool in
-/// descending-estimate order (PREDICT-DN), predicted-easy queries run
-/// simultaneously on narrow worker groups — and, when the file is large
-/// enough, a pilot run trains the sigmoid threshold model so every
-/// query gets its own predicted `TH`.
+/// Answers the whole query file as **one batch** on a persistent
+/// [`BatchEngine`]: the worker pool and scratch arenas are set up once,
+/// queries are dispatched in descending order of their approximate-search
+/// estimate (PREDICT-DN) onto [`BatchEngine::run_batch`]'s lanes, and,
+/// when the file is large enough, a pilot run trains the sigmoid
+/// threshold model so every query gets its own predicted `TH`.
 fn cmd_query(args: &Args) -> Result<(), String> {
     let index = persist::load_index_file(Path::new(args.require("index")?))
         .map_err(|e| e.to_string())?;
@@ -154,7 +153,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
 
     // Pilot phase: run a few exact searches spread across the estimate
     // range and fit BSF -> median queue size, the paper's TH predictor.
-    let controller = if nq >= 4 && kind == QueryKind::Exact {
+    let th_model = if nq >= 4 && kind == QueryKind::Exact {
         let mut by_est: Vec<usize> = (0..nq).collect();
         by_est.sort_by(|&a, &b| estimates[a].total_cmp(&estimates[b]).then(a.cmp(&b)));
         let n_pilot = TH_PILOT.min(nq);
@@ -166,34 +165,28 @@ fn cmd_query(args: &Args) -> Result<(), String> {
             bsfs.push(out.stats.initial_bsf);
             medians.push(out.stats.pq_size_median as f64);
         }
-        let model = ThresholdModel::train(&bsfs, &medians, 16.0);
         println!("trained per-query TH model on {n_pilot} pilot queries");
-        AdmissionController::default().with_threshold_model(model)
+        Some(ThresholdModel::train(&bsfs, &medians, 16.0))
     } else {
-        AdmissionController::default()
+        None
     };
 
-    let ths = controller.predict_ths(&estimates);
     let batch: Vec<BatchQuery> = (0..nq)
         .map(|qi| {
             let q = BatchQuery::new(queries.series(qi), kind);
-            match &ths {
-                Some(ths) => q.with_params(params.with_th(ths[qi])),
+            match &th_model {
+                Some(m) => q.with_params(params.with_th(m.predict_th(estimates[qi]))),
                 None => q,
             }
         })
         .collect();
-    let plan = controller.plan(&estimates, threads);
-    let lanes: Vec<String> = plan
-        .rounds
+    let order = dynamic_order(&estimates, true);
+    let outcome = engine.run_batch(&batch, &order, &params);
+    let lanes: Vec<String> = engine
+        .batch_widths(nq)
         .iter()
-        .map(|r| {
-            let widths: Vec<String> =
-                r.lanes.iter().map(|l| format!("{}w", l.width)).collect();
-            widths.join("+")
-        })
+        .map(|w| format!("{w}w"))
         .collect();
-    let outcome = engine.run_batch_concurrent(&batch, &plan, &params);
     for (qi, item) in outcome.items.iter().enumerate() {
         match &item.answer {
             BatchAnswer::Nn(ans) if dtw_window > 0 => println!(
@@ -218,15 +211,14 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         }
     }
     println!(
-        "batch: {} queries in {:?} on a {}-thread engine ({} round(s): {})",
+        "batch: {} queries in {:?} on a {}-thread engine (lanes: {})",
         outcome.items.len(),
         outcome.wall,
         engine.n_threads(),
-        plan.rounds.len(),
         if lanes.is_empty() {
-            "empty".to_string()
+            "none".to_string()
         } else {
-            lanes.join(" then ")
+            lanes.join("+")
         }
     );
     Ok(())

@@ -89,18 +89,7 @@ pub fn serve_request(
     nsend: usize,
     steals_served: &AtomicU64,
 ) {
-    let stolen = registry.serve_steal(nsend);
-    if std::env::var("ODYSSEY_STEAL_DEBUG").is_ok() {
-        eprintln!(
-            "serve from node {}: {} in flight -> {:?}",
-            req.from,
-            registry.in_flight(),
-            stolen
-                .as_ref()
-                .map(|w| (w.query_id, w.batch_ids.len()))
-        );
-    }
-    let response = match stolen {
+    let response = match registry.serve_steal(nsend) {
         Some(w) => {
             steals_served.fetch_add(1, Ordering::Relaxed);
             StealResponse {

@@ -14,10 +14,11 @@
 //! * each worker owns a scratch arena (lower-bound block buffers,
 //!   priority-queue heap allocations, traversal stacks) that is cleared
 //!   — not reallocated — between queries;
-//! * queries execute **one at a time across all workers**, preserving
-//!   the paper's intra-query parallelism, RS-batch/HelpTH semantics and
-//!   [`StealView`] work-stealing hooks unchanged — the engine runs the
-//!   exact same three-phase body as the per-query path.
+//! * a query runs on the whole pool or on a *lane* (a disjoint group of
+//!   workers), preserving the paper's intra-query parallelism,
+//!   RS-batch/HelpTH semantics and [`StealView`] work-stealing hooks
+//!   unchanged — the engine runs the exact same three-phase body as the
+//!   per-query path, at the pool's or the lane's width.
 //!
 //! The submitting thread participates as worker 0, so a 1-thread engine
 //! runs queries inline with zero synchronization, and an `n`-thread
@@ -26,7 +27,8 @@
 //! [`BatchEngine::run_batch`] is the entry point the scheduling layer
 //! feeds: it takes a set of [`BatchQuery`]s plus a dispatch *order* (a
 //! permutation, e.g. the descending-cost order of `odyssey-sched`'s
-//! PREDICT-DN policy) and executes the batch on the resident pool.
+//! PREDICT-DN policy) and answers the batch on continuous-dispatch
+//! lanes, several queries side by side.
 //!
 //! The engine also hosts the **steal service**: a [`StealRegistry`]
 //! tracking every in-flight query — full-pool or lane — with its
@@ -51,7 +53,7 @@ use super::scratch::WorkerScratch;
 use crate::index::Index;
 use crate::sync::PhaseBarrier;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -353,16 +355,12 @@ impl BatchEngine {
     /// [`super::exact::exact_search`] with the same thread count.
     /// Standalone calls register with the steal service as query 0.
     pub fn exact(&self, query: &[f32], params: &SearchParams) -> SearchOutcome {
-        self.exact_as(0, query, params)
-    }
-
-    fn exact_as(&self, query_id: usize, query: &[f32], params: &SearchParams) -> SearchOutcome {
         let (kernel, bsf, initial) = seed_ed(&self.index, query);
         let bsf = Arc::new(bsf);
-        let grant = self.admit(query_id, Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>);
+        let grant = self.admit(0, Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>);
         let mut stats = self.run_query(&kernel, params, &*bsf, None, &grant, &|_, _| {});
         stats.initial_bsf = initial;
-        self.registry.observe(query_id, &stats);
+        self.registry.observe(0, &stats);
         SearchOutcome {
             answer: bsf.answer(),
             stats,
@@ -395,21 +393,11 @@ impl BatchEngine {
         k: usize,
         params: &SearchParams,
     ) -> (KnnAnswer, SearchStats) {
-        self.knn_as(0, query, k, params)
-    }
-
-    fn knn_as(
-        &self,
-        query_id: usize,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-    ) -> (KnnAnswer, SearchStats) {
         let (kernel, knn) = seed_knn(&self.index, query, k);
         let knn = Arc::new(knn);
-        let grant = self.admit(query_id, Arc::clone(&knn) as Arc<dyn ResultSet + Send + Sync>);
+        let grant = self.admit(0, Arc::clone(&knn) as Arc<dyn ResultSet + Send + Sync>);
         let stats = self.run_query(&kernel, params, &*knn, None, &grant, &|_, _| {});
-        self.registry.observe(query_id, &stats);
+        self.registry.observe(0, &stats);
         (knn.snapshot(), stats)
     }
 
@@ -421,61 +409,50 @@ impl BatchEngine {
         window: usize,
         params: &SearchParams,
     ) -> (Answer, SearchStats) {
-        self.dtw_as(0, query, window, params)
-    }
-
-    fn dtw_as(
-        &self,
-        query_id: usize,
-        query: &[f32],
-        window: usize,
-        params: &SearchParams,
-    ) -> (Answer, SearchStats) {
         let (kernel, bsf, initial) = seed_dtw(&self.index, query, window);
         let bsf = Arc::new(bsf);
-        let grant = self.admit(query_id, Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>);
+        let grant = self.admit(0, Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>);
         let mut stats = self.run_query(&kernel, params, &*bsf, None, &grant, &|_, _| {});
         stats.initial_bsf = initial;
-        self.registry.observe(query_id, &stats);
+        self.registry.observe(0, &stats);
         (bsf.answer(), stats)
     }
 
-    /// Answers one batch item, registering it with the steal service
-    /// under its batch index. Shared by the sequential and concurrent
-    /// batch drivers.
-    fn run_one(&self, query_id: usize, q: &BatchQuery, params: &SearchParams) -> BatchItem {
-        match q.kind {
-            QueryKind::Exact => {
-                let out = self.exact_as(query_id, q.data, params);
-                BatchItem {
-                    answer: BatchAnswer::Nn(out.answer),
-                    stats: out.stats,
-                }
-            }
-            QueryKind::Knn(k) => {
-                let (ans, stats) = self.knn_as(query_id, q.data, k, params);
-                BatchItem {
-                    answer: BatchAnswer::Knn(ans),
-                    stats,
-                }
-            }
-            QueryKind::Dtw(window) => {
-                let (ans, stats) = self.dtw_as(query_id, q.data, window, params);
-                BatchItem {
-                    answer: BatchAnswer::Nn(ans),
-                    stats,
-                }
-            }
-        }
+    /// The lane widths [`BatchEngine::run_batch`] runs a batch of
+    /// `n_queries` on: `min(pool, n_queries)` lanes splitting the pool
+    /// as evenly as possible, wider lanes first. A batch with at least
+    /// as many queries as threads gets width-1 lanes; a single query
+    /// keeps the full pool. Empty for an empty batch.
+    pub fn batch_widths(&self, n_queries: usize) -> Vec<usize> {
+        let pool = self.pool.n_threads;
+        let lanes = pool.min(n_queries);
+        (0..lanes)
+            .map(|l| pool / lanes + usize::from(l < pool % lanes))
+            .collect()
     }
 
-    /// Executes a whole batch in the given dispatch `order` (a
-    /// permutation of `0..queries.len()`, e.g. from an `odyssey-sched`
-    /// policy). Queries run one at a time across all pool threads;
-    /// results are returned in input order.
+    /// Answers a whole batch. `order` is the dispatch order, a
+    /// permutation of `0..queries.len()` (e.g. the descending-estimate
+    /// order of `odyssey-sched`'s PREDICT-DN policy).
+    ///
+    /// The batch runs as one continuous-dispatch round
+    /// ([`BatchEngine::run_dispatch`]) on the lanes of
+    /// [`BatchEngine::batch_widths`]: each lane claims the next entry of
+    /// `order` from a shared cursor and answers it at the lane's width,
+    /// so several queries run side by side and a lane that finishes
+    /// claims the next query at once. Lanes of width 1 pay no barriers
+    /// and no contention on a query's shared queues, which is where a
+    /// query loses time when it is spread over the whole pool; a
+    /// single-query batch keeps the full pool, so its latency is that of
+    /// [`BatchEngine::exact`]. Answers are bit-identical to the
+    /// per-query entry points (`exact`, `knn`, `dtw`), each item's own
+    /// `params` override the batch-wide ones, every query is registered
+    /// with the steal service under its input index and reported to the
+    /// installed observer. Results come back in input order.
     ///
     /// # Panics
-    /// Panics if `order` is not a permutation of the query indices.
+    /// Panics, before any query runs, if `order` is not a permutation of
+    /// the query indices.
     pub fn run_batch(
         &self,
         queries: &[BatchQuery],
@@ -487,19 +464,34 @@ impl BatchEngine {
             queries.len(),
             "dispatch order must cover every query exactly once"
         );
-        let t0 = std::time::Instant::now();
-        let mut items: Vec<Option<BatchItem>> = (0..queries.len()).map(|_| None).collect();
+        let mut seen = vec![false; queries.len()];
         for &qi in order {
-            let slot = items
+            let slot = seen
                 .get_mut(qi)
                 .unwrap_or_else(|| panic!("dispatch order names query {qi} out of range"));
-            assert!(slot.is_none(), "dispatch order repeats query {qi}");
-            let q = &queries[qi];
-            let p = q.params.unwrap_or(*params);
-            items[qi] = Some(self.run_one(qi, q, &p));
+            assert!(!*slot, "dispatch order repeats query {qi}");
+            *slot = true;
+        }
+        let t0 = std::time::Instant::now();
+        let items: Vec<OnceLock<BatchItem>> = (0..queries.len()).map(|_| OnceLock::new()).collect();
+        let widths = self.batch_widths(queries.len());
+        if !widths.is_empty() {
+            let next = AtomicUsize::new(0);
+            self.run_dispatch(&widths, &|ctx, _lane| {
+                while let Some(&qi) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let q = &queries[qi];
+                    let item = ctx.execute(qi, q, &q.params.unwrap_or(*params));
+                    items[qi]
+                        .set(item)
+                        .unwrap_or_else(|_| unreachable!("validated order names each query once"));
+                }
+            });
         }
         BatchOutcome {
-            items: items.into_iter().map(|i| i.expect("order is total")).collect(),
+            items: items
+                .into_iter()
+                .map(|s| s.into_inner().expect("validated order is total"))
+                .collect(),
             wall: t0.elapsed(),
         }
     }
@@ -1340,7 +1332,6 @@ fn worker_main(inner: &PoolInner, tid: usize, core_base: usize, prefault: usize)
 /// lane's contiguous tid range) occupy adjacent cores. Wraps modulo the
 /// host core count in [`pin_to_core`].
 fn reserve_core_block(n: usize) -> usize {
-    use std::sync::atomic::AtomicUsize;
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     NEXT.fetch_add(n, Ordering::Relaxed)
 }
@@ -1517,23 +1508,46 @@ mod tests {
             .iter()
             .map(|q| BatchQuery::new(q, QueryKind::Exact))
             .collect();
-        let order: Vec<usize> = (0..queries.len()).collect();
         for threads in [1usize, 3, 4] {
             let engine = BatchEngine::new(Arc::clone(&idx), threads);
             let params = SearchParams::new(threads).with_th(16);
-            let seq = engine.run_batch(&queries, &order, &params);
+            // The reference: each query alone on the full pool.
+            let want: Vec<u64> = qdata
+                .iter()
+                .map(|q| engine.exact(q, &params).answer.distance.to_bits())
+                .collect();
             for width in 1..=threads {
                 let plan = ConcurrentPlan::uniform(queries.len(), threads, width);
                 let conc = engine.run_batch_concurrent(&queries, &plan, &params);
-                for qi in 0..queries.len() {
+                for (qi, w) in want.iter().enumerate() {
                     assert_eq!(
                         conc.items[qi].answer.nn().distance.to_bits(),
-                        seq.items[qi].answer.nn().distance.to_bits(),
+                        *w,
                         "threads={threads} width={width} qi={qi}"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn batch_widths_split_the_pool_evenly_one_lane_per_query() {
+        let idx = build(200);
+        for pool in 1..=8usize {
+            let engine = BatchEngine::new(Arc::clone(&idx), pool);
+            assert!(engine.batch_widths(0).is_empty(), "pool={pool}");
+            assert_eq!(engine.batch_widths(1), vec![pool], "one query keeps the pool");
+            for n in 1..=3 * pool {
+                let w = engine.batch_widths(n);
+                assert_eq!(w.len(), pool.min(n), "pool={pool} n={n}");
+                assert_eq!(w.iter().sum::<usize>(), pool, "pool={pool} n={n}");
+                assert!(w.windows(2).all(|p| p[0] >= p[1] && p[0] - p[1] <= 1));
+            }
+        }
+        let engine = BatchEngine::new(idx, 8);
+        assert_eq!(engine.batch_widths(3), vec![3, 3, 2]);
+        assert_eq!(engine.batch_widths(7), vec![2, 1, 1, 1, 1, 1, 1]);
+        assert_eq!(engine.batch_widths(20), vec![1; 8]);
     }
 
     #[test]

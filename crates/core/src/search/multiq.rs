@@ -1,12 +1,12 @@
 //! Inter-query concurrency: partitioned worker groups ("lanes").
 //!
-//! The [`BatchEngine`](super::engine::BatchEngine) pool of PR 3 exploits
-//! only *intra*-query parallelism: every query runs across all pool
-//! threads, one query at a time. Odyssey's second axis is *inter*-query
-//! parallelism — the cluster answers many queries at once across nodes,
-//! and a node whose per-query speedup has saturated (easy queries, where
-//! setup and synchronization dominate) should do the same across worker
-//! subsets.
+//! The per-query entry points of the
+//! [`BatchEngine`](super::engine::BatchEngine) exploit only
+//! *intra*-query parallelism: a query runs across all pool threads.
+//! Odyssey's second axis is *inter*-query parallelism — the cluster
+//! answers many queries at once across nodes, and a node whose
+//! per-query speedup has saturated (easy queries, where setup and
+//! synchronization dominate) should do the same across worker subsets.
 //!
 //! This module supplies the execution mechanism:
 //!
@@ -19,8 +19,9 @@
 //! * a [`LaneCtx`] handed to the per-lane driver on the group's rank-0
 //!   worker, exposing [`LaneCtx::run_query`] — the exact same
 //!   three-phase [`ExecShared`] body as the sequential paths, run at the
-//!   lane's width. Answers are therefore bit-identical to
-//!   `run_batch`: exactness never depended on the thread count;
+//!   lane's width. Answers are therefore bit-identical to the full-pool
+//!   per-query entry points: exactness never depended on the thread
+//!   count;
 //! * **intra-round re-admission**: lane queues are shared, so a lane
 //!   that drains early claims queries from the round's still-loaded
 //!   lanes instead of idling at the round barrier
@@ -133,9 +134,8 @@ pub struct ConcurrentPlan {
 }
 
 impl ConcurrentPlan {
-    /// The degenerate plan semantically equal to
-    /// [`run_batch`](super::engine::BatchEngine::run_batch): one round,
-    /// one full-pool lane executing `order`.
+    /// The degenerate plan: one round, one full-pool lane executing
+    /// `order` one query at a time.
     pub fn sequential(order: &[usize], pool: usize) -> Self {
         if order.is_empty() {
             return ConcurrentPlan::default();
@@ -642,10 +642,9 @@ impl LaneCtx<'_, '_> {
         shared.finish()
     }
 
-    /// Answers one [`BatchQuery`] on the lane — the concurrent analogue
-    /// of the per-kind arms in
-    /// [`run_batch`](super::engine::BatchEngine::run_batch) — registered
-    /// with the steal service under `query_id` (its batch index).
+    /// Answers one [`BatchQuery`] on the lane — the lane analogue of the
+    /// engine's `exact` / `knn` / `dtw` entry points — registered with
+    /// the steal service under `query_id` (its batch index).
     pub fn execute(
         &mut self,
         query_id: usize,

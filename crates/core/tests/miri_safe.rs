@@ -100,16 +100,14 @@ fn lane_job_slots_round_trip() {
         .map(|q| BatchQuery::new(q, QueryKind::Exact))
         .collect();
     let params = SearchParams::new(1);
-    let order: Vec<usize> = (0..queries.len()).collect();
-    let seq = engine.run_batch(&queries, &order, &params);
     let conc = engine.run_batch_concurrent(
         &queries,
         &ConcurrentPlan::uniform(queries.len(), 2, 1),
         &params,
     );
-    for (a, b) in seq.items.iter().zip(&conc.items) {
+    for (q, b) in qdata.iter().zip(&conc.items) {
         assert_eq!(
-            a.answer.nn().distance.to_bits(),
+            engine.exact(q, &params).answer.distance.to_bits(),
             b.answer.nn().distance.to_bits()
         );
     }

@@ -14,7 +14,7 @@
 //! needs a network the CI cache setup avoids).
 
 use odyssey_core::index::{Index, IndexConfig};
-use odyssey_core::search::engine::{BatchEngine, BatchQuery, QueryKind};
+use odyssey_core::search::engine::{BatchAnswer, BatchEngine, BatchItem, BatchQuery, QueryKind};
 use odyssey_core::search::exact::SearchParams;
 use odyssey_core::search::multiq::ConcurrentPlan;
 use odyssey_core::series::DatasetBuffer;
@@ -39,6 +39,39 @@ fn walk_dataset(n: usize, len: usize, seed: u64) -> DatasetBuffer {
     DatasetBuffer::from_vec(data, len)
 }
 
+/// The reference every lane answer is checked against: each query
+/// asked alone on a 2-thread engine through the per-query entry points.
+fn per_query_reference(
+    index: &Arc<Index>,
+    queries: &[BatchQuery],
+    params: &SearchParams,
+) -> Vec<BatchAnswer> {
+    let engine = BatchEngine::new(Arc::clone(index), 2);
+    queries
+        .iter()
+        .map(|q| match q.kind {
+            QueryKind::Exact => BatchAnswer::Nn(engine.exact(q.data, params).answer),
+            QueryKind::Knn(k) => BatchAnswer::Knn(engine.knn(q.data, k, params).0),
+            QueryKind::Dtw(w) => BatchAnswer::Nn(engine.dtw(q.data, w, params).0),
+        })
+        .collect()
+}
+
+/// Asserts `got` answers bit-identically to the reference: same
+/// distances and ids.
+fn assert_matches(want: &BatchAnswer, got: &BatchItem, context: &str) {
+    match (want, &got.answer) {
+        (BatchAnswer::Nn(x), BatchAnswer::Nn(y)) => {
+            assert_eq!(x.distance.to_bits(), y.distance.to_bits(), "{context}");
+            assert_eq!(x.series_id, y.series_id, "{context}");
+        }
+        (BatchAnswer::Knn(x), BatchAnswer::Knn(y)) => {
+            assert_eq!(x.neighbors, y.neighbors, "{context}");
+        }
+        _ => panic!("{context}: answer kinds diverged"),
+    }
+}
+
 fn build(n: usize) -> Arc<Index> {
     Arc::new(Index::build(
         walk_dataset(n, 64, 33),
@@ -61,10 +94,7 @@ fn concurrent_lanes_bit_identical_at_2_4_8_threads() {
         .map(|q| BatchQuery::new(q, QueryKind::Exact))
         .collect();
     let params = SearchParams::new(1);
-    let order: Vec<usize> = (0..queries.len()).collect();
-
-    let reference = BatchEngine::new(Arc::clone(&index), 2)
-        .run_batch(&queries, &order, &params);
+    let reference = per_query_reference(&index, &queries, &params);
 
     for pool in [2usize, 4, 8] {
         let engine = BatchEngine::new(Arc::clone(&index), pool);
@@ -72,13 +102,8 @@ fn concurrent_lanes_bit_identical_at_2_4_8_threads() {
         // simultaneously and re-admission has victims to drain.
         let plan = ConcurrentPlan::uniform(queries.len(), pool, (pool / 2).max(1));
         let conc = engine.run_batch_concurrent(&queries, &plan, &params);
-        for (qi, (a, b)) in reference.items.iter().zip(&conc.items).enumerate() {
-            let (da, db) = (a.answer.nn().distance, b.answer.nn().distance);
-            assert_eq!(
-                da.to_bits(),
-                db.to_bits(),
-                "pool={pool} query={qi}: lanes must be bit-identical to sequential"
-            );
+        for (qi, (a, b)) in reference.iter().zip(&conc.items).enumerate() {
+            assert_matches(a, b, &format!("pool={pool} query={qi}: lanes vs per-query"));
         }
     }
 }
@@ -88,8 +113,9 @@ fn concurrent_lanes_bit_identical_at_2_4_8_threads() {
 /// claims** — a lane that finishes immediately pulls the next query
 /// while its siblings are still mid-search. TSan watches the shared
 /// claim queue, each lane's publish/join barriers, and the result
-/// slots; answers must stay bit-identical to the sequential batch at
-/// every pool width (mixed ED / DTW / k-NN kinds).
+/// slots; answers must stay bit-identical to the per-query reference
+/// at every pool width (mixed ED / DTW / k-NN kinds). `run_batch`, which
+/// is built on the same mechanism, is checked alongside.
 #[test]
 fn continuous_dispatch_bit_identical_at_2_4_8_threads() {
     use odyssey_core::search::multiq::uniform_widths;
@@ -114,13 +140,16 @@ fn continuous_dispatch_bit_identical_at_2_4_8_threads() {
         .collect();
     let params = SearchParams::new(1);
     let order: Vec<usize> = (0..queries.len()).collect();
-    let reference = BatchEngine::new(Arc::clone(&index), 2)
-        .run_batch(&queries, &order, &params);
+    let reference = per_query_reference(&index, &queries, &params);
 
     for pool in [2usize, 4, 8] {
         let engine = BatchEngine::new(Arc::clone(&index), pool);
+        let batch = engine.run_batch(&queries, &order, &params);
+        for (qi, (a, b)) in reference.iter().zip(&batch.items).enumerate() {
+            assert_matches(a, b, &format!("pool={pool} query={qi}: run_batch"));
+        }
         let source: Mutex<VecDeque<usize>> = Mutex::new((0..queries.len()).collect());
-        let slots: Vec<Mutex<Option<odyssey_core::search::engine::BatchItem>>> =
+        let slots: Vec<Mutex<Option<BatchItem>>> =
             (0..queries.len()).map(|_| Mutex::new(None)).collect();
         // Several width-(pool/2) lanes claiming from the same queue.
         let widths = uniform_widths(pool, (pool / 2).max(1));
@@ -129,29 +158,10 @@ fn continuous_dispatch_bit_identical_at_2_4_8_threads() {
             let item = ctx.execute(qi, &queries[qi], &params);
             *slots[qi].lock() = Some(item);
         });
-        for (qi, (a, slot)) in reference.items.iter().zip(&slots).enumerate() {
+        for (qi, (a, slot)) in reference.iter().zip(&slots).enumerate() {
             let b = slot.lock();
             let b = b.as_ref().expect("dispatch answered every query");
-            match (&a.answer, &b.answer) {
-                (
-                    odyssey_core::search::engine::BatchAnswer::Nn(x),
-                    odyssey_core::search::engine::BatchAnswer::Nn(y),
-                ) => {
-                    assert_eq!(
-                        x.distance.to_bits(),
-                        y.distance.to_bits(),
-                        "pool={pool} query={qi}: continuous dispatch must be bit-identical"
-                    );
-                    assert_eq!(x.series_id, y.series_id, "pool={pool} query={qi}");
-                }
-                (
-                    odyssey_core::search::engine::BatchAnswer::Knn(x),
-                    odyssey_core::search::engine::BatchAnswer::Knn(y),
-                ) => {
-                    assert_eq!(x.neighbors, y.neighbors, "pool={pool} query={qi}");
-                }
-                _ => panic!("pool={pool} query={qi}: answer kinds diverged"),
-            }
+            assert_matches(a, b, &format!("pool={pool} query={qi}: continuous dispatch"));
         }
     }
 }
@@ -170,9 +180,7 @@ fn steal_service_under_lanes_stays_exact_at_2_4_8_threads() {
         .map(|q| BatchQuery::new(q, QueryKind::Exact))
         .collect();
     let params = SearchParams::new(1).with_th(16);
-    let order: Vec<usize> = (0..queries.len()).collect();
-    let reference = BatchEngine::new(Arc::clone(&index), 2)
-        .run_batch(&queries, &order, &params);
+    let reference = per_query_reference(&index, &queries, &params);
 
     for pool in [2usize, 4, 8] {
         let engine = BatchEngine::new(Arc::clone(&index), pool);
@@ -183,12 +191,8 @@ fn steal_service_under_lanes_stays_exact_at_2_4_8_threads() {
         }));
         let plan = ConcurrentPlan::uniform(queries.len(), pool, 1);
         let conc = engine.run_batch_concurrent(&queries, &plan, &params);
-        for (qi, (a, b)) in reference.items.iter().zip(&conc.items).enumerate() {
-            assert_eq!(
-                a.answer.nn().distance.to_bits(),
-                b.answer.nn().distance.to_bits(),
-                "pool={pool} query={qi}: steal service must not disturb answers"
-            );
+        for (qi, (a, b)) in reference.iter().zip(&conc.items).enumerate() {
+            assert_matches(a, b, &format!("pool={pool} query={qi}: under steal service"));
         }
         assert_eq!(engine.steal_registry().in_flight(), 0);
     }
@@ -213,9 +217,7 @@ fn kill_mid_round_then_rerun_is_bit_identical_at_2_4_8_threads() {
         .map(|q| BatchQuery::new(q, QueryKind::Exact))
         .collect();
     let params = SearchParams::new(1).with_th(16);
-    let order: Vec<usize> = (0..queries.len()).collect();
-    let reference = BatchEngine::new(Arc::clone(&index), 2)
-        .run_batch(&queries, &order, &params);
+    let reference = per_query_reference(&index, &queries, &params);
 
     for pool in [2usize, 4, 8] {
         let engine = BatchEngine::new(Arc::clone(&index), pool);
@@ -239,12 +241,8 @@ fn kill_mid_round_then_rerun_is_bit_identical_at_2_4_8_threads() {
         // The pool reset on unwind leaves the engine reusable: the
         // re-run (a failover re-execution) must match the reference.
         let conc = engine.run_batch_concurrent(&queries, &plan, &params);
-        for (qi, (a, b)) in reference.items.iter().zip(&conc.items).enumerate() {
-            assert_eq!(
-                a.answer.nn().distance.to_bits(),
-                b.answer.nn().distance.to_bits(),
-                "pool={pool} query={qi}: re-run after kill must be bit-identical"
-            );
+        for (qi, (a, b)) in reference.iter().zip(&conc.items).enumerate() {
+            assert_matches(a, b, &format!("pool={pool} query={qi}: re-run after kill"));
         }
     }
 }

@@ -3,7 +3,7 @@
 //! deadline-expiry degradation.
 
 use odyssey_core::index::{Index, IndexConfig};
-use odyssey_core::search::engine::{BatchAnswer, BatchEngine, BatchQuery, QueryKind};
+use odyssey_core::search::engine::{BatchAnswer, BatchEngine, QueryKind};
 use odyssey_core::search::exact::SearchParams;
 use odyssey_core::series::DatasetBuffer;
 use odyssey_service::{
@@ -36,9 +36,10 @@ fn mixed_workload(data: &DatasetBuffer, n: usize, seed: u64) -> QueryWorkload {
     )
 }
 
-/// Streamed service answers must be bit-identical to `run_batch` over
-/// the same mixed ED / DTW / k-NN queries at every pool width, with
-/// both latency classes interleaved.
+/// Streamed service answers must be bit-identical to each query asked
+/// alone on a batch engine (`exact` / `knn` / `dtw`) over the same mixed
+/// ED / DTW / k-NN queries at every pool width, with both latency
+/// classes interleaved.
 #[test]
 fn streamed_matches_batch_at_1_2_4_8_threads() {
     let (data, index) = build_index(1200, 17);
@@ -48,15 +49,16 @@ fn streamed_matches_batch_at_1_2_4_8_threads() {
         1 => QueryKind::Dtw(4),
         _ => QueryKind::Knn(3),
     };
-    let queries: Vec<BatchQuery> = (0..w.len())
-        .map(|qi| BatchQuery::new(w.query(qi), kinds(qi)))
-        .collect();
-    let order: Vec<usize> = (0..queries.len()).collect();
-
     for threads in [1usize, 2, 4, 8] {
         let params = SearchParams::new(threads);
-        let reference = BatchEngine::new(Arc::clone(&index), threads.max(2))
-            .run_batch(&queries, &order, &params);
+        let engine = BatchEngine::new(Arc::clone(&index), threads.max(2));
+        let reference: Vec<BatchAnswer> = (0..w.len())
+            .map(|qi| match kinds(qi) {
+                QueryKind::Exact => BatchAnswer::Nn(engine.exact(w.query(qi), &params).answer),
+                QueryKind::Knn(k) => BatchAnswer::Knn(engine.knn(w.query(qi), k, &params).0),
+                QueryKind::Dtw(win) => BatchAnswer::Nn(engine.dtw(w.query(qi), win, &params).0),
+            })
+            .collect();
         let service = QueryService::new(
             ServiceConfig::default()
                 .with_pool_threads(threads)
@@ -91,7 +93,7 @@ fn streamed_matches_batch_at_1_2_4_8_threads() {
         );
         for (qi, a) in ids.iter().enumerate() {
             assert_eq!(a.outcome, ServeOutcome::Exact);
-            match (&a.answer, &reference.items[qi].answer) {
+            match (&a.answer, &reference[qi]) {
                 (BatchAnswer::Nn(s), BatchAnswer::Nn(b)) => {
                     assert_eq!(
                         s.distance.to_bits(),

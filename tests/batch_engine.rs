@@ -1,10 +1,14 @@
 //! Batch-engine equivalence: a mixed batch of easy/hard/k-NN/DTW
 //! queries executed through **one** persistent [`BatchEngine`] must
 //! return answers bit-identical to the per-query entry points
-//! (`exact_search` / `knn_search` / `dtw_search`), across thread
-//! counts — the engine changes *how* execution resources are
-//! provisioned, never *what* is computed.
+//! (`exact_search` / `knn_search` / `dtw_search`, and the engine's own
+//! `exact` / `knn` / `dtw`), across thread counts and batch lengths —
+//! `run_batch`'s lanes change *where* a query runs, never *what* is
+//! computed.
 
+mod common;
+
+use common::{assert_bit_identical, per_query_reference};
 use odyssey::core::index::{Index, IndexConfig};
 use odyssey::core::search::engine::{BatchAnswer, BatchEngine, BatchQuery, QueryKind};
 use odyssey::core::search::exact::{exact_search, SearchParams};
@@ -12,7 +16,10 @@ use odyssey::core::search::knn::knn_search;
 use odyssey::core::search::dtw_search::dtw_search;
 use odyssey::workloads::generator::random_walk;
 use odyssey::workloads::queries::{QueryWorkload, WorkloadKind};
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 fn setup() -> (Arc<Index>, QueryWorkload, QueryWorkload) {
     let data = random_walk(1500, 64, 0xBEEF);
@@ -113,4 +120,134 @@ fn engine_reuse_across_consecutive_batches_is_stable() {
         assert_eq!(a, b, "item {qi}: reused engine diverged");
         assert_eq!(a, c, "item {qi}: fresh engine diverged");
     }
+}
+
+/// `len` queries cycling through ED, k-NN and DTW over easy and hard
+/// series; every DTW item and every fifth item carry their own `TH`.
+fn cycled_batch<'a>(
+    easy: &'a QueryWorkload,
+    hard: &'a QueryWorkload,
+    len: usize,
+    params: &SearchParams,
+) -> Vec<BatchQuery<'a>> {
+    (0..len)
+        .map(|i| {
+            let w = if i % 2 == 0 { easy } else { hard };
+            let data = w.query(i % w.len());
+            let kind = match i % 3 {
+                0 => QueryKind::Exact,
+                1 => QueryKind::Knn(1 + i % 4),
+                _ => QueryKind::Dtw(2 + i % 3),
+            };
+            let q = BatchQuery::new(data, kind);
+            if i % 3 == 2 || i % 5 == 0 {
+                q.with_params(params.with_th(1 + 5 * i))
+            } else {
+                q
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn run_batch_matches_per_query_calls_across_pools_and_lengths() {
+    let (index, easy, hard) = setup();
+    for pool in [1usize, 2, 4, 8] {
+        let engine = BatchEngine::new(Arc::clone(&index), pool);
+        let params = SearchParams::new(pool).with_th(24);
+        let mut lengths = vec![1, pool.saturating_sub(1), pool, 3 * pool];
+        lengths.sort_unstable();
+        lengths.dedup();
+        for len in lengths {
+            let batch = cycled_batch(&easy, &hard, len, &params);
+            let want = per_query_reference(&engine, &batch, &params);
+            // Reverse dispatch order: answers still land in input order.
+            let order: Vec<usize> = (0..len).rev().collect();
+            let got = engine.run_batch(&batch, &order, &params);
+            assert_bit_identical(&want, &got, &format!("pool={pool} len={len}"));
+        }
+    }
+}
+
+#[test]
+fn run_batch_lanes_follow_the_lane_count_rule() {
+    // The steal registry sees each running query with its lane width;
+    // the service hook samples it between queue claims.
+    let (index, _easy, hard) = setup();
+    for pool in [2usize, 4] {
+        let engine = BatchEngine::new(Arc::clone(&index), pool);
+        let seen: Arc<Mutex<HashSet<(usize, usize)>>> = Default::default();
+        {
+            let seen = Arc::clone(&seen);
+            engine.steal_registry().install_service(Arc::new(move |reg| {
+                let mut seen = seen.lock().unwrap();
+                for q in reg.snapshot() {
+                    seen.insert((q.query_id, q.width));
+                }
+            }));
+        }
+        let params = SearchParams::new(pool).with_th(16);
+        for len in [1, pool - 1, pool, 3 * pool] {
+            seen.lock().unwrap().clear();
+            let batch: Vec<BatchQuery> = (0..len)
+                .map(|i| BatchQuery::new(hard.query(i % hard.len()), QueryKind::Exact))
+                .collect();
+            let order: Vec<usize> = (0..len).collect();
+            // One lane per query up to the pool: a single query keeps
+            // the full pool, a batch of at least `pool` runs at width 1.
+            let widths = engine.batch_widths(len);
+            let _ = engine.run_batch(&batch, &order, &params);
+            let seen = seen.lock().unwrap();
+            assert!(!seen.is_empty(), "pool={pool} len={len}: hook never fired");
+            for &(qi, width) in seen.iter() {
+                assert!(qi < len);
+                let allowed = match len {
+                    1 => width == pool,
+                    n if n >= pool => width == 1,
+                    _ => widths.contains(&width),
+                };
+                assert!(
+                    allowed,
+                    "pool={pool} len={len}: query {qi} ran at width {width}, lanes {widths:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn bad_dispatch_order_panics_before_any_query_runs() {
+    let (index, easy, _hard) = setup();
+    let engine = BatchEngine::new(Arc::clone(&index), 2);
+    let answered = Arc::new(AtomicUsize::new(0));
+    {
+        let answered = Arc::clone(&answered);
+        engine
+            .steal_registry()
+            .install_observer(Arc::new(move |_, _| {
+                answered.fetch_add(1, Ordering::Relaxed);
+            }));
+    }
+    let batch: Vec<BatchQuery> = (0..3)
+        .map(|i| BatchQuery::new(easy.query(i), QueryKind::Exact))
+        .collect();
+    let params = SearchParams::new(2);
+    for (order, why) in [
+        (vec![0, 1, 3], "out of range"),
+        (vec![0, 1, 1], "repeats query"),
+        (vec![0, 1], "cover every query"),
+    ] {
+        let err = catch_unwind(AssertUnwindSafe(|| engine.run_batch(&batch, &order, &params)))
+            .expect_err("a bad order must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(msg.contains(why), "order {order:?}: panic {msg:?}");
+        assert_eq!(answered.load(Ordering::Relaxed), 0, "order {order:?} ran a query");
+    }
+    // The engine is untouched and answers the batch afterwards.
+    let _ = engine.run_batch(&batch, &[2, 0, 1], &params);
+    assert_eq!(answered.load(Ordering::Relaxed), 3);
 }

@@ -2,21 +2,23 @@
 //!
 //! A batch executed by [`BatchEngine::run_batch_concurrent`] — several
 //! queries at once on disjoint worker groups — must return answers
-//! bit-identical to the sequential [`BatchEngine::run_batch`] pool, for
-//! every pool size and every group width: the lanes change *where* a
-//! query runs, never *what* is computed. The admission planner's output
+//! bit-identical to each query asked alone on the full pool (the
+//! per-query entry points `exact` / `knn` / `dtw`), for every pool size
+//! and every group width: the lanes change *where* a query runs, never
+//! *what* is computed. The admission planner's output
 //! must always be a true double partition (of the pool's workers within
 //! each round, and of the batch's queries across the plan) — checked
 //! here property-style over arbitrary estimate vectors.
 
 #![recursion_limit = "1024"]
 
+mod common;
+
 use odyssey::cluster::{ClusterConfig, OdysseyCluster, Replication, SchedulerKind};
 use odyssey::core::search::bsf::{ResultSet, SharedBsf};
 use odyssey::core::index::{Index, IndexConfig};
-use odyssey::core::search::engine::{
-    BatchAnswer, BatchEngine, BatchQuery, QueryKind, StealRegistry,
-};
+use common::{assert_bit_identical, per_query_reference};
+use odyssey::core::search::engine::{BatchEngine, BatchQuery, QueryKind, StealRegistry};
 use odyssey::core::search::exact::SearchParams;
 use odyssey::core::search::multiq::ConcurrentPlan;
 use odyssey::sched::admission::{plan_lanes, AdmissionConfig};
@@ -38,8 +40,7 @@ fn setup() -> (Arc<Index>, QueryWorkload, QueryWorkload) {
     (index, easy, hard)
 }
 
-/// A mixed easy/hard/k-NN/DTW batch, the same shape `run_batch` is
-/// tested with.
+/// A mixed easy/hard/k-NN/DTW batch.
 fn mixed_batch<'a>(easy: &'a QueryWorkload, hard: &'a QueryWorkload) -> Vec<BatchQuery<'a>> {
     let mut batch = Vec::new();
     for qi in 0..easy.len() {
@@ -53,49 +54,18 @@ fn mixed_batch<'a>(easy: &'a QueryWorkload, hard: &'a QueryWorkload) -> Vec<Batc
     batch
 }
 
-fn assert_bit_identical(
-    seq: &odyssey::core::search::engine::BatchOutcome,
-    conc: &odyssey::core::search::engine::BatchOutcome,
-    context: &str,
-) {
-    assert_eq!(seq.items.len(), conc.items.len());
-    for (qi, (s, c)) in seq.items.iter().zip(&conc.items).enumerate() {
-        match (&s.answer, &c.answer) {
-            (BatchAnswer::Nn(want), BatchAnswer::Nn(got)) => {
-                assert_eq!(
-                    got.distance.to_bits(),
-                    want.distance.to_bits(),
-                    "{context} item {qi}: 1-NN distance"
-                );
-            }
-            (BatchAnswer::Knn(want), BatchAnswer::Knn(got)) => {
-                assert_eq!(got.neighbors.len(), want.neighbors.len());
-                for (rank, (g, w)) in got.neighbors.iter().zip(&want.neighbors).enumerate() {
-                    assert_eq!(
-                        g.0.to_bits(),
-                        w.0.to_bits(),
-                        "{context} item {qi}: k-NN rank {rank}"
-                    );
-                }
-            }
-            (want, got) => panic!("{context} item {qi}: kind mismatch {want:?} vs {got:?}"),
-        }
-    }
-}
-
 #[test]
 fn concurrent_mixed_batches_are_bit_identical_across_widths() {
     let (index, easy, hard) = setup();
     let batch = mixed_batch(&easy, &hard);
-    let order: Vec<usize> = (0..batch.len()).collect();
     for threads in [1usize, 2, 4, 8] {
         let engine = BatchEngine::new(Arc::clone(&index), threads);
         let params = SearchParams::new(threads).with_th(32);
-        let seq = engine.run_batch(&batch, &order, &params);
+        let want = per_query_reference(&engine, &batch, &params);
         for width in 1..=threads {
             let plan = ConcurrentPlan::uniform(batch.len(), threads, width);
             let conc = engine.run_batch_concurrent(&batch, &plan, &params);
-            assert_bit_identical(&seq, &conc, &format!("threads={threads} width={width}"));
+            assert_bit_identical(&want, &conc, &format!("threads={threads} width={width}"));
         }
     }
 }
@@ -103,12 +73,11 @@ fn concurrent_mixed_batches_are_bit_identical_across_widths() {
 #[test]
 fn admission_planned_batches_are_bit_identical() {
     // The prediction-driven plan (hard tier on the full pool, easy tier
-    // on narrow lanes) must agree with the sequential pool too.
+    // on narrow lanes) must agree with the per-query reference too.
     let (index, easy, hard) = setup();
     let batch = mixed_batch(&easy, &hard);
-    let order: Vec<usize> = (0..batch.len()).collect();
     // Use each query's approximate-search distance as its estimate,
-    // like the CLI and cluster runtime do.
+    // like the cluster runtime does.
     let estimates: Vec<f64> = batch
         .iter()
         .map(|q| index.approx_search(q.data).distance)
@@ -116,14 +85,14 @@ fn admission_planned_batches_are_bit_identical() {
     for threads in [2usize, 4, 8] {
         let engine = BatchEngine::new(Arc::clone(&index), threads);
         let params = SearchParams::new(threads).with_th(32);
-        let seq = engine.run_batch(&batch, &order, &params);
+        let want = per_query_reference(&engine, &batch, &params);
         for easy_width in [1usize, 2, 3] {
             let cfg = AdmissionConfig::default().with_easy_width(easy_width);
             let plan = plan_lanes(&estimates, threads, &cfg);
             plan.validate(threads, batch.len());
             let conc = engine.run_batch_concurrent(&batch, &plan, &params);
             assert_bit_identical(
-                &seq,
+                &want,
                 &conc,
                 &format!("threads={threads} easy_width={easy_width}"),
             );
@@ -141,50 +110,50 @@ fn per_query_params_ride_through_concurrent_lanes() {
         .enumerate()
         .map(|(qi, q)| q.with_params(params.with_th(1 + qi * 7)))
         .collect();
-    let order: Vec<usize> = (0..batch.len()).collect();
     let engine = BatchEngine::new(Arc::clone(&index), 4);
-    let seq = engine.run_batch(&batch, &order, &params);
+    let want = per_query_reference(&engine, &batch, &params);
     let conc = engine.run_batch_concurrent(
         &batch,
         &ConcurrentPlan::uniform(batch.len(), 4, 2),
         &params,
     );
-    assert_bit_identical(&seq, &conc, "per-query params");
+    assert_bit_identical(&want, &conc, "per-query params");
 }
 
 #[test]
 fn concurrent_engine_reuse_is_stable_across_batches() {
     // Lane scratch must not leak state between rounds or batches:
     // running the same concurrent batch twice on one engine, and
-    // interleaving with a sequential run, stays bit-identical.
+    // interleaving with a `run_batch`, stays bit-identical.
     let (index, easy, hard) = setup();
     let batch = mixed_batch(&easy, &hard);
     let order: Vec<usize> = (0..batch.len()).collect();
     let engine = BatchEngine::new(Arc::clone(&index), 4);
     let params = SearchParams::new(4).with_th(16);
+    let want = per_query_reference(&engine, &batch, &params);
     let plan = ConcurrentPlan::uniform(batch.len(), 4, 1);
     let first = engine.run_batch_concurrent(&batch, &plan, &params);
-    let seq = engine.run_batch(&batch, &order, &params);
+    let interleaved = engine.run_batch(&batch, &order, &params);
     let second = engine.run_batch_concurrent(&batch, &plan, &params);
-    assert_bit_identical(&first, &second, "concurrent reuse");
-    assert_bit_identical(&seq, &second, "sequential interleave");
+    assert_bit_identical(&want, &first, "first concurrent run");
+    assert_bit_identical(&want, &interleaved, "interleaved run_batch");
+    assert_bit_identical(&want, &second, "second concurrent run");
 }
 
 #[test]
 fn readmission_off_stays_bit_identical() {
     // Intra-round re-admission moves queries between lanes but must
     // never change an answer: plans built with the knob off and on
-    // agree with each other and with the sequential pool.
+    // both agree with the per-query reference.
     let (index, easy, hard) = setup();
     let batch = mixed_batch(&easy, &hard);
-    let order: Vec<usize> = (0..batch.len()).collect();
     let estimates: Vec<f64> = batch
         .iter()
         .map(|q| index.approx_search(q.data).distance)
         .collect();
     let engine = BatchEngine::new(Arc::clone(&index), 4);
     let params = SearchParams::new(4).with_th(32);
-    let seq = engine.run_batch(&batch, &order, &params);
+    let want = per_query_reference(&engine, &batch, &params);
     for readmission in [false, true] {
         let cfg = AdmissionConfig::default()
             .with_easy_width(1)
@@ -194,7 +163,7 @@ fn readmission_off_stays_bit_identical() {
             assert_eq!(round.readmission, readmission);
         }
         let conc = engine.run_batch_concurrent(&batch, &plan, &params);
-        assert_bit_identical(&seq, &conc, &format!("readmission={readmission}"));
+        assert_bit_identical(&want, &conc, &format!("readmission={readmission}"));
     }
 }
 

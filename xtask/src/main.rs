@@ -5,9 +5,12 @@
 //! cargo run -p xtask -- scalar      # core tests with SIMD force-disabled
 //! cargo run -p xtask -- miri        # Miri tier (nightly + miri component)
 //! cargo run -p xtask -- tsan       # ThreadSanitizer tier (nightly, linux x86_64)
+//! cargo run -p xtask -- bench-test # odybench's own unit tests
 //! ```
 //!
-//! `lint` is pure Rust over the source tree and runs anywhere. `miri`
+//! `lint` is pure Rust over the source tree and runs anywhere.
+//! `bench-test` runs the tests of the detached odybench package, which
+//! the workspace `cargo test` does not reach. `miri`
 //! and `tsan` orchestrate cargo invocations of the nightly toolchain
 //! and fail with an actionable message when the toolchain or component
 //! is not available (the offline dev container has no network route to
@@ -28,12 +31,16 @@ fn main() -> ExitCode {
         Some("scalar") => cmd_scalar(&root),
         Some("miri") => cmd_miri(&root),
         Some("tsan") => cmd_tsan(&root),
+        Some("bench-test") => cmd_bench_test(&root),
         Some("help") | None => {
-            eprintln!("usage: cargo run -p xtask -- <lint|scalar|miri|tsan>");
+            eprintln!("usage: cargo run -p xtask -- <lint|scalar|miri|tsan|bench-test>");
             ExitCode::FAILURE
         }
         Some(other) => {
-            eprintln!("xtask: unknown command `{other}` (expected lint, scalar, miri, or tsan)");
+            eprintln!(
+                "xtask: unknown command `{other}` \
+                 (expected lint, scalar, miri, tsan, or bench-test)"
+            );
             ExitCode::FAILURE
         }
     }
@@ -82,6 +89,28 @@ fn cmd_scalar(root: &Path) -> ExitCode {
     );
     if ok {
         eprintln!("xtask scalar: ok");
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// odybench's unit tests. The benchmark is a package of its own (an
+/// empty `[workspace]` in its manifest), so the workspace `cargo test`
+/// never builds it; this runs its suite, including the tiny copies of
+/// the four benchmark workloads, against its own manifest.
+fn cmd_bench_test(root: &Path) -> ExitCode {
+    let manifest = root.join("crates/bench/src/bin/odybench/Cargo.toml");
+    let ok = run_status(
+        Command::new("cargo")
+            .current_dir(root)
+            .arg("test")
+            .arg("--offline")
+            .arg("--manifest-path")
+            .arg(&manifest),
+    );
+    if ok {
+        eprintln!("xtask bench-test: ok");
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
