@@ -33,8 +33,6 @@
 
 #![forbid(unsafe_code)]
 
-
-use odyssey_cluster::{BatchReport, ClusterConfig};
 use odyssey_core::series::DatasetBuffer;
 use odyssey_workloads::generator;
 use odyssey_workloads::queries::{QueryWorkload, WorkloadKind};
@@ -96,12 +94,6 @@ pub fn mixed_queries(data: &DatasetBuffer, n: usize, seed: u64) -> QueryWorkload
 /// paper's corresponding results depend on real-data locality.
 pub fn graded_queries(data: &DatasetBuffer, n: usize, seed: u64) -> QueryWorkload {
     QueryWorkload::generate(data, n, WorkloadKind::Graded { max_noise: 0.8 }, seed)
-}
-
-/// Runs one cluster configuration over a batch, returning the report.
-pub fn run_config(data: &DatasetBuffer, queries: &DatasetBuffer, cfg: ClusterConfig) -> BatchReport {
-    let cluster = odyssey_cluster::OdysseyCluster::build(data, cfg);
-    cluster.answer_batch(queries)
 }
 
 /// The scheduler variants compared in Figure 10, in the paper's legend

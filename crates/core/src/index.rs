@@ -11,14 +11,22 @@ use crate::layout::LeafLayout;
 use crate::paa::paa;
 use crate::sax::sax_word_into;
 use crate::search::answer::Answer;
+use crate::search::batches::RsBatches;
 use crate::search::exact::{exact_search, SearchParams};
 use crate::series::DatasetBuffer;
 use crate::tree::{build_forest, Node, RootSubtree};
+use parking_lot::RwLock;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Roots bounded per sweep call in the approximate search's fallback
 /// scan — a stack buffer's worth, so the scan allocates nothing.
 const ROOT_SWEEP_CHUNK: usize = 64;
+
+/// Distinct RS-batch counts whose partitions [`Index::rs_batches`]
+/// keeps; further counts are computed per call. Callers use a handful
+/// (one per lane or node width, plus the cluster's fixed count).
+const RS_BATCH_CACHE_CAP: usize = 16;
 
 /// Index construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,6 +99,10 @@ pub struct Index {
     /// rebuilt on load, never persisted.
     root_soa: crate::tree::RootSoa,
     build_times: BuildTimes,
+    /// RS-batch partitions already computed, keyed by the effective
+    /// batch count (see [`Index::rs_batches`]). Derived state: not
+    /// persisted and not counted by [`Index::size_bytes`].
+    rs_batches: RwLock<Vec<(usize, Arc<RsBatches>)>>,
 }
 
 /// Result of the approximate search that seeds the exact algorithm's BSF.
@@ -138,6 +150,7 @@ impl Index {
                 buffer_time,
                 tree_time,
             },
+            rs_batches: RwLock::new(Vec::new()),
         }
     }
 
@@ -161,6 +174,7 @@ impl Index {
             root_soa: crate::tree::RootSoa::build(&forest),
             forest,
             build_times: BuildTimes::default(),
+            rs_batches: RwLock::new(Vec::new()),
         }
     }
 
@@ -203,6 +217,35 @@ impl Index {
     #[inline]
     pub fn root_soa(&self) -> &crate::tree::RootSoa {
         &self.root_soa
+    }
+
+    /// The RS-batch partition of the forest into `nsb` batches — exactly
+    /// [`RsBatches::build`] over the root-subtree sizes — computed on
+    /// first use and shared afterwards, so a query does not walk every
+    /// root to rebuild it.
+    pub fn rs_batches(&self, nsb: usize) -> Arc<RsBatches> {
+        // `build` clamps the count to `[1, roots]`; key on the clamped
+        // value so every count past the root count shares one entry.
+        let key = nsb.max(1).min(self.forest.len());
+        let find = |cache: &[(usize, Arc<RsBatches>)]| {
+            cache
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, b)| Arc::clone(b))
+        };
+        if let Some(b) = find(&self.rs_batches.read()) {
+            return b;
+        }
+        let sizes: Vec<usize> = self.forest.iter().map(|t| t.size).collect();
+        let built = Arc::new(RsBatches::build(&sizes, key));
+        let mut cache = self.rs_batches.write();
+        if let Some(b) = find(&cache) {
+            return b; // another caller filled it meanwhile
+        }
+        if cache.len() < RS_BATCH_CACHE_CAP {
+            cache.push((key, Arc::clone(&built)));
+        }
+        built
     }
 
     /// Construction timing breakdown.
@@ -457,6 +500,20 @@ mod tests {
         let ans = idx.brute_force(&q);
         assert_eq!(ans.series_id, Some(300));
         assert_eq!(ans.distance, 0.0);
+    }
+
+    #[test]
+    fn rs_batches_match_build_and_are_shared() {
+        let idx = test_index(600);
+        let roots = idx.forest().len();
+        let sizes: Vec<usize> = idx.forest().iter().map(|t| t.size).collect();
+        for nsb in [1usize, 2, 3, 7, 32, roots + 5] {
+            let first = idx.rs_batches(nsb);
+            assert_eq!(*first, RsBatches::build(&sizes, nsb), "nsb={nsb}");
+            assert!(Arc::ptr_eq(&first, &idx.rs_batches(nsb)), "nsb={nsb}");
+        }
+        // Counts past the root count all name the one-per-root partition.
+        assert!(Arc::ptr_eq(&idx.rs_batches(roots), &idx.rs_batches(roots + 5)));
     }
 
     #[test]

@@ -44,6 +44,12 @@ use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"ODY2";
 
+/// Bytes read per call when loading a bulk section. Section buffers
+/// grow as bytes actually arrive, so a file whose header lies about its
+/// length fails at EOF having allocated about what it holds, never what
+/// it claims.
+const READ_CHUNK: usize = 1 << 20;
+
 /// Errors produced when loading a persisted index.
 #[derive(Debug)]
 pub enum PersistError {
@@ -205,6 +211,42 @@ impl<R: Read> Reader<'_, R> {
     }
 }
 
+/// Reads a bulk section of `count` fixed-width little-endian values in
+/// chunks of at most [`READ_CHUNK`] bytes. Capacity grows geometrically,
+/// capped at `count`: an honest file ends with exactly `count` slots, a
+/// truncated one with at most about twice the values it held.
+fn read_section<R: Read, T, const WIDTH: usize>(
+    inp: &mut R,
+    count: usize,
+    decode: impl Fn([u8; WIDTH]) -> T,
+) -> Result<Vec<T>, PersistError> {
+    let per_chunk = READ_CHUNK / WIDTH;
+    let mut buf = vec![0u8; count.min(per_chunk) * WIDTH];
+    let mut out: Vec<T> = Vec::new();
+    while out.len() < count {
+        let left = count - out.len();
+        let take = left.min(per_chunk);
+        if out.capacity() - out.len() < take {
+            out.reserve_exact(out.len().max(take).min(left));
+        }
+        let bytes = &mut buf[..take * WIDTH];
+        inp.read_exact(bytes)?;
+        out.extend(bytes.chunks_exact(WIDTH).map(|b| {
+            let mut v = [0u8; WIDTH];
+            v.copy_from_slice(b);
+            decode(v)
+        }));
+    }
+    Ok(out)
+}
+
+/// `a * b` as a `usize`, or `Corrupt` when the product overflows — the
+/// header's lengths are untrusted.
+fn checked_len(a: usize, b: usize, what: &str) -> Result<usize, PersistError> {
+    a.checked_mul(b)
+        .ok_or_else(|| corrupt(format!("{what} size overflows")))
+}
+
 /// Serializes a built index (including its raw data, in scan order) to
 /// a writer.
 pub fn save_index<W: Write>(index: &Index, out: &mut W) -> io::Result<()> {
@@ -248,23 +290,23 @@ pub fn load_index<R: Read>(inp: &mut R) -> Result<Index, PersistError> {
     if leaf_capacity == 0 {
         return Err(corrupt("invalid leaf capacity"));
     }
-    let n = hdr.u64()? as usize;
-    let mut raw = vec![0.0f32; n * series_len];
-    {
-        let mut buf = [0u8; 4];
-        for v in raw.iter_mut() {
-            hdr.inp.read_exact(&mut buf)?;
-            *v = f32::from_le_bytes(buf);
-        }
-    }
-    let mut sax = vec![0u8; n * segments];
-    hdr.inp.read_exact(&mut sax)?;
-    // The scan permutation must be a bijection onto [0, n).
-    let mut scan_to_id = Vec::with_capacity(n);
+    // Series ids are `u32`, so a larger count is a lie, not an index.
+    let n = usize::try_from(hdr.u64()?)
+        .ok()
+        .filter(|&n| n <= u32::MAX as usize)
+        .ok_or_else(|| corrupt("series count exceeds the u32 id space"))?;
+    let raw_len = checked_len(n, series_len, "raw data")?;
+    checked_len(raw_len, 4, "raw data")?; // its byte count must fit too
+    let sax_len = checked_len(n, segments, "SAX block")?;
+    let raw = read_section(hdr.inp, raw_len, f32::from_le_bytes)?;
+    let sax = read_section(hdr.inp, sax_len, |[b]: [u8; 1]| b)?;
+    let scan_to_id = read_section(hdr.inp, n, u32::from_le_bytes)?;
+    // The scan permutation must be a bijection onto [0, n). Every
+    // allocation from here on is bounded by the bytes already read.
     {
         let mut seen = vec![false; n];
-        for _ in 0..n {
-            let id = hdr.u32()? as usize;
+        for &id in &scan_to_id {
+            let id = id as usize;
             if id >= n {
                 return Err(corrupt("scan permutation id out of range"));
             }
@@ -272,7 +314,6 @@ pub fn load_index<R: Read>(inp: &mut R) -> Result<Index, PersistError> {
                 return Err(corrupt(format!("id {id} appears twice in permutation")));
             }
             seen[id] = true;
-            scan_to_id.push(id as u32);
         }
     }
     let n_subtrees = hdr.u64()? as usize;
@@ -283,7 +324,7 @@ pub fn load_index<R: Read>(inp: &mut R) -> Result<Index, PersistError> {
         inp: hdr.inp,
         segments,
     };
-    let mut forest = Vec::with_capacity(n_subtrees);
+    let mut forest = Vec::new();
     let mut prev_key: Option<u64> = None;
     let mut total = 0usize;
     // Leaf slices must partition the scan positions (no overlap, full
@@ -460,6 +501,55 @@ mod tests {
                 "truncation at {frac}% must not produce an index"
             );
         }
+    }
+
+    /// A header-only ODY2 file (magic, dimensions, series count) with no
+    /// payload behind it.
+    fn header_only(series_len: u32, segments: u32, n: u64) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        for v in [series_len, segments, 16] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn rejects_series_count_beyond_id_space() {
+        let bytes = header_only(128, 16, 1 << 40);
+        match load_index(&mut bytes.as_slice()) {
+            Err(PersistError::Corrupt(m)) => {
+                assert!(m.contains("id space"), "unexpected message: {m}")
+            }
+            other => panic!("expected corruption error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_huge_series_count_without_payload() {
+        // 2^31 series of 128 floats would be 1 TiB; the file holds 24
+        // bytes, so the load must fail at EOF instead of allocating.
+        let bytes = header_only(128, 16, 1 << 31);
+        assert!(load_index(&mut bytes.as_slice()).is_err());
+        // Widest dimensions: the byte count must not wrap either.
+        let bytes = header_only(u32::MAX, 64, u32::MAX as u64);
+        assert!(load_index(&mut bytes.as_slice()).is_err());
+    }
+
+    #[test]
+    fn roundtrip_spans_several_read_chunks() {
+        // 3000 × 128 floats is ~1.5 MiB of raw data: the bulk section
+        // crosses a chunk boundary.
+        let index = Index::build(
+            walk_dataset(3000, 128, 7),
+            IndexConfig::new(128).with_segments(16).with_leaf_capacity(64),
+            2,
+        );
+        let mut bytes = Vec::new();
+        save_index(&index, &mut bytes).expect("save");
+        let loaded = load_index(&mut bytes.as_slice()).expect("load");
+        assert_eq!(index.layout().data().raw(), loaded.layout().data().raw());
+        assert_eq!(index.layout().scan_to_id(), loaded.layout().scan_to_id());
     }
 
     #[test]

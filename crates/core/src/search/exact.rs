@@ -27,7 +27,7 @@ use crate::sync::PhaseBarrier;
 use crate::tree::{Node, RootSoa, RootSubtree};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Number of RS-batches handed over per steal request; the paper found 4
 /// to be the sweet spot (Section 3.2.2).
@@ -277,7 +277,14 @@ impl StealView {
     }
 }
 
-/// Per-RS-batch traversal state.
+/// Per-RS-batch traversal state: the claim cursor the owner and its
+/// helpers share, and the queues they hand in.
+///
+/// Aligned to 128 bytes (a cache line plus its adjacent-line prefetch
+/// partner) so the cursors and locks of neighbouring batches never
+/// share a line: workers traversing different batches do not
+/// false-share.
+#[repr(align(128))]
 struct BatchState<'a> {
     /// Next unclaimed subtree offset inside the batch range (`Fetch&Add`).
     next_subtree: AtomicUsize,
@@ -285,8 +292,10 @@ struct BatchState<'a> {
     complete: AtomicBool,
     /// Number of helpers that joined this batch (bounded by `HelpTH`).
     helped: AtomicUsize,
-    /// The batch's bounded priority queues.
-    pqs: Mutex<BoundedPqSet<'a>>,
+    /// Queues of this batch only. Each worker that traverses the batch
+    /// fills a local [`BoundedPqSet`] and appends its queues here once,
+    /// when it leaves the batch — the only lock of the traversal phase.
+    pqs: Mutex<Vec<LeafPq<'a>>>,
 }
 
 /// Builds the Euclidean kernel for `query` and seeds a [`SharedBsf`]
@@ -417,9 +426,12 @@ pub(crate) struct ExecShared<'e, K: ?Sized, R: ?Sized> {
     layout: &'e LeafLayout,
     pub(crate) n_threads: usize,
     help_th: usize,
+    /// Queue sealing threshold `TH`.
+    th: usize,
     /// Active (to-process) global batch ids.
     active: Vec<usize>,
-    batches: RsBatches,
+    /// The index's cached partition for this query's batch count.
+    batches: Arc<RsBatches>,
     bstates: Vec<BatchState<'e>>,
     /// Traversal-phase batch-claiming cursor (`Fetch&Add`).
     bcnt: AtomicUsize,
@@ -440,8 +452,9 @@ pub(crate) struct ExecShared<'e, K: ?Sized, R: ?Sized> {
 }
 
 impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
-    /// Builds the per-query shared state (RS-batches, per-batch queue
-    /// sets, counters) and initializes the steal view.
+    /// Builds the per-query shared state (per-batch claim state,
+    /// counters) over the index's cached RS-batch partition and
+    /// initializes the steal view.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         index: &'e Index,
@@ -454,11 +467,8 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
         service: &'e (dyn Fn() + Sync),
     ) -> Self {
         let start = std::time::Instant::now();
-        let forest = index.forest();
-        let sizes: Vec<usize> = forest.iter().map(|t| t.size).collect();
         let n_threads = params.n_threads.max(1);
-        let nsb = params.nsb.unwrap_or(n_threads).max(1);
-        let batches = RsBatches::build(&sizes, nsb);
+        let batches = index.rs_batches(params.nsb.unwrap_or(n_threads));
         view.init(batches.len());
         let active: Vec<usize> = match batch_subset {
             Some(ids) => ids.iter().copied().filter(|&b| b < batches.len()).collect(),
@@ -470,7 +480,7 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
                 next_subtree: AtomicUsize::new(0),
                 complete: AtomicBool::new(false),
                 helped: AtomicUsize::new(0),
-                pqs: Mutex::new(BoundedPqSet::deferred(params.th)),
+                pqs: Mutex::new(Vec::new()),
             })
             .collect();
         ExecShared {
@@ -479,11 +489,12 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
             view,
             on_improve,
             service,
-            forest,
+            forest: index.forest(),
             root_soa: index.root_soa(),
             layout: index.layout(),
             n_threads,
             help_th: params.help_th,
+            th: params.th,
             active,
             batches,
             bstates,
@@ -506,15 +517,21 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
         !self.active.is_empty()
     }
 
-    /// Traverses one RS-batch: claims subtrees in chunks with
-    /// `Fetch&Add`, bounds each claimed chunk's *roots* in one batched
-    /// sweep (the SIMD clamp-and-gather kernel under table-backed
-    /// kernels — an iSAX forest over high-entropy data is wide and
-    /// shallow, so the root level is where almost all node bounds
-    /// happen), prunes against the shared threshold, and pushes
-    /// surviving leaves into the batch's bounded queues (provisioned
-    /// from `heaps` scratch). Roots that survive as inner nodes descend
-    /// through the per-node stack exactly as before.
+    /// One worker's visit to an RS-batch — its own claim or a `HelpTH`
+    /// help pass. Claims subtrees in chunks with `Fetch&Add`, bounds
+    /// each claimed chunk's *roots* in one batched sweep (the SIMD
+    /// clamp-and-gather kernel under table-backed kernels — an iSAX
+    /// forest over high-entropy data is wide and shallow, so the root
+    /// level is where almost all node bounds happen), prunes against
+    /// the shared threshold, and descends surviving inner roots through
+    /// the reused stack.
+    ///
+    /// Surviving leaves go into a **worker-local** [`BoundedPqSet`]
+    /// (sealed at `TH`, provisioned from the `heaps` scratch), so the
+    /// traversal takes no lock per leaf and helpers never contend with
+    /// the owner. On leaving the batch the worker appends the set's
+    /// queues to the batch's list under one lock. A set serves one
+    /// batch visit, so no queue mixes two RS-batches.
     fn traverse_batch(
         &self,
         bi: usize,
@@ -529,6 +546,7 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
         const CLAIM_CHUNK: usize = 32;
         let range = self.batches.range(self.active[bi]);
         let mut root_lb = [0.0f64; CLAIM_CHUNK];
+        let mut pqs = BoundedPqSet::deferred(self.th);
         loop {
             let off = self.bstates[bi]
                 .next_subtree
@@ -552,7 +570,7 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
                 }
                 match &self.forest[ti].node {
                     Node::Leaf(leaf) => {
-                        self.bstates[bi].pqs.lock().push_with(lb, leaf, heaps);
+                        pqs.push_with(lb, leaf, heaps);
                         *leaves_local += 1;
                     }
                     Node::Inner { children, .. } => {
@@ -574,7 +592,7 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
                                     stack.push(&children[1]);
                                 }
                                 Node::Leaf(leaf) => {
-                                    self.bstates[bi].pqs.lock().push_with(lb, leaf, heaps);
+                                    pqs.push_with(lb, leaf, heaps);
                                     *leaves_local += 1;
                                 }
                             }
@@ -583,11 +601,37 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
                 }
             }
         }
+        if !pqs.is_empty() {
+            pqs.append_to(&mut self.bstates[bi].pqs.lock());
+        }
+    }
+
+    /// Whether every leaf of `q` lies under a root subtree of global
+    /// RS-batch `batch` — the one-batch-per-queue invariant that lets a
+    /// thief take queues by batch id. A leaf's root is the subtree
+    /// keyed by the top bit of each segment of the leaf's region.
+    fn queue_in_batch(&self, q: &LeafPq, batch: usize) -> bool {
+        let roots = &self.forest[self.batches.range(batch)];
+        q.iter().all(|c| {
+            let w = &c.leaf.word;
+            let lo: Vec<u8> = (0..w.segments()).map(|s| w.full_range(s).0 as u8).collect();
+            let key = crate::buffers::root_key_of_sax(&lo);
+            roots.binary_search_by_key(&key, |t| t.key).is_ok()
+        })
     }
 
     /// The three-phase per-thread engine body. All `n_threads`
     /// participants must call this exactly once per query with distinct
     /// `tid`s and a `barrier` of exactly `n_threads` parties.
+    ///
+    /// Phase 1 (traversal) claims RS-batches with `Fetch&Add`, then
+    /// helps batches still incomplete (at most `HelpTH` helpers each);
+    /// every visit fills worker-local queues (see
+    /// [`ExecShared::traverse_batch`]), so the phase is lock-free up to
+    /// one hand-in per visit. Phase 2 (tid 0) sorts every handed-in
+    /// queue by its minimum lower bound and publishes the batch ids to
+    /// the steal view. Phase 3 claims queues in that order and drains
+    /// them.
     pub(crate) fn worker(&self, tid: usize, barrier: &PhaseBarrier, scratch: &mut WorkerScratch) {
         let WorkerScratch {
             lb_block,
@@ -634,10 +678,13 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
                 .store(self.start.elapsed().as_nanos() as u64, Ordering::Relaxed);
             let mut all: Vec<(usize, LeafPq)> = Vec::new();
             for (bi, st) in self.bstates.iter().enumerate() {
-                let set =
-                    std::mem::replace(&mut *st.pqs.lock(), BoundedPqSet::deferred(usize::MAX));
-                for q in set.into_queues() {
-                    all.push((self.active[bi], q));
+                let batch = self.active[bi];
+                for q in std::mem::take(&mut *st.pqs.lock()) {
+                    debug_assert!(
+                        self.queue_in_batch(&q, batch),
+                        "a queue of RS-batch {batch} holds a leaf from another batch"
+                    );
+                    all.push((batch, q));
                 }
             }
             all.sort_by(|a, b| {
@@ -807,15 +854,20 @@ mod tests {
             for threads in [1usize, 2, 4] {
                 for th in [4usize, 64, usize::MAX] {
                     for nsb in [1usize, 3, 8] {
-                        let params = SearchParams::new(threads).with_th(th).with_nsb(nsb);
-                        let got = exact_search(&idx, &q, &params);
-                        assert!(
-                            (got.answer.distance - want.distance).abs() < 1e-9,
-                            "qseed={qseed} threads={threads} th={th} nsb={nsb}: \
-                             {} vs {}",
-                            got.answer.distance,
-                            want.distance
-                        );
+                        for help_th in [0usize, 2, usize::MAX] {
+                            let params = SearchParams::new(threads)
+                                .with_th(th)
+                                .with_nsb(nsb)
+                                .with_help_th(help_th);
+                            let got = exact_search(&idx, &q, &params);
+                            assert!(
+                                (got.answer.distance - want.distance).abs() < 1e-9,
+                                "qseed={qseed} threads={threads} th={th} nsb={nsb} \
+                                 help_th={help_th}: {} vs {}",
+                                got.answer.distance,
+                                want.distance
+                            );
+                        }
                     }
                 }
             }

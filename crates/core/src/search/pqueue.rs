@@ -1,13 +1,14 @@
 //! Bounded leaf priority queues (Section 3.2.1, "Size of Priority
 //! Queues").
 //!
-//! During the tree-traversal phase every RS-batch owns one *active*
-//! priority queue; when its size reaches the threshold `TH` the queue is
-//! sealed and a fresh one is started. This (i) keeps queue sizes — and
-//! hence processing-phase work items — roughly equal, which is what makes
-//! thread-level load balancing work, and (ii) guarantees a queue never
-//! mixes leaves of different RS-batches, which is what makes *queue-level
-//! stealing by batch id* possible.
+//! During the tree-traversal phase every worker visiting an RS-batch
+//! fills one *active* priority queue; when its size reaches the
+//! threshold `TH` the queue is sealed and a fresh one is started. This
+//! (i) keeps queue sizes — and hence processing-phase work items —
+//! roughly equal, which is what makes thread-level load balancing work,
+//! and (ii) guarantees a queue never mixes leaves of different
+//! RS-batches, which is what makes *queue-level stealing by batch id*
+//! possible.
 
 use crate::tree::Leaf;
 use std::collections::BinaryHeap;
@@ -98,6 +99,11 @@ impl<'a> LeafPq<'a> {
         self.heap.is_empty()
     }
 
+    /// The queued candidates, in heap (not priority) order.
+    pub fn iter(&self) -> impl Iterator<Item = &LeafCandidate<'a>> {
+        self.heap.iter()
+    }
+
     /// Ensures capacity for at least `cap` total candidates.
     #[inline]
     pub fn reserve(&mut self, cap: usize) {
@@ -143,8 +149,9 @@ impl SpareHeap {
     }
 }
 
-/// The per-RS-batch set of bounded queues: one active queue, sealed when
-/// it reaches `th`.
+/// A set of bounded queues for one RS-batch: one active queue, sealed
+/// when it reaches `th`. The engine keeps one per worker per batch
+/// visit, so pushes take no lock.
 #[derive(Debug)]
 pub struct BoundedPqSet<'a> {
     th: usize,
@@ -234,13 +241,18 @@ impl<'a> BoundedPqSet<'a> {
         self.active.len() + self.sealed.iter().map(|q| q.len()).sum::<usize>()
     }
 
-    /// Consumes the set, yielding every non-empty queue.
-    pub fn into_queues(mut self) -> Vec<LeafPq<'a>> {
+    /// Whether nothing has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.active.is_empty() && self.sealed.is_empty()
+    }
+
+    /// Consumes the set, appending every non-empty queue to `out`
+    /// (sealed queues are full by construction).
+    pub fn append_to(self, out: &mut Vec<LeafPq<'a>>) {
+        out.extend(self.sealed);
         if !self.active.is_empty() {
-            self.sealed.push(self.active);
+            out.push(self.active);
         }
-        self.sealed.retain(|q| !q.is_empty());
-        self.sealed
     }
 }
 
@@ -248,6 +260,12 @@ impl<'a> BoundedPqSet<'a> {
 mod tests {
     use super::*;
     use crate::sax::IsaxWord;
+
+    fn queues(set: BoundedPqSet<'_>) -> Vec<LeafPq<'_>> {
+        let mut out = Vec::new();
+        set.append_to(&mut out);
+        out
+    }
 
     fn leaf() -> Leaf {
         Leaf {
@@ -291,7 +309,7 @@ mod tests {
             set.push(i as f64, &l);
         }
         assert_eq!(set.total_len(), 8);
-        let queues = set.into_queues();
+        let queues = queues(set);
         // 8 pushes with TH=3: two sealed queues of 3 and one active of 2.
         assert_eq!(queues.len(), 3);
         let mut sizes: Vec<usize> = queues.iter().map(|q| q.len()).collect();
@@ -321,7 +339,7 @@ mod tests {
         for i in 0..100 {
             set.push(i as f64, &l);
         }
-        let queues = set.into_queues();
+        let queues = queues(set);
         assert_eq!(queues.len(), 1);
         assert_eq!(queues[0].len(), 100);
     }
@@ -329,7 +347,7 @@ mod tests {
     #[test]
     fn empty_set_yields_no_queues() {
         let set = BoundedPqSet::new(4);
-        assert!(set.into_queues().is_empty());
+        assert!(queues(set).is_empty());
     }
 
     #[test]
@@ -358,6 +376,6 @@ mod tests {
             set.push_with(i as f64, &l, &mut spares);
         }
         assert_eq!(set.total_len(), 8);
-        assert_eq!(set.into_queues().len(), 2);
+        assert_eq!(queues(set).len(), 2);
     }
 }

@@ -5,8 +5,9 @@
 //! test tier — but they are chosen so that every synchronization edge
 //! of the concurrency machinery is crossed under load: the resident
 //! pool's epoch hand-off, the lane runtime's group barriers, job slots
-//! and intra-round re-admission, and the steal registry's cooperative
-//! service path, each at pool widths 2, 4, and 8.
+//! and intra-round re-admission, the steal registry's cooperative
+//! service path, and the traversal phase's per-batch queue hand-ins
+//! under helping, each at pool widths 2, 4, and 8.
 //!
 //! Everything here synchronizes through in-crate primitives
 //! (`PhaseBarrier`, monomorphized `Mutex<T>`), so the happens-before
@@ -263,6 +264,38 @@ fn pool_reuse_across_queries_at_2_4_8_threads() {
             assert_eq!(
                 pooled.answer.distance.to_bits(),
                 single.answer.distance.to_bits(),
+                "pool={pool} qseed={qseed}"
+            );
+        }
+    }
+}
+
+/// The traversal phase under maximal helping: many RS-batches, no
+/// `HelpTH` bound and a small `TH`, so owners and helpers traverse the
+/// same batches at once and hand in their worker-local queues to the
+/// same batch lists. TSan watches the claim cursors, the hand-in locks
+/// and the phase-2 collection; answers must match one thread.
+#[test]
+fn helping_traversal_bit_identical_at_2_4_8_threads() {
+    let index = build(900);
+    for pool in [2usize, 4, 8] {
+        let engine = BatchEngine::new(Arc::clone(&index), pool);
+        let params = SearchParams::new(pool)
+            .with_nsb(4 * pool)
+            .with_th(8)
+            .with_help_th(usize::MAX);
+        for qseed in 0..4u64 {
+            let q = walk_dataset(1, 64, 3100 + qseed).series(0).to_vec();
+            let single =
+                odyssey_core::search::exact::exact_search(&index, &q, &SearchParams::new(1));
+            let pooled = engine.exact(&q, &params);
+            assert_eq!(
+                pooled.answer.distance.to_bits(),
+                single.answer.distance.to_bits(),
+                "pool={pool} qseed={qseed}"
+            );
+            assert_eq!(
+                pooled.answer.series_id, single.answer.series_id,
                 "pool={pool} qseed={qseed}"
             );
         }
