@@ -2,7 +2,7 @@
 
 use crate::faults::FaultPlan;
 use odyssey_partition::PartitioningScheme;
-use odyssey_sched::{AdmissionConfig, CostModel, SchedulerKind, ThresholdModel};
+use odyssey_sched::{CostModel, SchedulerKind, ThresholdModel};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -100,8 +100,6 @@ pub struct ClusterConfig {
     /// RS-batches of whichever query has the widest remaining work,
     /// mid-round.
     pub inter_query_lanes: bool,
-    /// Lane-admission knobs (easy width, hardness cutoff).
-    pub lane_admission: AdmissionConfig,
     /// Makespan-optimal lane planning: when a PREDICT-* scheduler
     /// provides per-query cost estimates, plan each node's lane widths
     /// with the calibrated speedup-vs-width curve (Figure 8) and the
@@ -188,7 +186,6 @@ impl ClusterConfig {
             pq_threshold: 8,
             rs_batches: 32,
             inter_query_lanes: true,
-            lane_admission: AdmissionConfig::default(),
             adaptive_widths: true,
             feedback_capacity: 1024,
             feedback_refit_every: 64,
@@ -284,12 +281,6 @@ impl ClusterConfig {
     /// Toggles per-node inter-query lanes.
     pub fn with_inter_query_lanes(mut self, on: bool) -> Self {
         self.inter_query_lanes = on;
-        self
-    }
-
-    /// Sets the lane-admission knobs.
-    pub fn with_lane_admission(mut self, a: AdmissionConfig) -> Self {
-        self.lane_admission = a;
         self
     }
 

@@ -30,7 +30,9 @@ use odyssey_core::search::knn::seed_from_approx_leaf;
 use odyssey_core::search::multiq::LaneCtx;
 use odyssey_core::series::DatasetBuffer;
 use odyssey_partition::Partition;
-use odyssey_sched::admission::{plan_dispatch_widths, plan_dispatch_widths_adaptive};
+use odyssey_sched::admission::{
+    plan_dispatch_widths, plan_dispatch_widths_adaptive, AdmissionConfig,
+};
 use odyssey_sched::scheduler::{dynamic_order, greedy_by_estimate, static_split};
 use odyssey_sched::{CostModel, OnlineCostModel, OnlineThresholdModel, SchedulerKind, SpeedupCurve};
 use parking_lot::Mutex;
@@ -1260,11 +1262,11 @@ impl OdysseyCluster {
             plan_dispatch_widths_adaptive(
                 costs,
                 engine.n_threads(),
-                &self.config.lane_admission,
+                &AdmissionConfig::default(),
                 curve,
             )
         } else {
-            plan_dispatch_widths(costs, engine.n_threads(), &self.config.lane_admission)
+            plan_dispatch_widths(costs, engine.n_threads(), &AdmissionConfig::default())
         };
         // Own queries currently executing on this node's lanes. Narrow
         // lanes may moonlight as thieves only while this is non-zero:

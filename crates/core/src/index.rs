@@ -88,7 +88,7 @@ impl BuildTimes {
 /// The raw series and SAX words are stored **leaf-contiguously** in a
 /// [`LeafLayout`]: tree leaves hold slot ranges, not id lists, so
 /// draining a leaf during search reads sequential memory. All public
-/// ids (answers, [`Index::summaries`]) remain *original* dataset ids;
+/// ids (answers, [`Index::sax_by_id`]) remain *original* dataset ids;
 /// the layout keeps the position/id mapping.
 pub struct Index {
     config: IndexConfig,
@@ -293,8 +293,8 @@ impl Index {
     }
 
     /// [`Index::approx_search`] with a precomputed query PAA. Builds a
-    /// throwaway per-query [`MindistTable`] — callers that already hold
-    /// one (the exact-search kernels) use
+    /// throwaway per-query [`MindistTable`](crate::sax::MindistTable) —
+    /// callers that already hold one (the exact-search kernels) use
     /// [`Index::approx_search_with_table`] instead.
     pub fn approx_search_paa(&self, query: &[f32], qpaa: &[f64]) -> ApproxResult {
         let table = crate::sax::MindistTable::from_paa(qpaa, self.config.series_len);

@@ -48,7 +48,7 @@ use super::exact::{
 };
 use super::kernel::QueryKernel;
 use super::knn::seed_knn;
-use super::multiq::{ConcurrentPlan, DispatchRuntime, LaneCtx, LaneRuntime, RoundSpec};
+use super::multiq::{validate_order, validate_widths, DispatchRuntime, LaneCtx};
 use super::scratch::WorkerScratch;
 use crate::index::Index;
 use crate::sync::PhaseBarrier;
@@ -459,19 +459,7 @@ impl BatchEngine {
         order: &[usize],
         params: &SearchParams,
     ) -> BatchOutcome {
-        assert_eq!(
-            order.len(),
-            queries.len(),
-            "dispatch order must cover every query exactly once"
-        );
-        let mut seen = vec![false; queries.len()];
-        for &qi in order {
-            let slot = seen
-                .get_mut(qi)
-                .unwrap_or_else(|| panic!("dispatch order names query {qi} out of range"));
-            assert!(!*slot, "dispatch order repeats query {qi}");
-            *slot = true;
-        }
+        validate_order(order, queries.len());
         let t0 = std::time::Instant::now();
         let items: Vec<OnceLock<BatchItem>> = (0..queries.len()).map(|_| OnceLock::new()).collect();
         let widths = self.batch_widths(queries.len());
@@ -496,34 +484,6 @@ impl BatchEngine {
         }
     }
 
-    /// Executes one [`RoundSpec`]: its lanes run **simultaneously** on
-    /// disjoint worker groups, and `driver(ctx, qi)` is invoked on each
-    /// lane's rank-0 worker for that lane's queries, in order. The
-    /// driver runs queries through [`LaneCtx::run_query`] (or the
-    /// [`LaneCtx::execute`] convenience), which scopes execution to the
-    /// lane's group.
-    ///
-    /// This is the building block the cluster runtime drives directly
-    /// (it needs custom result sets and id translation per query);
-    /// [`BatchEngine::run_batch_concurrent`] is the plain-batch wrapper.
-    ///
-    /// # Panics
-    /// Panics if the round's lane widths do not exactly partition the
-    /// pool. A panic inside `driver` or a hook poisons the lane's
-    /// [`PhaseBarrier`], aborting that lane's round instead of
-    /// deadlocking it (the group-barrier contract of
-    /// [`BatchEngine::run_query`]).
-    pub fn run_concurrent<F>(&self, round: &RoundSpec, driver: &F)
-    where
-        F: Fn(&mut LaneCtx, usize) + Sync,
-    {
-        round.validate_pool(self.pool.n_threads);
-        let rt = LaneRuntime::new(round);
-        self.pool.run(&|tid, scratch| {
-            rt.participate(tid, scratch, &self.index, &self.registry, driver)
-        });
-    }
-
     /// Executes one **continuous-dispatch** round: the pool is
     /// partitioned into lanes of the given `widths` and `driver(ctx,
     /// lane)` runs **once** on each lane's rank-0 worker. The driver is
@@ -532,14 +492,13 @@ impl BatchEngine {
     /// [`LaneCtx::run_query`]), publish the result, repeat — and return
     /// when the source closes.
     ///
-    /// This is the serving-path building block: unlike
-    /// [`BatchEngine::run_concurrent`] there is no admission window and
-    /// no per-round barrier — a lane that finishes a query immediately
-    /// claims the next one, so lanes never idle while work is queued.
-    /// The only synchronization point is the pool-level join once every
-    /// driver has returned. Answers remain bit-identical to the
-    /// sequential paths: each claimed query runs the same three-phase
-    /// engine body at the lane's width.
+    /// This is the building block of [`BatchEngine::run_batch`], the
+    /// cluster node loops and the service. A lane that finishes a query
+    /// immediately claims the next one, so lanes never idle while work
+    /// is queued; the only synchronization point is the pool-level join
+    /// once every driver has returned. Answers remain bit-identical to
+    /// the sequential paths: each claimed query runs the same
+    /// three-phase engine body at the lane's width.
     ///
     /// # Panics
     /// Panics if `widths` does not exactly partition the pool. A panic
@@ -549,16 +508,7 @@ impl BatchEngine {
     where
         F: Fn(&mut LaneCtx, usize) + Sync,
     {
-        assert!(
-            widths.iter().all(|&w| w >= 1),
-            "dispatch lane width must be at least 1"
-        );
-        assert_eq!(
-            widths.iter().sum::<usize>(),
-            self.pool.n_threads,
-            "dispatch lane widths must exactly partition the {}-thread pool",
-            self.pool.n_threads
-        );
+        validate_widths(widths, self.pool.n_threads);
         let rt = DispatchRuntime::new(widths);
         self.pool.run(&|tid, scratch| {
             rt.participate(tid, scratch, &self.index, &self.registry, driver)
@@ -571,43 +521,6 @@ impl BatchEngine {
     /// [`approximate_answer`].
     pub fn approximate(&self, query: &BatchQuery) -> BatchAnswer {
         approximate_answer(&self.index, query)
-    }
-
-    /// Executes a batch under a [`ConcurrentPlan`]: several queries run
-    /// at once on disjoint worker groups (inter-query parallelism), each
-    /// on the same three-phase engine body as [`BatchEngine::run_batch`]
-    /// — answers are bit-identical to the sequential path. Results come
-    /// back in input order.
-    ///
-    /// # Panics
-    /// Panics unless the plan's rounds partition the pool and name every
-    /// query exactly once.
-    pub fn run_batch_concurrent(
-        &self,
-        queries: &[BatchQuery],
-        plan: &ConcurrentPlan,
-        params: &SearchParams,
-    ) -> BatchOutcome {
-        plan.validate(self.pool.n_threads, queries.len());
-        let t0 = std::time::Instant::now();
-        let items: Vec<OnceLock<BatchItem>> = (0..queries.len()).map(|_| OnceLock::new()).collect();
-        for round in &plan.rounds {
-            self.run_concurrent(round, &|ctx, qi| {
-                let q = &queries[qi];
-                let p = q.params.unwrap_or(*params);
-                let item = ctx.execute(qi, q, &p);
-                items[qi]
-                    .set(item)
-                    .unwrap_or_else(|_| unreachable!("validated plan names each query once"));
-            });
-        }
-        BatchOutcome {
-            items: items
-                .into_iter()
-                .map(|s| s.into_inner().expect("validated plan is total"))
-                .collect(),
-            wall: t0.elapsed(),
-        }
     }
 }
 
@@ -1366,6 +1279,7 @@ fn pin_to_core(_core: usize) {}
 
 #[cfg(test)]
 mod tests {
+    use super::super::multiq::uniform_widths;
     use super::*;
     use crate::index::IndexConfig;
     use crate::series::DatasetBuffer;
@@ -1494,8 +1408,41 @@ mod tests {
         let engine = BatchEngine::new(idx, 2);
         let out = engine.run_batch(&[], &[], &SearchParams::new(2));
         assert!(out.items.is_empty());
-        let out = engine.run_batch_concurrent(&[], &ConcurrentPlan::default(), &SearchParams::new(2));
-        assert!(out.items.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "lane width must be at least 1")]
+    fn run_dispatch_rejects_zero_width_lane() {
+        let engine = BatchEngine::new(build(200), 2);
+        engine.run_dispatch(&[2, 0], &|_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly partition the 4-thread pool")]
+    fn run_dispatch_rejects_widths_not_summing_to_pool() {
+        let engine = BatchEngine::new(build(200), 4);
+        engine.run_dispatch(&[2, 1], &|_, _| {});
+    }
+
+    /// Answers `queries` on dispatch lanes of `uniform_widths(pool,
+    /// width)`, each lane claiming the next query from a shared cursor
+    /// as `run_batch` does. Items come back in input order.
+    fn dispatch_uniform(
+        engine: &BatchEngine,
+        queries: &[BatchQuery],
+        width: usize,
+        params: &SearchParams,
+    ) -> Vec<BatchItem> {
+        let items: Vec<OnceLock<BatchItem>> = (0..queries.len()).map(|_| OnceLock::new()).collect();
+        let next = AtomicUsize::new(0);
+        engine.run_dispatch(&uniform_widths(engine.n_threads(), width), &|ctx, _lane| {
+            loop {
+                let qi = next.fetch_add(1, Ordering::Relaxed);
+                let Some(q) = queries.get(qi) else { break };
+                let _ = items[qi].set(ctx.execute(qi, q, params));
+            }
+        });
+        items.into_iter().map(|s| s.into_inner().expect("every query claimed")).collect()
     }
 
     #[test]
@@ -1517,11 +1464,10 @@ mod tests {
                 .map(|q| engine.exact(q, &params).answer.distance.to_bits())
                 .collect();
             for width in 1..=threads {
-                let plan = ConcurrentPlan::uniform(queries.len(), threads, width);
-                let conc = engine.run_batch_concurrent(&queries, &plan, &params);
+                let conc = dispatch_uniform(&engine, &queries, width, &params);
                 for (qi, w) in want.iter().enumerate() {
                     assert_eq!(
-                        conc.items[qi].answer.nn().distance.to_bits(),
+                        conc[qi].answer.nn().distance.to_bits(),
                         *w,
                         "threads={threads} width={width} qi={qi}"
                     );
@@ -1804,8 +1750,7 @@ mod tests {
             .iter()
             .map(|q| BatchQuery::new(q, QueryKind::Exact))
             .collect();
-        let plan = ConcurrentPlan::uniform(queries.len(), 2, 1);
-        let _ = engine.run_batch_concurrent(&queries, &plan, &SearchParams::new(2));
+        let _ = engine.run_batch(&queries, &[0, 1, 2], &SearchParams::new(2));
         let mut got = lock_plain(&seen).clone();
         got.sort_unstable();
         assert_eq!(got, vec![0, 0, 1, 2], "one observation per lane query");

@@ -8,34 +8,35 @@
 //! per-query speedup has saturated (easy queries, where setup and
 //! synchronization dominate) should do the same across worker subsets.
 //!
-//! This module supplies the execution mechanism:
+//! This module supplies the execution mechanism behind
+//! [`BatchEngine::run_dispatch`](super::engine::BatchEngine::run_dispatch):
 //!
-//! * a [`ConcurrentPlan`] — *rounds* of *lanes*, where each lane is a
-//!   disjoint worker group (its widths exactly partition the pool) that
-//!   answers its assigned queries one at a time;
+//! * lane widths that exactly partition the pool ([`uniform_widths`]
+//!   is the even split); each lane is a disjoint worker group;
 //! * a lane runtime giving every group its own [`PhaseBarrier`], its
 //!   own job slot, and group-scoped ranks, so each in-flight query sees
 //!   only its group's workers (and their [`WorkerScratch`] arenas);
 //! * a [`LaneCtx`] handed to the per-lane driver on the group's rank-0
-//!   worker, exposing [`LaneCtx::run_query`] — the exact same
-//!   three-phase [`ExecShared`] body as the sequential paths, run at the
-//!   lane's width. Answers are therefore bit-identical to the full-pool
-//!   per-query entry points: exactness never depended on the thread
-//!   count;
-//! * **intra-round re-admission**: lane queues are shared, so a lane
-//!   that drains early claims queries from the round's still-loaded
-//!   lanes instead of idling at the round barrier
-//!   ([`RoundSpec::readmission`]).
+//!   worker, exposing [`LaneCtx::execute`] and [`LaneCtx::run_query`] —
+//!   the exact same three-phase [`ExecShared`] body as the sequential
+//!   paths, run at the lane's width. Answers are therefore
+//!   bit-identical to the full-pool per-query entry points: exactness
+//!   never depended on the thread count.
+//!
+//! The driver loops: claim the next query from a source shared by all
+//! lanes, answer it, publish the result. A lane that finishes claims
+//! the next query at once, so no lane idles while work is queued.
 //!
 //! Every lane query is registered with the engine's
 //! [`StealRegistry`](super::engine::StealRegistry), so inter-node
 //! work-stealing keeps operating while lanes are in flight: the lane
 //! driver [`LaneCtx::admit`]s each query and workers serve pending
-//! steal requests cooperatively mid-round.
+//! steal requests cooperatively mid-query.
 //!
-//! *Which* queries deserve which width is a policy question; the
-//! `odyssey-sched` admission module builds plans from per-query cost
-//! predictions (easy → narrow lane, hard → the full pool).
+//! *Which* widths a batch gets is a policy question: `run_batch` splits
+//! the pool evenly, and the `odyssey-sched` admission module derives
+//! widths from per-query cost predictions (easy → narrow lane, hard →
+//! a wide one).
 
 use super::bsf::ResultSet;
 use super::engine::{
@@ -52,175 +53,14 @@ use crate::sync::PhaseBarrier;
 #[cfg(debug_assertions)]
 use super::engine::poisoned_job;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// One worker group of a [`RoundSpec`]: `width` pool threads answering
-/// `queries` (engine-batch indices) one at a time, in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneSpec {
-    /// Number of pool threads in this group (≥ 1).
-    pub width: usize,
-    /// Query indices this lane answers, in dispatch order.
-    pub queries: Vec<usize>,
-}
-
-/// One execution round: lanes that run **concurrently** on disjoint
-/// worker groups. Lane widths must exactly partition the engine pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundSpec {
-    /// The round's lanes, assigned to pool threads in order: lane 0
-    /// gets tids `0..w0`, lane 1 gets `w0..w0+w1`, and so on.
-    pub lanes: Vec<LaneSpec>,
-    /// Intra-round re-admission: a lane that drains its own queue early
-    /// claims queued queries from the round's still-loaded lanes (most
-    /// remaining first, taken from the victim's tail) instead of idling
-    /// at the round barrier. Changes *where* a query runs, never its
-    /// answer.
-    pub readmission: bool,
-}
-
-impl RoundSpec {
-    /// A round over the given lanes with re-admission enabled.
-    pub fn new(lanes: Vec<LaneSpec>) -> Self {
-        RoundSpec {
-            lanes,
-            readmission: true,
-        }
-    }
-
-    /// Panics unless the lane widths exactly partition a `pool`-thread
-    /// engine.
-    pub fn validate_pool(&self, pool: usize) {
-        let mut total = 0usize;
-        for lane in &self.lanes {
-            assert!(lane.width >= 1, "lane width must be at least 1");
-            total += lane.width;
-        }
-        assert_eq!(
-            total, pool,
-            "lane widths must exactly partition the {pool}-thread pool"
-        );
-    }
-
-    /// Debug-build re-validation at round start: the round's lanes must
-    /// name pairwise-disjoint query sets — a duplicate would race two
-    /// lanes on one result slot. [`ConcurrentPlan::validate`] checks
-    /// this plan-wide, but the raw
-    /// [`run_concurrent`](super::engine::BatchEngine::run_concurrent)
-    /// surface accepts hand-built rounds, so the contract is re-checked
-    /// where the unsafe lane machinery actually starts.
-    #[cfg(debug_assertions)]
-    pub(crate) fn debug_assert_disjoint_queries(&self) {
-        let mut seen = std::collections::HashSet::new();
-        for lane in &self.lanes {
-            for &qi in &lane.queries {
-                assert!(
-                    seen.insert(qi),
-                    "round names query {qi} in two lanes (double partition violated)"
-                );
-            }
-        }
-    }
-}
-
-/// A full concurrent-execution plan: rounds run one after another, the
-/// lanes inside each round run simultaneously.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ConcurrentPlan {
-    /// The rounds, executed in order.
-    pub rounds: Vec<RoundSpec>,
-}
-
-impl ConcurrentPlan {
-    /// The degenerate plan: one round, one full-pool lane executing
-    /// `order` one query at a time.
-    pub fn sequential(order: &[usize], pool: usize) -> Self {
-        if order.is_empty() {
-            return ConcurrentPlan::default();
-        }
-        ConcurrentPlan {
-            rounds: vec![RoundSpec::new(vec![LaneSpec {
-                width: pool.max(1),
-                queries: order.to_vec(),
-            }])],
-        }
-    }
-
-    /// A single round of uniform lanes of the given `width` (the last
-    /// lane absorbs the `pool % width` remainder), with queries
-    /// `0..n_queries` dealt round-robin across lanes.
-    pub fn uniform(n_queries: usize, pool: usize, width: usize) -> Self {
-        if n_queries == 0 {
-            return ConcurrentPlan::default();
-        }
-        let pool = pool.max(1);
-        let width = width.clamp(1, pool);
-        let n_lanes = pool / width;
-        let mut lanes: Vec<LaneSpec> = (0..n_lanes)
-            .map(|l| LaneSpec {
-                width: if l == n_lanes - 1 {
-                    width + pool % width
-                } else {
-                    width
-                },
-                queries: Vec::new(),
-            })
-            .collect();
-        for qi in 0..n_queries {
-            lanes[qi % n_lanes].queries.push(qi);
-        }
-        lanes.retain(|l| !l.queries.is_empty());
-        // Dropping empty lanes must not break the pool partition: fold
-        // their workers into the last surviving lane.
-        let assigned: usize = lanes.iter().map(|l| l.width).sum();
-        if let Some(last) = lanes.last_mut() {
-            last.width += pool - assigned;
-        }
-        ConcurrentPlan {
-            rounds: vec![RoundSpec::new(lanes)],
-        }
-    }
-
-    /// Total queries named by the plan.
-    pub fn n_queries(&self) -> usize {
-        self.rounds
-            .iter()
-            .flat_map(|r| &r.lanes)
-            .map(|l| l.queries.len())
-            .sum()
-    }
-
-    /// Panics unless every round's lane widths partition a `pool`-thread
-    /// engine and the lanes together name every query in
-    /// `0..n_queries` **exactly once**.
-    pub fn validate(&self, pool: usize, n_queries: usize) {
-        let mut seen = vec![false; n_queries];
-        for round in &self.rounds {
-            round.validate_pool(pool);
-            for lane in &round.lanes {
-                for &qi in &lane.queries {
-                    assert!(
-                        qi < n_queries,
-                        "plan names query {qi} out of range ({n_queries} queries)"
-                    );
-                    assert!(!seen[qi], "plan names query {qi} twice");
-                    seen[qi] = true;
-                }
-            }
-        }
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            panic!("plan never names query {missing}");
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Lane runtime
 // ---------------------------------------------------------------------
 
-/// Runtime state of one worker group while a round executes.
+/// Runtime state of one worker group while a dispatch round executes.
 #[derive(Debug)]
 pub(crate) struct LaneState {
     width: usize,
@@ -329,131 +169,13 @@ impl LaneState {
     }
 }
 
-/// Maps pool tids onto lanes and drives one round.
-#[derive(Debug)]
-pub(crate) struct LaneRuntime {
-    lanes: Vec<LaneState>,
-    /// `tid -> (lane, rank within lane)`.
-    membership: Vec<(usize, usize)>,
-    /// Per-lane pending queries. Shared (not per-rank-0-local) so a
-    /// drained lane can re-admit work from its siblings.
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    readmission: bool,
-}
-
-impl LaneRuntime {
-    pub(crate) fn new(round: &RoundSpec) -> Self {
-        // Re-validate the double partition where the lane machinery
-        // actually starts, not just at plan-build time.
-        #[cfg(debug_assertions)]
-        round.debug_assert_disjoint_queries();
-        let mut membership = Vec::new();
-        let mut queues = Vec::with_capacity(round.lanes.len());
-        let lanes = round
-            .lanes
-            .iter()
-            .enumerate()
-            .map(|(l, spec)| {
-                for rank in 0..spec.width {
-                    membership.push((l, rank));
-                }
-                queues.push(Mutex::new(spec.queries.iter().copied().collect()));
-                LaneState {
-                    width: spec.width,
-                    barrier: PhaseBarrier::new(spec.width),
-                    slot: Mutex::new(None),
-                    active: AtomicUsize::new(0),
-                }
-            })
-            .collect();
-        LaneRuntime {
-            lanes,
-            membership,
-            queues,
-            readmission: round.readmission,
-        }
-    }
-
-    /// The next query for lane `l`: its own queue first; once that is
-    /// drained (and re-admission is on), the tail of the round's most
-    /// loaded sibling lane — intra-round re-admission, so no lane idles
-    /// at the round barrier while another still has queries queued.
-    fn next_query(&self, l: usize) -> Option<usize> {
-        if let Some(qi) = self.queues[l].lock().pop_front() {
-            return Some(qi);
-        }
-        if !self.readmission {
-            return None;
-        }
-        loop {
-            let victim = (0..self.queues.len())
-                .filter(|&o| o != l)
-                .map(|o| (self.queues[o].lock().len(), o))
-                .filter(|&(n, _)| n > 0)
-                // Most remaining queries first; ties to the lowest lane.
-                .max_by_key(|&(n, o)| (n, usize::MAX - o))?;
-            // Raced pops can empty the victim between the scan and the
-            // claim; rescan (queues only shrink, so this terminates).
-            if let Some(qi) = self.queues[victim.1].lock().pop_back() {
-                return Some(qi);
-            }
-        }
-    }
-
-    /// The per-pool-thread body of one round: rank-0 members drive their
-    /// lane's queries through `driver`, other ranks follow.
-    ///
-    /// # Panics
-    /// A panic raised inside `driver` (or the engine body) on one lane
-    /// member poisons the group's [`PhaseBarrier`], so the lane's other
-    /// members abort the round with a clear panic instead of
-    /// deadlocking on a party that will never arrive. The original
-    /// panic is then resumed on this thread.
-    pub(crate) fn participate<F>(
-        &self,
-        tid: usize,
-        scratch: &mut WorkerScratch,
-        index: &Arc<Index>,
-        registry: &Arc<StealRegistry>,
-        driver: &F,
-    ) where
-        F: Fn(&mut LaneCtx, usize) + Sync,
-    {
-        let (l, rank) = self.membership[tid];
-        let lane = &self.lanes[l];
-        let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if rank == 0 {
-                {
-                    let mut ctx = LaneCtx {
-                        lane,
-                        index,
-                        registry,
-                        scratch,
-                    };
-                    while let Some(qi) = self.next_query(l) {
-                        driver(&mut ctx, qi);
-                    }
-                }
-                lane.finish();
-            } else {
-                lane.follow(rank, scratch);
-            }
-        }));
-        if let Err(payload) = body {
-            lane.barrier.poison();
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
-
 /// Maps pool tids onto lanes for a **continuous-dispatch** round: the
 /// pool is partitioned once and each lane's rank-0 worker runs a
 /// caller-supplied driver that claims work from a shared source until
-/// the source closes. Unlike [`LaneRuntime`] there are no per-lane
-/// query queues and no admission windows — a lane never waits at a
-/// round barrier while work is still queued anywhere. The only join is
-/// the pool-level one when every driver has returned (the stream is
-/// closed and drained).
+/// the source closes. There are no per-lane query queues — a lane never
+/// waits while work is still queued anywhere. The only join is the
+/// pool-level one when every driver has returned (the stream is closed
+/// and drained).
 #[derive(Debug)]
 pub(crate) struct DispatchRuntime {
     lanes: Vec<LaneState>,
@@ -463,7 +185,7 @@ pub(crate) struct DispatchRuntime {
 
 impl DispatchRuntime {
     /// A runtime for lanes of the given widths (must partition the
-    /// pool; validated by the engine entry point).
+    /// pool; see [`validate_widths`]).
     pub(crate) fn new(widths: &[usize]) -> Self {
         let mut membership = Vec::new();
         let lanes = widths
@@ -491,9 +213,11 @@ impl DispatchRuntime {
     /// jobs until the lane's sentinel.
     ///
     /// # Panics
-    /// Same contract as [`LaneRuntime::participate`]: a panic on one
-    /// lane member poisons the group's barrier so its siblings abort
-    /// instead of deadlocking, then resumes on this thread.
+    /// A panic raised inside `driver` (or the engine body) on one lane
+    /// member poisons the group's [`PhaseBarrier`], so the lane's other
+    /// members abort with a clear panic instead of deadlocking on a
+    /// party that will never arrive. The original panic is then resumed
+    /// on this thread.
     pub(crate) fn participate<F>(
         &self,
         tid: usize,
@@ -539,6 +263,37 @@ pub fn uniform_widths(pool: usize, width: usize) -> Vec<usize> {
     let mut widths = vec![width; n_lanes];
     *widths.last_mut().expect("n_lanes >= 1") += pool % width;
     widths
+}
+
+/// Checks that dispatch lane `widths` exactly partition a `pool`-thread
+/// pool: every lane has at least one worker and every worker is in a
+/// lane.
+pub(crate) fn validate_widths(widths: &[usize], pool: usize) {
+    assert!(
+        widths.iter().all(|&w| w >= 1),
+        "dispatch lane width must be at least 1"
+    );
+    assert_eq!(
+        widths.iter().sum::<usize>(),
+        pool,
+        "dispatch lane widths must exactly partition the {pool}-thread pool"
+    );
+}
+
+/// Checks that a dispatch `order` is a permutation of `0..n_queries`, so
+/// the lanes claiming from it answer every query exactly once.
+pub(crate) fn validate_order(order: &[usize], n_queries: usize) {
+    let mut seen = vec![false; n_queries];
+    for &qi in order {
+        let slot = seen
+            .get_mut(qi)
+            .unwrap_or_else(|| panic!("dispatch order names query {qi} out of range"));
+        assert!(!*slot, "dispatch order repeats query {qi}");
+        *slot = true;
+    }
+    if let Some(qi) = seen.iter().position(|&s| !s) {
+        panic!("dispatch order must cover every query exactly once; it never names query {qi}");
+    }
 }
 
 /// The execution context a round driver receives on a lane's rank-0
@@ -721,38 +476,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sequential_plan_is_one_full_pool_lane() {
-        let p = ConcurrentPlan::sequential(&[2, 0, 1], 4);
-        p.validate(4, 3);
-        assert_eq!(p.rounds.len(), 1);
-        assert_eq!(p.rounds[0].lanes.len(), 1);
-        assert_eq!(p.rounds[0].lanes[0].width, 4);
-        assert_eq!(p.rounds[0].lanes[0].queries, vec![2, 0, 1]);
-        assert!(ConcurrentPlan::sequential(&[], 4).rounds.is_empty());
-    }
-
-    #[test]
-    fn uniform_plans_partition_for_all_widths() {
-        for pool in 1..=8usize {
-            for width in 1..=pool {
-                for nq in [0usize, 1, 2, 7, 16] {
-                    let p = ConcurrentPlan::uniform(nq, pool, width);
-                    p.validate(pool, nq);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn uniform_with_few_queries_keeps_pool_covered() {
-        // 1 query on an 8-thread pool at width 2: one lane, all 8 workers.
-        let p = ConcurrentPlan::uniform(1, 8, 2);
-        p.validate(8, 1);
-        assert_eq!(p.rounds[0].lanes.len(), 1);
-        assert_eq!(p.rounds[0].lanes[0].width, 8);
-    }
-
-    #[test]
     fn uniform_widths_partition_every_pool() {
         for pool in 1..=9usize {
             for width in 1..=pool + 2 {
@@ -766,40 +489,70 @@ mod tests {
         assert_eq!(uniform_widths(2, 5), vec![2]);
     }
 
-    #[test]
-    #[should_panic(expected = "partition the 4-thread pool")]
-    fn validate_rejects_underfull_round() {
-        let p = ConcurrentPlan {
-            rounds: vec![RoundSpec::new(vec![LaneSpec {
-                width: 3,
-                queries: vec![0],
-            }])],
-        };
-        p.validate(4, 1);
+    /// Every pool thread belongs to exactly one lane, and each lane's
+    /// ranks run `0..width`.
+    fn assert_membership_partitions(rt: &DispatchRuntime, widths: &[usize]) {
+        assert_eq!(rt.lanes.len(), widths.len());
+        assert_eq!(rt.membership.len(), widths.iter().sum::<usize>());
+        for (l, &width) in widths.iter().enumerate() {
+            assert_eq!(rt.lanes[l].width, width);
+            let mut ranks: Vec<usize> = rt
+                .membership
+                .iter()
+                .filter(|&&(lane, _)| lane == l)
+                .map(|&(_, rank)| rank)
+                .collect();
+            ranks.sort_unstable();
+            assert_eq!(ranks, (0..width).collect::<Vec<_>>(), "lane {l} of {widths:?}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "names query 0 twice")]
+    fn sequential_plan_is_one_full_pool_lane() {
+        // Width = pool: one lane holding every worker, as a query asked
+        // alone on the engine.
+        for pool in 1..=8usize {
+            let widths = uniform_widths(pool, pool);
+            assert_eq!(widths, vec![pool]);
+            validate_widths(&widths, pool);
+            assert_membership_partitions(&DispatchRuntime::new(&widths), &widths);
+        }
+    }
+
+    #[test]
+    fn uniform_plans_partition_for_all_widths() {
+        for pool in 1..=8usize {
+            for width in 1..=pool {
+                let widths = uniform_widths(pool, width);
+                validate_widths(&widths, pool);
+                assert_membership_partitions(&DispatchRuntime::new(&widths), &widths);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "partition the 4-thread pool")]
+    fn validate_rejects_underfull_round() {
+        validate_widths(&[3], 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats query 0")]
     fn validate_rejects_duplicate_query() {
-        let p = ConcurrentPlan {
-            rounds: vec![RoundSpec::new(vec![
-                LaneSpec {
-                    width: 1,
-                    queries: vec![0],
-                },
-                LaneSpec {
-                    width: 1,
-                    queries: vec![0],
-                },
-            ])],
-        };
-        p.validate(2, 1);
+        validate_order(&[0, 0], 2);
     }
 
     #[test]
     #[should_panic(expected = "never names query 1")]
     fn validate_rejects_missing_query() {
-        let p = ConcurrentPlan::sequential(&[0], 2);
-        p.validate(2, 2);
+        validate_order(&[0], 2);
+    }
+
+    #[test]
+    fn validate_accepts_every_permutation_of_a_small_batch() {
+        validate_order(&[], 0);
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            validate_order(&order, 3);
+        }
     }
 }

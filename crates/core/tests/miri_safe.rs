@@ -85,11 +85,14 @@ fn pool_job_erasure_round_trips() {
     }
 }
 
-/// The lane runtime's erased job slots and group barriers, exercised
-/// through a two-lane concurrent batch.
+/// The lane runtime's erased job slot, follower loop and group
+/// barrier: one width-2 dispatch lane on a 2-thread pool answers two
+/// queries, so each query's job is erased and published to the
+/// follower (a width-1 lane would run inline and skip all three).
 #[test]
 fn lane_job_slots_round_trip() {
-    use odyssey_core::search::multiq::ConcurrentPlan;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::OnceLock;
     let idx = tiny_index(32, 1);
     let engine = BatchEngine::new(Arc::clone(&idx), 2);
     let qdata: Vec<Vec<f32>> = (0..2)
@@ -100,15 +103,21 @@ fn lane_job_slots_round_trip() {
         .map(|q| BatchQuery::new(q, QueryKind::Exact))
         .collect();
     let params = SearchParams::new(1);
-    let conc = engine.run_batch_concurrent(
-        &queries,
-        &ConcurrentPlan::uniform(queries.len(), 2, 1),
-        &params,
-    );
-    for (q, b) in qdata.iter().zip(&conc.items) {
+    let items: Vec<OnceLock<f64>> = (0..queries.len()).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    engine.run_dispatch(&[2], &|ctx, _lane| {
+        assert_eq!(ctx.width(), 2);
+        loop {
+            let qi = next.fetch_add(1, Ordering::Relaxed);
+            let Some(q) = queries.get(qi) else { break };
+            let item = ctx.execute(qi, q, &params);
+            let _ = items[qi].set(item.answer.nn().distance);
+        }
+    });
+    for (q, got) in qdata.iter().zip(&items) {
         assert_eq!(
             engine.exact(q, &params).answer.distance.to_bits(),
-            b.answer.nn().distance.to_bits()
+            got.get().expect("answered").to_bits()
         );
     }
 }

@@ -4,10 +4,10 @@
 //! These are ordinary bit-identity tests — they also run in the plain
 //! test tier — but they are chosen so that every synchronization edge
 //! of the concurrency machinery is crossed under load: the resident
-//! pool's epoch hand-off, the lane runtime's group barriers, job slots
-//! and intra-round re-admission, the steal registry's cooperative
-//! service path, and the traversal phase's per-batch queue hand-ins
-//! under helping, each at pool widths 2, 4, and 8.
+//! pool's epoch hand-off, the dispatch lanes' group barriers, job slots
+//! and shared claim sources, the steal registry's cooperative service
+//! path, and the traversal phase's per-batch queue hand-ins under
+//! helping, each at pool widths 2, 4, and 8.
 //!
 //! Everything here synchronizes through in-crate primitives
 //! (`PhaseBarrier`, monomorphized `Mutex<T>`), so the happens-before
@@ -17,9 +17,10 @@
 use odyssey_core::index::{Index, IndexConfig};
 use odyssey_core::search::engine::{BatchAnswer, BatchEngine, BatchItem, BatchQuery, QueryKind};
 use odyssey_core::search::exact::SearchParams;
-use odyssey_core::search::multiq::ConcurrentPlan;
+use odyssey_core::search::multiq::uniform_widths;
 use odyssey_core::series::DatasetBuffer;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 fn walk_dataset(n: usize, len: usize, seed: u64) -> DatasetBuffer {
     let mut x = seed | 1;
@@ -81,9 +82,33 @@ fn build(n: usize) -> Arc<Index> {
     ))
 }
 
-/// Lanes at every pool width must answer bit-identically to the
-/// sequential batch path — while TSan watches the group barriers, the
-/// shared lane queues (re-admission), and the result slots.
+/// Answers `queries` on dispatch lanes of the given `widths`, each lane
+/// claiming the next query from a shared cursor as `run_batch` does.
+/// Items come back in input order.
+fn dispatch(
+    engine: &BatchEngine,
+    queries: &[BatchQuery],
+    widths: &[usize],
+    params: &SearchParams,
+) -> Vec<BatchItem> {
+    let items: Vec<OnceLock<BatchItem>> = (0..queries.len()).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    engine.run_dispatch(widths, &|ctx, _lane| loop {
+        let qi = next.fetch_add(1, Ordering::Relaxed);
+        let Some(q) = queries.get(qi) else { break };
+        let _ = items[qi].set(ctx.execute(qi, q, params));
+    });
+    items
+        .into_iter()
+        .map(|s| s.into_inner().expect("every query claimed"))
+        .collect()
+}
+
+/// Dispatch lanes of every uniform width at each pool size, from one
+/// full-pool lane down to single-worker lanes (with a wider remainder
+/// lane where the width does not divide the pool): lanes run
+/// simultaneously on disjoint worker groups, and every answer must be
+/// bit-identical to the per-query reference.
 #[test]
 fn concurrent_lanes_bit_identical_at_2_4_8_threads() {
     let index = build(700);
@@ -99,12 +124,11 @@ fn concurrent_lanes_bit_identical_at_2_4_8_threads() {
 
     for pool in [2usize, 4, 8] {
         let engine = BatchEngine::new(Arc::clone(&index), pool);
-        // Several lanes per round (width pool/2, min 1) so lanes run
-        // simultaneously and re-admission has victims to drain.
-        let plan = ConcurrentPlan::uniform(queries.len(), pool, (pool / 2).max(1));
-        let conc = engine.run_batch_concurrent(&queries, &plan, &params);
-        for (qi, (a, b)) in reference.iter().zip(&conc.items).enumerate() {
-            assert_matches(a, b, &format!("pool={pool} query={qi}: lanes vs per-query"));
+        for width in 1..=pool {
+            let conc = dispatch(&engine, &queries, &uniform_widths(pool, width), &params);
+            for (qi, (a, b)) in reference.iter().zip(&conc).enumerate() {
+                assert_matches(a, b, &format!("pool={pool} width={width} query={qi}"));
+            }
         }
     }
 }
@@ -119,7 +143,6 @@ fn concurrent_lanes_bit_identical_at_2_4_8_threads() {
 /// is built on the same mechanism, is checked alongside.
 #[test]
 fn continuous_dispatch_bit_identical_at_2_4_8_threads() {
-    use odyssey_core::search::multiq::uniform_widths;
     use parking_lot::Mutex;
     use std::collections::VecDeque;
 
@@ -190,9 +213,8 @@ fn steal_service_under_lanes_stays_exact_at_2_4_8_threads() {
         engine.steal_registry().install_service(Arc::new(|reg| {
             let _ = reg.snapshot();
         }));
-        let plan = ConcurrentPlan::uniform(queries.len(), pool, 1);
-        let conc = engine.run_batch_concurrent(&queries, &plan, &params);
-        for (qi, (a, b)) in reference.iter().zip(&conc.items).enumerate() {
+        let conc = dispatch(&engine, &queries, &uniform_widths(pool, 1), &params);
+        for (qi, (a, b)) in reference.iter().zip(&conc).enumerate() {
             assert_matches(a, b, &format!("pool={pool} query={qi}: under steal service"));
         }
         assert_eq!(engine.steal_registry().in_flight(), 0);
@@ -229,9 +251,9 @@ fn kill_mid_round_then_rerun_is_bit_identical_at_2_4_8_threads() {
                 panic!("injected worker death");
             }
         }));
-        let plan = ConcurrentPlan::uniform(queries.len(), pool, (pool / 2).max(1));
+        let widths = uniform_widths(pool, (pool / 2).max(1));
         let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run_batch_concurrent(&queries, &plan, &params)
+            dispatch(&engine, &queries, &widths, &params)
         }));
         assert!(killed.is_err(), "pool={pool}: armed hook must kill the round");
         assert_eq!(
@@ -241,8 +263,8 @@ fn kill_mid_round_then_rerun_is_bit_identical_at_2_4_8_threads() {
         );
         // The pool reset on unwind leaves the engine reusable: the
         // re-run (a failover re-execution) must match the reference.
-        let conc = engine.run_batch_concurrent(&queries, &plan, &params);
-        for (qi, (a, b)) in reference.iter().zip(&conc.items).enumerate() {
+        let conc = dispatch(&engine, &queries, &widths, &params);
+        for (qi, (a, b)) in reference.iter().zip(&conc).enumerate() {
             assert_matches(a, b, &format!("pool={pool} query={qi}: re-run after kill"));
         }
     }

@@ -1,43 +1,33 @@
-//! Prediction-driven admission: deciding each query's worker-group
-//! width and packing a batch into concurrent lanes.
+//! Prediction-driven admission: partitioning a node's worker pool into
+//! continuous-dispatch lanes.
 //!
 //! Odyssey exploits two axes of parallelism: *intra*-query (all of a
 //! node's workers on one query) and *inter*-query (the cluster answers
 //! many queries at once across nodes). The same trade-off exists inside
 //! one node: an easy query's speedup saturates at one or two workers —
 //! per-query setup and barrier synchronization dominate — while a hard
-//! query profits from the whole pool. The admission controller uses the
+//! query profits from the whole pool. The planners here use the
 //! existing cost predictors (the initial-BSF regression of Figure 4, or
-//! the raw initial BSF itself, which is monotone in cost) to classify
-//! each query and emit a
-//! [`ConcurrentPlan`](odyssey_core::search::multiq::ConcurrentPlan):
+//! the raw initial BSF itself, which is monotone in cost) to pick the
+//! lane widths the batch engine's
+//! [`run_dispatch`](odyssey_core::search::engine::BatchEngine::run_dispatch)
+//! runs on:
 //!
-//! * **hard** queries (estimate above the admission cutoff) form one
-//!   full-pool round in descending-estimate order — exactly PREDICT-DN
-//!   restricted to the hard tier, preserving the paper's
-//!   hardest-first dispatch where intra-query parallelism matters;
-//! * **easy** queries form a second round of narrow lanes
-//!   ([`AdmissionConfig::easy_width`] workers each) and are packed onto
-//!   lanes greedily by descending estimate onto the least-loaded lane
-//!   (LPT — the same greedy the PREDICT-ST scheduler uses across
-//!   nodes), so lane makespans balance. Estimates are still estimates,
-//!   so plans default to **intra-round re-admission**
-//!   ([`AdmissionConfig::readmission`]): a lane that drains early
-//!   claims queued queries from the round's still-loaded lanes at run
-//!   time instead of idling at the round barrier.
+//! * [`plan_dispatch_widths`] classifies the estimates against a
+//!   median-ratio cutoff ([`AdmissionConfig::hard_ratio`]): an all-easy
+//!   sample gets narrow lanes of [`AdmissionConfig::easy_width`]
+//!   workers, an all-hard one the full pool, a mixed one a wide lane
+//!   (claiming hardest-first) beside narrow ones (claiming
+//!   easiest-first);
+//! * [`plan_dispatch_widths_adaptive`] instead solves for the width mix
+//!   minimizing the [`predicted_makespan`] under the measured
+//!   [`SpeedupCurve`].
 //!
-//! The controller also carries the sigmoid threshold model of Figure 6
-//! ([`ThresholdModel`]) and predicts a per-query priority-queue
-//! threshold `TH` alongside the width — the per-query tuning the batch
-//! engine threads through [`BatchQuery::params`].
-//!
-//! [`BatchQuery::params`]: odyssey_core::search::engine::BatchQuery
+//! Widths change where a query runs, never its answer.
 
-use crate::sigmoid::ThresholdModel;
 use crate::speedup::SpeedupCurve;
-use odyssey_core::search::multiq::{ConcurrentPlan, LaneSpec, RoundSpec};
 
-/// Tuning knobs of the admission controller.
+/// Tuning knobs of the lane-width planners.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
     /// Worker-group width for predicted-easy queries (the paper-ish
@@ -48,16 +38,9 @@ pub struct AdmissionConfig {
     /// (e.g. the unit estimates of non-predictive policies) nothing
     /// clears the ratio and the whole batch is admitted concurrently.
     pub hard_ratio: f64,
-    /// Absolute estimate cutoff overriding the ratio rule when set.
-    pub hard_cutoff: Option<f64>,
     /// Upper bound on concurrent lanes (`usize::MAX` = only limited by
     /// the pool).
     pub max_lanes: usize,
-    /// Intra-round re-admission: lanes that drain early claim queued
-    /// queries from the round's still-loaded lanes instead of idling at
-    /// the round barrier (see
-    /// [`RoundSpec::readmission`](odyssey_core::search::multiq::RoundSpec)).
-    pub readmission: bool,
 }
 
 impl Default for AdmissionConfig {
@@ -65,9 +48,7 @@ impl Default for AdmissionConfig {
         AdmissionConfig {
             easy_width: 2,
             hard_ratio: 2.0,
-            hard_cutoff: None,
             max_lanes: usize::MAX,
-            readmission: true,
         }
     }
 }
@@ -87,12 +68,6 @@ impl AdmissionConfig {
         self
     }
 
-    /// Sets an absolute hardness cutoff.
-    pub fn with_hard_cutoff(mut self, c: f64) -> Self {
-        self.hard_cutoff = Some(c);
-        self
-    }
-
     /// Caps the number of concurrent lanes.
     pub fn with_max_lanes(mut self, n: usize) -> Self {
         assert!(n >= 1);
@@ -100,110 +75,13 @@ impl AdmissionConfig {
         self
     }
 
-    /// Toggles intra-round re-admission.
-    pub fn with_readmission(mut self, on: bool) -> Self {
-        self.readmission = on;
-        self
-    }
-
     /// The estimate value above which a query is considered hard.
     fn cutoff(&self, estimates: &[f64]) -> f64 {
-        if let Some(c) = self.hard_cutoff {
-            return c;
-        }
         let mut sorted: Vec<f64> = estimates.to_vec();
         sorted.sort_by(f64::total_cmp);
         let median = sorted.get(sorted.len() / 2).copied().unwrap_or(0.0);
         self.hard_ratio * median
     }
-}
-
-/// Builds a [`ConcurrentPlan`] for a `pool`-thread engine from
-/// per-query cost `estimates` (any monotone proxy: predicted seconds or
-/// the raw initial BSF).
-///
-/// The returned plan partitions the pool in every round and names each
-/// query exactly once (validated by the engine before execution; the
-/// property is also covered by this workspace's proptest suite).
-pub fn plan_lanes(estimates: &[f64], pool: usize, config: &AdmissionConfig) -> ConcurrentPlan {
-    let pool = pool.max(1);
-    if estimates.is_empty() {
-        return ConcurrentPlan::default();
-    }
-    let cutoff = config.cutoff(estimates);
-    let mut hard: Vec<usize> = (0..estimates.len())
-        .filter(|&q| estimates[q] > cutoff)
-        .collect();
-    let mut easy: Vec<usize> = (0..estimates.len())
-        .filter(|&q| estimates[q] <= cutoff)
-        .collect();
-    // Descending estimate, stable on ties — the PREDICT-DN order.
-    let desc = |order: &mut Vec<usize>| {
-        order.sort_by(|&a, &b| estimates[b].total_cmp(&estimates[a]).then(a.cmp(&b)));
-    };
-    desc(&mut hard);
-    desc(&mut easy);
-
-    let mut rounds = Vec::new();
-    if !hard.is_empty() {
-        // A single full-pool lane has no siblings to re-admit from; the
-        // flag only matters once plans grow multi-lane hard tiers.
-        let mut round = RoundSpec::new(vec![LaneSpec {
-            width: pool,
-            queries: hard,
-        }]);
-        round.readmission = config.readmission;
-        rounds.push(round);
-    }
-    if !easy.is_empty() {
-        rounds.push(easy_round(&easy, estimates, pool, config));
-    }
-    ConcurrentPlan { rounds }
-}
-
-/// Packs the easy tier into narrow lanes: as many `easy_width` groups
-/// as the pool affords (capped by the query count and `max_lanes`;
-/// remainder workers go to the first lanes), queries LPT-assigned to
-/// the least-loaded lane by estimate.
-fn easy_round(
-    easy_desc: &[usize],
-    estimates: &[f64],
-    pool: usize,
-    config: &AdmissionConfig,
-) -> RoundSpec {
-    let n_lanes = (pool / config.easy_width.clamp(1, pool))
-        .min(easy_desc.len())
-        .min(config.max_lanes)
-        .max(1);
-    let base = pool / n_lanes;
-    let extra = pool % n_lanes;
-    let mut lanes: Vec<LaneSpec> = (0..n_lanes)
-        .map(|l| LaneSpec {
-            width: base + usize::from(l < extra),
-            queries: Vec::new(),
-        })
-        .collect();
-    let mut load = vec![0.0f64; n_lanes];
-    for &q in easy_desc {
-        // Least-loaded lane; ties (e.g. all-zero estimates) break by
-        // queue length so queries round-robin instead of piling onto
-        // lane 0 — with `n_lanes <= |easy|` no lane stays empty.
-        let lane = load
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                a.1.total_cmp(b.1)
-                    .then(lanes[a.0].queries.len().cmp(&lanes[b.0].queries.len()))
-                    .then(a.0.cmp(&b.0))
-            })
-            .map(|(i, _)| i)
-            .expect("n_lanes >= 1");
-        lanes[lane].queries.push(q);
-        load[lane] += estimates[q];
-    }
-    let mut round = RoundSpec::new(lanes);
-    round.readmission = config.readmission;
-    round
 }
 
 /// A pool partition for the continuous-dispatch path (the serving
@@ -219,22 +97,22 @@ pub struct DispatchWidths {
 }
 
 /// Partitions a `pool`-thread engine into continuous-dispatch lanes
-/// from the same hardness classification [`plan_lanes`] uses — but for
-/// a *stream*, where lanes claim queries one at a time instead of
-/// executing a pre-packed plan.
+/// from a hardness classification of the estimates: a query is hard
+/// when its estimate exceeds [`AdmissionConfig::hard_ratio`] times the
+/// sample's median.
 ///
 /// * No hard tier in the estimates → all-narrow lanes of
-///   [`AdmissionConfig::easy_width`] (the `easy_round` shape), zero
-///   wide lanes.
+///   [`AdmissionConfig::easy_width`] (at most
+///   [`AdmissionConfig::max_lanes`] of them), zero wide lanes.
 /// * All hard → one full-pool lane.
 /// * Mixed → one wide lane on half the pool (hardest-first claims) and
 ///   narrow `easy_width` lanes on the rest (easiest-first claims); if
 ///   half the pool can't fit even one narrow lane, the whole pool goes
 ///   wide.
 ///
-/// Unlike [`plan_lanes`] the estimates here are only a *tier sample*
-/// (e.g. the last window of served queries); an empty sample behaves
-/// as all-easy, since a stream with no history has no hard evidence.
+/// The estimates are only a *tier sample* (e.g. the batch at hand, or
+/// the last window of served queries); an empty sample behaves as
+/// all-easy, since a stream with no history has no hard evidence.
 pub fn plan_dispatch_widths(
     estimates: &[f64],
     pool: usize,
@@ -369,68 +247,6 @@ pub fn predicted_makespan(costs_desc: &[f64], widths: &[usize], curve: &SpeedupC
         .fold(0.0, f64::max)
 }
 
-/// Curve-aware variant of [`plan_lanes`]: instead of classifying
-/// hard/easy by the median-ratio cutoff and hardcoding the two round
-/// shapes, it solves for the lane-width mix minimizing the predicted
-/// makespan under the measured [`SpeedupCurve`], then LPT-packs the
-/// queries (descending estimate) onto those lanes. One round, widths
-/// partitioning the pool, every query named exactly once — the same
-/// double-partition contract as the static planner, and bit-identical
-/// answers to it (widths change scheduling, never results).
-pub fn plan_lanes_adaptive(
-    estimates: &[f64],
-    pool: usize,
-    config: &AdmissionConfig,
-    curve: &SpeedupCurve,
-) -> ConcurrentPlan {
-    let pool = pool.max(1);
-    if estimates.is_empty() {
-        return ConcurrentPlan::default();
-    }
-    let mut order: Vec<usize> = (0..estimates.len()).collect();
-    order.sort_by(|&a, &b| estimates[b].total_cmp(&estimates[a]).then(a.cmp(&b)));
-    let costs_desc: Vec<f64> = order.iter().map(|&q| estimates[q]).collect();
-    let widths = solve_widths(&costs_desc, pool, config, curve);
-    let speedups: Vec<f64> = widths.iter().map(|&w| curve.speedup(w)).collect();
-    let mut lanes: Vec<LaneSpec> = widths
-        .iter()
-        .map(|&width| LaneSpec {
-            width,
-            queries: Vec::new(),
-        })
-        .collect();
-    let mut load = vec![0.0f64; widths.len()];
-    for (&q, &c) in order.iter().zip(&costs_desc) {
-        // The solver's own LPT rule, replayed to materialize the
-        // assignment it scored (ties by queue length keep zero-estimate
-        // batches round-robining, then by lane index).
-        let lane = (0..widths.len())
-            .min_by(|&a, &b| {
-                let fa = (load[a] + c) / speedups[a];
-                let fb = (load[b] + c) / speedups[b];
-                fa.total_cmp(&fb)
-                    .then(lanes[a].queries.len().cmp(&lanes[b].queries.len()))
-                    .then(a.cmp(&b))
-            })
-            .expect("at least one lane");
-        lanes[lane].queries.push(q);
-        load[lane] += c;
-    }
-    // An empty lane fails the plan's double-partition validation; fold
-    // surplus lanes away (possible when queries < lanes after the LPT
-    // replay's queue-length tie-break — rare, but the contract is hard).
-    lanes.retain(|l| !l.queries.is_empty());
-    let missing = pool - lanes.iter().map(|l| l.width).sum::<usize>();
-    if let Some(first) = lanes.first_mut() {
-        first.width += missing;
-    }
-    let mut round = RoundSpec::new(lanes);
-    round.readmission = config.readmission;
-    ConcurrentPlan {
-        rounds: vec![round],
-    }
-}
-
 /// Curve-aware variant of [`plan_dispatch_widths`]: the solver picks
 /// the makespan-optimal width mix for the observed estimate sample,
 /// and every lane at the widest width claims hardest-first (dispatch
@@ -461,164 +277,52 @@ pub fn plan_dispatch_widths_adaptive(
     DispatchWidths { widths, wide_lanes }
 }
 
-/// The admission controller: lane planning plus the per-query `TH`
-/// prediction of the sigmoid model, bundled for the engine's callers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdmissionController {
-    /// Lane-planning knobs.
-    pub config: AdmissionConfig,
-    /// Optional trained threshold model (Figure 6).
-    pub threshold_model: Option<ThresholdModel>,
-}
-
-impl AdmissionController {
-    /// A controller with the given knobs and no threshold model.
-    pub fn new(config: AdmissionConfig) -> Self {
-        AdmissionController {
-            config,
-            threshold_model: None,
-        }
-    }
-
-    /// Installs a trained sigmoid threshold model.
-    pub fn with_threshold_model(mut self, model: ThresholdModel) -> Self {
-        self.threshold_model = Some(model);
-        self
-    }
-
-    /// Plans lanes for a batch (see [`plan_lanes`]).
-    pub fn plan(&self, estimates: &[f64], pool: usize) -> ConcurrentPlan {
-        plan_lanes(estimates, pool, &self.config)
-    }
-
-    /// Per-query `TH` predictions from the initial BSFs, when a
-    /// threshold model is installed.
-    pub fn predict_ths(&self, initial_bsfs: &[f64]) -> Option<Vec<usize>> {
-        let model = self.threshold_model.as_ref()?;
-        Some(initial_bsfs.iter().map(|&b| model.predict_th(b)).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn flat_queries(plan: &ConcurrentPlan) -> Vec<usize> {
-        let mut qs: Vec<usize> = plan
-            .rounds
-            .iter()
-            .flat_map(|r| &r.lanes)
-            .flat_map(|l| l.queries.iter().copied())
-            .collect();
-        qs.sort_unstable();
-        qs
+    #[test]
+    fn lpt_balances_easy_lanes() {
+        // Eight queries with skewed costs on 4 single-width lanes: the
+        // makespan model's greedy assignment keeps the max lane load at
+        // the largest single cost, where a round-robin over the arrival
+        // order [8, 1, 1, 1, 7, 1, 1, 6] puts 8 + 7 on lane 0.
+        let desc = [8.0, 7.0, 6.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+        let makespan = predicted_makespan(&desc, &[1, 1, 1, 1], &SpeedupCurve::linear());
+        assert_eq!(makespan, 8.0, "LPT keeps lanes balanced");
     }
 
     #[test]
     fn uniform_estimates_admit_everything_concurrently() {
+        // Equal estimates (the unit estimates of non-predictive
+        // policies) have no hard tier: the pool splits into easy lanes.
         let est = vec![1.0; 12];
-        let plan = plan_lanes(&est, 8, &AdmissionConfig::default());
-        plan.validate(8, 12);
-        assert_eq!(plan.rounds.len(), 1, "no hard tier");
-        assert_eq!(plan.rounds[0].lanes.len(), 4, "8 threads / width 2");
-        for lane in &plan.rounds[0].lanes {
-            assert_eq!(lane.width, 2);
-        }
+        let dw = plan_dispatch_widths(&est, 8, &AdmissionConfig::default());
+        assert_eq!(dw, DispatchWidths { widths: vec![2, 2, 2, 2], wide_lanes: 0 }, "8 threads / width 2");
+        let single = plan_dispatch_widths(&est, 8, &AdmissionConfig::default().with_easy_width(1));
+        assert_eq!(single, DispatchWidths { widths: vec![1; 8], wide_lanes: 0 });
     }
 
     #[test]
     fn hard_tail_gets_the_full_pool_first() {
-        // Ten easy queries and two 100x outliers.
+        // Ten easy queries and two 100x outliers: the wide lane leads.
         let mut est = vec![1.0; 10];
         est.push(100.0);
         est.push(120.0);
-        let plan = plan_lanes(&est, 4, &AdmissionConfig::default());
-        plan.validate(4, 12);
-        assert_eq!(plan.rounds.len(), 2);
-        let hard = &plan.rounds[0].lanes;
-        assert_eq!(hard.len(), 1);
-        assert_eq!(hard[0].width, 4);
-        assert_eq!(hard[0].queries, vec![11, 10], "descending estimate");
-    }
-
-    #[test]
-    fn absolute_cutoff_overrides_ratio() {
-        let est = vec![1.0, 2.0, 3.0, 4.0];
-        let cfg = AdmissionConfig::default().with_hard_cutoff(2.5);
-        let plan = plan_lanes(&est, 2, &cfg);
-        plan.validate(2, 4);
-        assert_eq!(plan.rounds[0].lanes[0].queries, vec![3, 2]);
-    }
-
-    #[test]
-    fn lanes_never_outnumber_queries_or_cap() {
-        let est = vec![1.0, 1.0];
-        let plan = plan_lanes(&est, 8, &AdmissionConfig::default().with_easy_width(1));
-        plan.validate(8, 2);
-        assert_eq!(plan.rounds[0].lanes.len(), 2, "2 queries -> 2 lanes");
-        let capped = plan_lanes(
-            &[1.0; 16],
-            8,
-            &AdmissionConfig::default().with_easy_width(1).with_max_lanes(3),
-        );
-        capped.validate(8, 16);
-        assert_eq!(capped.rounds[0].lanes.len(), 3);
-    }
-
-    #[test]
-    fn every_query_is_planned_exactly_once() {
-        let est: Vec<f64> = (0..37).map(|i| ((i * 13) % 11) as f64 + 1.0).collect();
-        for pool in [1usize, 2, 5, 8] {
-            for w in [1usize, 2, 3] {
-                let plan = plan_lanes(&est, pool, &AdmissionConfig::default().with_easy_width(w));
-                plan.validate(pool, est.len());
-                assert_eq!(flat_queries(&plan), (0..est.len()).collect::<Vec<_>>());
-            }
-        }
-    }
-
-    #[test]
-    fn lpt_balances_easy_lanes() {
-        // Eight easy queries with skewed costs on 4 single-width lanes:
-        // greedy assignment keeps the max lane load below a naive
-        // round-robin's.
-        let est = vec![8.0, 1.0, 1.0, 1.0, 7.0, 1.0, 1.0, 6.0];
-        let cfg = AdmissionConfig::default()
-            .with_easy_width(1)
-            .with_hard_ratio(100.0);
-        let plan = plan_lanes(&est, 4, &cfg);
-        plan.validate(4, 8);
-        let loads: Vec<f64> = plan.rounds[0]
-            .lanes
-            .iter()
-            .map(|l| l.queries.iter().map(|&q| est[q]).sum())
-            .collect();
-        let max_load = loads.iter().cloned().fold(0.0, f64::max);
-        assert!(max_load <= 9.0, "LPT keeps lanes balanced: {loads:?}");
-    }
-
-    #[test]
-    fn controller_predicts_per_query_ths() {
-        use crate::sigmoid::SigmoidFit;
-        let s = SigmoidFit {
-            m: 160.0,
-            big_m: 160.0,
-            b: 1.0,
-            c: 1.0,
-            d: 0.0,
-            sse: 0.0,
-        };
-        let ctl = AdmissionController::default()
-            .with_threshold_model(ThresholdModel::new(s, 16.0));
-        assert_eq!(ctl.predict_ths(&[1.0, 2.0]), Some(vec![10, 10]));
-        assert_eq!(AdmissionController::default().predict_ths(&[1.0]), None);
+        let dw = plan_dispatch_widths(&est, 4, &AdmissionConfig::default());
+        assert_eq!(dw.wide_lanes, 1);
+        assert!(dw.widths.iter().all(|&w| w <= dw.widths[0]), "{:?}", dw.widths);
+        // With no room for a narrow lane beside it, the wide lane is the
+        // whole pool.
+        let tiny = plan_dispatch_widths(&est, 2, &AdmissionConfig::default());
+        assert_eq!(tiny, DispatchWidths { widths: vec![2], wide_lanes: 1 });
     }
 
     #[test]
     fn empty_batch_plans_empty() {
-        let plan = plan_lanes(&[], 4, &AdmissionConfig::default());
-        assert!(plan.rounds.is_empty());
-        plan.validate(4, 0);
+        // An empty sample has no hard tier: no wide lane, easy lanes only.
+        let dw = plan_dispatch_widths(&[], 4, &AdmissionConfig::default());
+        assert_eq!(dw, DispatchWidths { widths: vec![2, 2], wide_lanes: 0 });
     }
 
     #[test]
@@ -664,8 +368,9 @@ mod tests {
 
     #[test]
     fn dispatch_all_hard_is_one_full_pool_lane() {
-        let cfg = AdmissionConfig::default().with_hard_cutoff(0.5);
-        let dw = plan_dispatch_widths(&[1.0, 2.0, 3.0], 6, &cfg);
+        // Below-median ratio: every estimate clears the cutoff.
+        let cfg = AdmissionConfig::default().with_hard_ratio(0.5);
+        let dw = plan_dispatch_widths(&[2.0, 3.0, 4.0], 6, &cfg);
         assert_eq!(dw, DispatchWidths { widths: vec![6], wide_lanes: 1 });
     }
 
@@ -728,13 +433,18 @@ mod tests {
 
     #[test]
     fn adaptive_plan_double_partitions() {
+        // Workers: the widths partition the pool. Queries: every lane
+        // has a query to claim.
         let curve = SpeedupCurve::from_times(&[(1, 8.0), (2, 4.4), (4, 3.2), (8, 3.0)]);
         let est: Vec<f64> = (0..23).map(|i| ((i * 7) % 13) as f64 + 0.5).collect();
         for pool in [1usize, 2, 3, 4, 8] {
-            let plan = plan_lanes_adaptive(&est, pool, &AdmissionConfig::default(), &curve);
-            plan.validate(pool, est.len());
-            assert_eq!(flat_queries(&plan), (0..est.len()).collect::<Vec<_>>());
-            assert_eq!(plan.rounds.len(), 1, "one adaptive round");
+            for n in [1usize, 2, est.len()] {
+                let dw = plan_dispatch_widths_adaptive(&est[..n], pool, &AdmissionConfig::default(), &curve);
+                assert_eq!(dw.widths.iter().sum::<usize>(), pool, "pool={pool} n={n}");
+                assert!(dw.widths.iter().all(|&w| w >= 1));
+                assert!(dw.widths.len() <= n, "pool={pool} n={n}: {:?}", dw.widths);
+                assert!(dw.wide_lanes <= dw.widths.len());
+            }
         }
     }
 
@@ -742,27 +452,33 @@ mod tests {
     fn adaptive_plan_is_deterministic() {
         let curve = SpeedupCurve::from_times(&[(1, 9.0), (2, 5.0), (4, 3.1), (8, 2.8)]);
         let est: Vec<f64> = (0..17).map(|i| ((i * 5) % 7) as f64 + 1.0).collect();
-        let a = plan_lanes_adaptive(&est, 8, &AdmissionConfig::default(), &curve);
-        let b = plan_lanes_adaptive(&est, 8, &AdmissionConfig::default(), &curve);
-        let shape = |p: &ConcurrentPlan| -> Vec<(usize, Vec<usize>)> {
-            p.rounds[0]
-                .lanes
-                .iter()
-                .map(|l| (l.width, l.queries.clone()))
-                .collect()
-        };
-        assert_eq!(shape(&a), shape(&b));
+        let a = plan_dispatch_widths_adaptive(&est, 8, &AdmissionConfig::default(), &curve);
+        let b = plan_dispatch_widths_adaptive(&est, 8, &AdmissionConfig::default(), &curve);
+        assert_eq!(a, b);
     }
 
     #[test]
     fn adaptive_empty_and_tiny_batches() {
         let curve = SpeedupCurve::linear();
-        let empty = plan_lanes_adaptive(&[], 4, &AdmissionConfig::default(), &curve);
-        assert!(empty.rounds.is_empty());
-        let one = plan_lanes_adaptive(&[3.0], 4, &AdmissionConfig::default(), &curve);
-        one.validate(4, 1);
-        assert_eq!(one.rounds[0].lanes.len(), 1);
-        assert_eq!(one.rounds[0].lanes[0].width, 4, "lone query gets the pool");
+        let cfg = AdmissionConfig::default();
+        // No evidence: the static planner's cold-start shape.
+        let empty = plan_dispatch_widths_adaptive(&[], 4, &cfg, &curve);
+        assert_eq!(empty, plan_dispatch_widths(&[], 4, &cfg));
+        let one = plan_dispatch_widths_adaptive(&[3.0], 4, &cfg, &curve);
+        assert_eq!(one, DispatchWidths { widths: vec![4], wide_lanes: 1 }, "lone query gets the pool");
+    }
+
+    #[test]
+    fn lanes_never_outnumber_queries_or_cap() {
+        // A saturating curve favours many narrow lanes; two queries
+        // still get at most two lanes, and `max_lanes` caps the rest.
+        let curve = SpeedupCurve::from_times(&[(1, 8.0), (2, 4.4), (4, 4.2), (8, 4.1)]);
+        let cfg = AdmissionConfig::default().with_easy_width(1);
+        let two = plan_dispatch_widths_adaptive(&[1.0, 1.0], 8, &cfg, &curve);
+        assert!(two.widths.len() <= 2, "2 queries: {:?}", two.widths);
+        let capped =
+            plan_dispatch_widths_adaptive(&[1.0; 16], 8, &cfg.with_max_lanes(3), &curve);
+        assert!(capped.widths.len() <= 3, "{:?}", capped.widths);
     }
 
     #[test]

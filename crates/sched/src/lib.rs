@@ -14,16 +14,15 @@
 //! good priority-queue size threshold `TH` from the initial BSF.
 //!
 //! [`admission`] turns the same predictions into *inter-query*
-//! concurrency decisions: each query's worker-group width and the
-//! packing of a batch into the batch engine's concurrent lanes.
+//! concurrency decisions: the widths of the lanes a node's batch engine
+//! answers queries on.
 //!
 //! [`speedup`] holds the measured speedup-vs-width curve (Figure 8)
 //! the engine calibrates at warmup, and [`admission`]'s
-//! `plan_lanes_adaptive` / `plan_dispatch_widths_adaptive` solve for
-//! the makespan-optimal lane-width mix under it. [`feedback`] closes
-//! the prediction loop: a lock-free ring of observed `(feature, time)`
-//! samples from which the linreg/sigmoid models refit at deterministic
-//! sample counts.
+//! `plan_dispatch_widths_adaptive` solves for the makespan-optimal
+//! lane-width mix under it. [`feedback`] closes the prediction loop: a
+//! lock-free ring of observed `(feature, time)` samples from which the
+//! linreg/sigmoid models refit at deterministic sample counts.
 
 #![forbid(unsafe_code)]
 
@@ -37,8 +36,8 @@ pub mod sigmoid;
 pub mod speedup;
 
 pub use admission::{
-    plan_dispatch_widths, plan_dispatch_widths_adaptive, plan_lanes, plan_lanes_adaptive,
-    predicted_makespan, AdmissionConfig, AdmissionController, DispatchWidths,
+    plan_dispatch_widths, plan_dispatch_widths_adaptive, predicted_makespan, AdmissionConfig,
+    DispatchWidths,
 };
 pub use feedback::{mape, FeedbackStore, OnlineCostModel, OnlineThresholdModel};
 pub use linreg::LinearRegression;

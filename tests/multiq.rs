@@ -1,14 +1,16 @@
-//! Inter-query concurrency equivalence and lane-packing invariants.
+//! Inter-query concurrency equivalence and steal-registry invariants.
 //!
-//! A batch executed by [`BatchEngine::run_batch_concurrent`] — several
-//! queries at once on disjoint worker groups — must return answers
-//! bit-identical to each query asked alone on the full pool (the
-//! per-query entry points `exact` / `knn` / `dtw`), for every pool size
-//! and every group width: the lanes change *where* a query runs, never
-//! *what* is computed. The admission planner's output
-//! must always be a true double partition (of the pool's workers within
-//! each round, and of the batch's queries across the plan) — checked
-//! here property-style over arbitrary estimate vectors.
+//! A batch executed on continuous-dispatch lanes
+//! ([`BatchEngine::run_dispatch`]) — several queries at once on
+//! disjoint worker groups — must return answers bit-identical to each
+//! query asked alone on the full pool (the per-query entry points
+//! `exact` / `knn` / `dtw`), for every pool size and every group width,
+//! and for the widths the admission planner picks from cost estimates:
+//! the lanes change *where* a query runs, never *what* is computed.
+//! Checked property-style: uniform and planned widths partition the
+//! pool's workers and the lanes answer every query exactly once, and the
+//! engine-resident steal registry never serves an RS-batch twice over
+//! arbitrary interleavings.
 
 #![recursion_limit = "1024"]
 
@@ -18,15 +20,18 @@ use odyssey::cluster::{ClusterConfig, OdysseyCluster, Replication, SchedulerKind
 use odyssey::core::search::bsf::{ResultSet, SharedBsf};
 use odyssey::core::index::{Index, IndexConfig};
 use common::{assert_bit_identical, per_query_reference};
-use odyssey::core::search::engine::{BatchEngine, BatchQuery, QueryKind, StealRegistry};
+use odyssey::core::search::engine::{
+    BatchEngine, BatchItem, BatchOutcome, BatchQuery, QueryKind, StealRegistry,
+};
 use odyssey::core::search::exact::SearchParams;
-use odyssey::core::search::multiq::ConcurrentPlan;
-use odyssey::sched::admission::{plan_lanes, AdmissionConfig};
+use odyssey::core::search::multiq::uniform_widths;
+use odyssey::sched::admission::{plan_dispatch_widths, AdmissionConfig};
 use odyssey::workloads::generator::random_walk;
 use odyssey::workloads::queries::{QueryWorkload, WorkloadKind};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 fn setup() -> (Arc<Index>, QueryWorkload, QueryWorkload) {
     let data = random_walk(1500, 64, 0xC0FFEE);
@@ -54,6 +59,31 @@ fn mixed_batch<'a>(easy: &'a QueryWorkload, hard: &'a QueryWorkload) -> Vec<Batc
     batch
 }
 
+/// Answers `batch` on dispatch lanes of the given `widths`, each lane
+/// claiming the next query from a shared cursor as `run_batch` does.
+/// Items come back in input order; `wall` is left at zero.
+fn dispatch(
+    engine: &BatchEngine,
+    batch: &[BatchQuery],
+    widths: &[usize],
+    params: &SearchParams,
+) -> BatchOutcome {
+    let items: Vec<OnceLock<BatchItem>> = (0..batch.len()).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    engine.run_dispatch(widths, &|ctx, _lane| loop {
+        let qi = next.fetch_add(1, Ordering::Relaxed);
+        let Some(q) = batch.get(qi) else { break };
+        let _ = items[qi].set(ctx.execute(qi, q, &q.params.unwrap_or(*params)));
+    });
+    BatchOutcome {
+        items: items
+            .into_iter()
+            .map(|s| s.into_inner().expect("every query claimed"))
+            .collect(),
+        wall: Default::default(),
+    }
+}
+
 #[test]
 fn concurrent_mixed_batches_are_bit_identical_across_widths() {
     let (index, easy, hard) = setup();
@@ -63,8 +93,7 @@ fn concurrent_mixed_batches_are_bit_identical_across_widths() {
         let params = SearchParams::new(threads).with_th(32);
         let want = per_query_reference(&engine, &batch, &params);
         for width in 1..=threads {
-            let plan = ConcurrentPlan::uniform(batch.len(), threads, width);
-            let conc = engine.run_batch_concurrent(&batch, &plan, &params);
+            let conc = dispatch(&engine, &batch, &uniform_widths(threads, width), &params);
             assert_bit_identical(&want, &conc, &format!("threads={threads} width={width}"));
         }
     }
@@ -72,8 +101,9 @@ fn concurrent_mixed_batches_are_bit_identical_across_widths() {
 
 #[test]
 fn admission_planned_batches_are_bit_identical() {
-    // The prediction-driven plan (hard tier on the full pool, easy tier
-    // on narrow lanes) must agree with the per-query reference too.
+    // The prediction-driven widths (a wide lane for the hard tier,
+    // narrow lanes for the easy one) must agree with the per-query
+    // reference too.
     let (index, easy, hard) = setup();
     let batch = mixed_batch(&easy, &hard);
     // Use each query's approximate-search distance as its estimate,
@@ -88,9 +118,8 @@ fn admission_planned_batches_are_bit_identical() {
         let want = per_query_reference(&engine, &batch, &params);
         for easy_width in [1usize, 2, 3] {
             let cfg = AdmissionConfig::default().with_easy_width(easy_width);
-            let plan = plan_lanes(&estimates, threads, &cfg);
-            plan.validate(threads, batch.len());
-            let conc = engine.run_batch_concurrent(&batch, &plan, &params);
+            let dw = plan_dispatch_widths(&estimates, threads, &cfg);
+            let conc = dispatch(&engine, &batch, &dw.widths, &params);
             assert_bit_identical(
                 &want,
                 &conc,
@@ -112,59 +141,28 @@ fn per_query_params_ride_through_concurrent_lanes() {
         .collect();
     let engine = BatchEngine::new(Arc::clone(&index), 4);
     let want = per_query_reference(&engine, &batch, &params);
-    let conc = engine.run_batch_concurrent(
-        &batch,
-        &ConcurrentPlan::uniform(batch.len(), 4, 2),
-        &params,
-    );
+    let conc = dispatch(&engine, &batch, &uniform_widths(4, 2), &params);
     assert_bit_identical(&want, &conc, "per-query params");
 }
 
 #[test]
 fn concurrent_engine_reuse_is_stable_across_batches() {
-    // Lane scratch must not leak state between rounds or batches:
-    // running the same concurrent batch twice on one engine, and
-    // interleaving with a `run_batch`, stays bit-identical.
+    // Lane scratch must not leak state between batches: running the
+    // same concurrent batch twice on one engine, and interleaving with
+    // a `run_batch`, stays bit-identical.
     let (index, easy, hard) = setup();
     let batch = mixed_batch(&easy, &hard);
     let order: Vec<usize> = (0..batch.len()).collect();
     let engine = BatchEngine::new(Arc::clone(&index), 4);
     let params = SearchParams::new(4).with_th(16);
     let want = per_query_reference(&engine, &batch, &params);
-    let plan = ConcurrentPlan::uniform(batch.len(), 4, 1);
-    let first = engine.run_batch_concurrent(&batch, &plan, &params);
+    let widths = uniform_widths(4, 1);
+    let first = dispatch(&engine, &batch, &widths, &params);
     let interleaved = engine.run_batch(&batch, &order, &params);
-    let second = engine.run_batch_concurrent(&batch, &plan, &params);
+    let second = dispatch(&engine, &batch, &widths, &params);
     assert_bit_identical(&want, &first, "first concurrent run");
     assert_bit_identical(&want, &interleaved, "interleaved run_batch");
     assert_bit_identical(&want, &second, "second concurrent run");
-}
-
-#[test]
-fn readmission_off_stays_bit_identical() {
-    // Intra-round re-admission moves queries between lanes but must
-    // never change an answer: plans built with the knob off and on
-    // both agree with the per-query reference.
-    let (index, easy, hard) = setup();
-    let batch = mixed_batch(&easy, &hard);
-    let estimates: Vec<f64> = batch
-        .iter()
-        .map(|q| index.approx_search(q.data).distance)
-        .collect();
-    let engine = BatchEngine::new(Arc::clone(&index), 4);
-    let params = SearchParams::new(4).with_th(32);
-    let want = per_query_reference(&engine, &batch, &params);
-    for readmission in [false, true] {
-        let cfg = AdmissionConfig::default()
-            .with_easy_width(1)
-            .with_readmission(readmission);
-        let plan = plan_lanes(&estimates, 4, &cfg);
-        for round in &plan.rounds {
-            assert_eq!(round.readmission, readmission);
-        }
-        let conc = engine.run_batch_concurrent(&batch, &plan, &params);
-        assert_bit_identical(&want, &conc, &format!("readmission={readmission}"));
-    }
 }
 
 /// The headline composition of this refactor: inter-query lanes and
@@ -269,23 +267,64 @@ fn registry_down_node_recycles_views_and_never_double_serves() {
     }
 }
 
-fn flat_sorted_queries(plan: &ConcurrentPlan) -> Vec<usize> {
-    let mut qs: Vec<usize> = plan
-        .rounds
-        .iter()
-        .flat_map(|r| &r.lanes)
-        .flat_map(|l| l.queries.iter().copied())
+/// A small index and 40 easy queries over it, shared by the partition
+/// properties below.
+fn partition_fixture() -> &'static (Arc<Index>, QueryWorkload) {
+    static FIXTURE: OnceLock<(Arc<Index>, QueryWorkload)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let data = random_walk(300, 64, 0xD15C);
+        let index = Arc::new(Index::build(
+            data.clone(),
+            IndexConfig::new(64).with_segments(8).with_leaf_capacity(24),
+            2,
+        ));
+        let queries = QueryWorkload::generate(&data, 40, WorkloadKind::Easy { noise: 0.02 }, 31);
+        (index, queries)
+    })
+}
+
+/// Runs the first `n_queries` fixture queries on dispatch lanes of the
+/// given `widths` and returns how often each query was answered and, per
+/// lane, how often its driver ran and at which width.
+fn claim_census(widths: &[usize], n_queries: usize) -> (Vec<usize>, Vec<(usize, usize)>) {
+    let (index, workload) = partition_fixture();
+    let pool = widths.iter().sum();
+    let engine = BatchEngine::new(Arc::clone(index), pool);
+    let batch: Vec<BatchQuery> = (0..n_queries)
+        .map(|qi| BatchQuery::new(workload.query(qi), QueryKind::Exact))
         .collect();
-    qs.sort_unstable();
-    qs
+    let params = SearchParams::new(pool);
+    let answered: Vec<AtomicUsize> = (0..n_queries).map(|_| AtomicUsize::new(0)).collect();
+    let lanes: Vec<(AtomicUsize, AtomicUsize)> = widths
+        .iter()
+        .map(|_| (AtomicUsize::new(0), AtomicUsize::new(0)))
+        .collect();
+    let next = AtomicUsize::new(0);
+    engine.run_dispatch(widths, &|ctx, lane| {
+        lanes[lane].0.fetch_add(1, Ordering::Relaxed);
+        lanes[lane].1.store(ctx.width(), Ordering::Relaxed);
+        loop {
+            let qi = next.fetch_add(1, Ordering::Relaxed);
+            let Some(q) = batch.get(qi) else { break };
+            let _ = ctx.execute(qi, q, &params);
+            answered[qi].fetch_add(1, Ordering::Relaxed);
+        }
+    });
+    (
+        answered.into_iter().map(AtomicUsize::into_inner).collect(),
+        lanes
+            .into_iter()
+            .map(|(calls, width)| (calls.into_inner(), width.into_inner()))
+            .collect(),
+    )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // Lane packing is a double partition: in every round the lane
-    // widths sum to the pool exactly, and across the plan every query
-    // appears exactly once — for arbitrary estimates and knobs.
+    // The planner's widths partition the pool (every worker in exactly
+    // one lane, each lane driven once at its planned width), and lanes
+    // claiming from one cursor answer every query exactly once.
     #[test]
     fn admission_plans_partition_workers_and_queries(
         estimates in proptest::collection::vec(0.0f64..1000.0, 0..40),
@@ -298,42 +337,29 @@ proptest! {
             .with_easy_width(easy_width)
             .with_hard_ratio(hard_ratio)
             .with_max_lanes(max_lanes);
-        let plan = plan_lanes(&estimates, pool, &cfg);
-        // Workers: each round's widths partition the pool.
-        for round in &plan.rounds {
-            let total: usize = round.lanes.iter().map(|l| l.width).sum();
-            prop_assert_eq!(total, pool);
-            for lane in &round.lanes {
-                prop_assert!(lane.width >= 1);
-                prop_assert!(!lane.queries.is_empty(), "no empty lanes");
-            }
+        let dw = plan_dispatch_widths(&estimates, pool, &cfg);
+        prop_assert_eq!(dw.widths.iter().sum::<usize>(), pool);
+        prop_assert!(dw.widths.iter().all(|&w| w >= 1));
+        let (answered, lanes) = claim_census(&dw.widths, estimates.len());
+        prop_assert!(answered.iter().all(|&n| n == 1), "{:?}", answered);
+        for (&width, &(calls, ran_at)) in dw.widths.iter().zip(&lanes) {
+            prop_assert_eq!((calls, ran_at), (1, width));
         }
-        // Queries: exact partition of the batch.
-        prop_assert_eq!(
-            flat_sorted_queries(&plan),
-            (0..estimates.len()).collect::<Vec<_>>()
-        );
-        // And the engine-side validator agrees.
-        plan.validate(pool, estimates.len());
     }
 
-    // The uniform helper obeys the same double-partition contract.
     #[test]
     fn uniform_plans_partition_workers_and_queries(
         n_queries in 0usize..40,
         pool in 1usize..12,
         width in 1usize..12,
     ) {
-        let plan = ConcurrentPlan::uniform(n_queries, pool, width);
-        plan.validate(pool, n_queries);
-        for round in &plan.rounds {
-            let total: usize = round.lanes.iter().map(|l| l.width).sum();
-            prop_assert_eq!(total, pool);
+        let widths = uniform_widths(pool, width);
+        prop_assert_eq!(widths.iter().sum::<usize>(), pool);
+        let (answered, lanes) = claim_census(&widths, n_queries);
+        prop_assert!(answered.iter().all(|&n| n == 1), "{:?}", answered);
+        for (&width, &(calls, ran_at)) in widths.iter().zip(&lanes) {
+            prop_assert_eq!((calls, ran_at), (1, width));
         }
-        prop_assert_eq!(
-            flat_sorted_queries(&plan),
-            (0..n_queries).collect::<Vec<_>>()
-        );
     }
 
     // The engine-resident steal service never hands out the same

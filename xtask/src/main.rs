@@ -6,9 +6,11 @@
 //! cargo run -p xtask -- miri        # Miri tier (nightly + miri component)
 //! cargo run -p xtask -- tsan       # ThreadSanitizer tier (nightly, linux x86_64)
 //! cargo run -p xtask -- bench-test # odybench's own unit tests
+//! cargo run -p xtask -- doc        # rustdoc broken-intra-doc-link gate
 //! ```
 //!
-//! `lint` is pure Rust over the source tree and runs anywhere.
+//! `lint` is pure Rust over the source tree and runs anywhere; `doc`
+//! needs only the stable toolchain.
 //! `bench-test` runs the tests of the detached odybench package, which
 //! the workspace `cargo test` does not reach. `miri`
 //! and `tsan` orchestrate cargo invocations of the nightly toolchain
@@ -18,6 +20,7 @@
 
 #![forbid(unsafe_code)]
 
+mod doc;
 mod lint;
 
 use std::path::{Path, PathBuf};
@@ -32,14 +35,15 @@ fn main() -> ExitCode {
         Some("miri") => cmd_miri(&root),
         Some("tsan") => cmd_tsan(&root),
         Some("bench-test") => cmd_bench_test(&root),
+        Some("doc") => cmd_doc(&root),
         Some("help") | None => {
-            eprintln!("usage: cargo run -p xtask -- <lint|scalar|miri|tsan|bench-test>");
+            eprintln!("usage: cargo run -p xtask -- <lint|scalar|miri|tsan|bench-test|doc>");
             ExitCode::FAILURE
         }
         Some(other) => {
             eprintln!(
                 "xtask: unknown command `{other}` \
-                 (expected lint, scalar, miri, tsan, or bench-test)"
+                 (expected lint, scalar, miri, tsan, bench-test, or doc)"
             );
             ExitCode::FAILURE
         }
@@ -111,6 +115,31 @@ fn cmd_bench_test(root: &Path) -> ExitCode {
     );
     if ok {
         eprintln!("xtask bench-test: ok");
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// The rustdoc gate: documents the workspace's own library packages
+/// (see [`doc::packages`]) and fails on any broken intra-doc link.
+fn cmd_doc(root: &Path) -> ExitCode {
+    let packages = match doc::packages(root) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("xtask doc: io error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let mut cmd = Command::new("cargo");
+    cmd.current_dir(root)
+        .env("RUSTDOCFLAGS", "-D rustdoc::broken_intra_doc_links")
+        .args(["doc", "--no-deps", "--offline", "--lib"]);
+    for p in &packages {
+        cmd.args(["-p", p]);
+    }
+    if run_status(&mut cmd) {
+        eprintln!("xtask doc: ok");
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
