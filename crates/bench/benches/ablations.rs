@@ -6,9 +6,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use odyssey_core::index::{Index, IndexConfig};
-use odyssey_core::search::exact::{exact_search, SearchParams};
+use odyssey_core::search::engine::BatchEngine;
+use odyssey_core::search::exact::SearchParams;
 use odyssey_workloads::generator::noisy_walk;
 use odyssey_workloads::queries::{QueryWorkload, WorkloadKind};
+use std::sync::Arc;
 
 fn bench_ablations(c: &mut Criterion) {
     let data = noisy_walk(8_000, 128, 13);
@@ -17,6 +19,7 @@ fn bench_ablations(c: &mut Criterion) {
         IndexConfig::new(128).with_segments(16).with_leaf_capacity(128),
         2,
     );
+    let engine = BatchEngine::new(Arc::new(index), 2);
     let w = QueryWorkload::generate(&data, 1, WorkloadKind::Hard, 9);
     let q = w.query(0);
 
@@ -26,21 +29,21 @@ fn bench_ablations(c: &mut Criterion) {
     for nsb in [1usize, 2, 8, 32] {
         group.bench_function(format!("nsb_{nsb}"), |b| {
             let params = SearchParams::new(2).with_nsb(nsb);
-            b.iter(|| exact_search(&index, q, &params))
+            b.iter(|| engine.exact(q, &params))
         });
     }
     // Queue-threshold sweep (bounded vs unbounded).
     for (label, th) in [("16", 16usize), ("256", 256), ("unbounded", usize::MAX - 1)] {
         group.bench_function(format!("th_{label}"), |b| {
             let params = SearchParams::new(2).with_th(th);
-            b.iter(|| exact_search(&index, q, &params))
+            b.iter(|| engine.exact(q, &params))
         });
     }
     // Helping on/off.
     for (label, help) in [("on", 2usize), ("off", 0)] {
         group.bench_function(format!("help_{label}"), |b| {
             let params = SearchParams::new(2).with_help_th(help);
-            b.iter(|| exact_search(&index, q, &params))
+            b.iter(|| engine.exact(q, &params))
         });
     }
     group.finish();

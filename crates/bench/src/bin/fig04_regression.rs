@@ -11,8 +11,10 @@
 use odyssey_bench::{fmt_secs, mixed_queries, print_table_header, print_table_row, seismic_like};
 use odyssey_cluster::units;
 use odyssey_core::index::{Index, IndexConfig};
-use odyssey_core::search::exact::{exact_search, SearchParams};
+use odyssey_core::search::engine::BatchEngine;
+use odyssey_core::search::exact::SearchParams;
 use odyssey_sched::LinearRegression;
+use std::sync::Arc;
 
 fn main() {
     let data = seismic_like(1);
@@ -22,12 +24,13 @@ fn main() {
         .with_segments(16)
         .with_leaf_capacity(128);
     let index = Index::build(data.clone(), cfg, 2);
+    let engine = BatchEngine::new(Arc::new(index), 2);
     let params = SearchParams::new(2);
 
     let mut xs = Vec::with_capacity(n_queries);
     let mut ys = Vec::with_capacity(n_queries);
     for qi in 0..n_queries {
-        let out = exact_search(&index, queries.query(qi), &params);
+        let out = engine.exact(queries.query(qi), &params);
         let secs = units::units_to_seconds(
             units::search_units(&out.stats, data.series_len(), 16),
             params.n_threads,

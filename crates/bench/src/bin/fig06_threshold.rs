@@ -9,8 +9,10 @@
 use odyssey_bench::{fmt_secs, mixed_queries, print_table_header, print_table_row, seismic_like};
 use odyssey_cluster::units;
 use odyssey_core::index::{Index, IndexConfig};
-use odyssey_core::search::exact::{exact_search, SearchParams};
+use odyssey_core::search::engine::BatchEngine;
+use odyssey_core::search::exact::SearchParams;
 use odyssey_sched::ThresholdModel;
+use std::sync::Arc;
 
 fn main() {
     let data = seismic_like(1);
@@ -19,14 +21,15 @@ fn main() {
     let cfg = IndexConfig::new(data.series_len())
         .with_segments(16)
         .with_leaf_capacity(128);
-    let index = Index::build(data.clone(), cfg, 2);
+    let index = Arc::new(Index::build(data.clone(), cfg, 2));
+    let engine = BatchEngine::new(Arc::clone(&index), 2);
 
     // --- (a): natural queue sizes under an effectively unbounded TH ----
     let unbounded = SearchParams::new(2).with_th(usize::MAX - 1);
     let mut bsfs = Vec::new();
     let mut medians = Vec::new();
     for qi in 0..n_queries {
-        let out = exact_search(&index, queries.query(qi), &unbounded);
+        let out = engine.exact(queries.query(qi), &unbounded);
         bsfs.push(out.stats.initial_bsf);
         medians.push(out.stats.pq_size_median as f64);
     }
@@ -66,7 +69,7 @@ fn main() {
         for qi in 0..n_queries {
             let th = model.predict_th(index.approx_search(queries.query(qi)).distance);
             let params = SearchParams::new(2).with_th(th);
-            let out = exact_search(&index, queries.query(qi), &params);
+            let out = engine.exact(queries.query(qi), &params);
             total += units::units_to_seconds(
                 units::search_units(&out.stats, data.series_len(), 16),
                 2,

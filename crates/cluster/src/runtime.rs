@@ -658,10 +658,10 @@ impl OdysseyCluster {
                     // every lane: straggler pacing, the fault clock
                     // (delay pacing + armed worker panics), plus
                     // cooperative steal serving (workers drain pending
-                    // requests between queue claims — see
-                    // `run_search_with_service` for why the manager
-                    // thread alone is not enough on an oversubscribed
-                    // host).
+                    // requests between queue claims: on an
+                    // oversubscribed host the manager thread alone can
+                    // be starved by the very workers whose queues it
+                    // should hand out).
                     if stealing_enabled
                         || speed < 1.0
                         || fault_plan.is_some_and(|p| p.affects(node))
@@ -1574,8 +1574,7 @@ impl OdysseyCluster {
 /// during a concurrent window. The steal machinery lives in the
 /// engine's [`StealRegistry`] (registration grants + the installed
 /// cooperative service hook), so both surfaces carry the identical —
-/// and steal-capable — execution interface; the old per-surface
-/// `active`/`service_rx` plumbing is gone.
+/// and steal-capable — execution interface.
 enum Runner<'a, 'e, 's> {
     Pool(&'a BatchEngine),
     Lane(&'a mut LaneCtx<'e, 's>),

@@ -12,7 +12,6 @@ use crate::paa::paa;
 use crate::sax::sax_word_into;
 use crate::search::answer::Answer;
 use crate::search::batches::RsBatches;
-use crate::search::exact::{exact_search, SearchParams};
 use crate::series::DatasetBuffer;
 use crate::tree::{build_forest, Node, RootSubtree};
 use parking_lot::RwLock;
@@ -383,13 +382,6 @@ impl Index {
                 }
             }
         }
-    }
-
-    /// Exact 1-NN search with default Odyssey parameters (convenience
-    /// wrapper over [`crate::search::exact::exact_search`]).
-    pub fn exact_search(&self, query: &[f32], n_threads: usize) -> Answer {
-        let params = SearchParams::new(n_threads);
-        exact_search(self, query, &params).answer
     }
 
     /// Brute-force 1-NN scan; the test oracle for every search algorithm.

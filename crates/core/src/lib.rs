@@ -15,18 +15,23 @@
 //! * Odyssey's exact search: RS-batches, bounded priority queues, helping,
 //!   and a shared atomic best-so-far ([`search`]).
 //!
-//! The distributed layer (replication, scheduling, work-stealing) lives in
-//! the `odyssey-cluster` crate and is built on top of the hooks exposed
-//! here: [`search::exact::run_search`] can traverse an explicit subset of
-//! RS-batches (the primitive that makes data-free work-stealing
-//! possible), and [`search::engine::BatchEngine`] keeps a node's worker
-//! threads and scratch arenas resident across a whole query batch.
+//! Every query runs on a [`search::engine::BatchEngine`], which keeps a
+//! node's worker threads and scratch arenas resident across a whole
+//! query batch. The distributed layer (replication, scheduling,
+//! work-stealing) lives in the `odyssey-cluster` crate and is built on
+//! top of the hooks the engine exposes: its
+//! [`run_query`](search::engine::BatchEngine::run_query) can traverse an
+//! explicit subset of RS-batches (the primitive that makes data-free
+//! work-stealing possible).
 //!
 //! ## Quick start
 //!
 //! ```
 //! use odyssey_core::index::{Index, IndexConfig};
+//! use odyssey_core::search::engine::BatchEngine;
+//! use odyssey_core::search::exact::SearchParams;
 //! use odyssey_core::series::DatasetBuffer;
+//! use std::sync::Arc;
 //!
 //! // 1000 series of length 64, flattened row-major.
 //! let n = 1000usize;
@@ -40,9 +45,11 @@
 //! }
 //! let cfg = IndexConfig::new(len).with_segments(8).with_leaf_capacity(32);
 //! let index = Index::build(DatasetBuffer::from_vec(data, len), cfg, 2);
+//! // A resident 2-thread engine; build it once, query it many times.
+//! let engine = BatchEngine::new(Arc::new(index), 2);
 //! let query: Vec<f32> = (0..len).map(|i| (i as f32).sin()).collect();
-//! let answer = index.exact_search(&query, 2);
-//! assert!(answer.distance >= 0.0);
+//! let out = engine.exact(&query, &SearchParams::new(2));
+//! assert!(out.answer.distance >= 0.0);
 //! ```
 //!
 //! ## Unsafe policy

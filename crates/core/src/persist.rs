@@ -392,7 +392,9 @@ pub fn load_index_file(path: &std::path::Path) -> Result<Index, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::exact::{exact_search, SearchParams};
+    use crate::search::engine::BatchEngine;
+    use crate::search::exact::SearchParams;
+    use std::sync::Arc;
 
     fn walk_dataset(n: usize, len: usize, seed: u64) -> DatasetBuffer {
         let mut x = seed | 1;
@@ -430,8 +432,8 @@ mod tests {
         assert_eq!(loaded.num_series(), 700);
         assert_eq!(loaded.forest().len(), index.forest().len());
         let q = walk_dataset(1, 64, 5).series(0).to_vec();
-        let a = exact_search(&index, &q, &SearchParams::new(2));
-        let b = exact_search(&loaded, &q, &SearchParams::new(2));
+        let a = BatchEngine::new(Arc::new(index), 2).exact(&q, &SearchParams::new(2));
+        let b = BatchEngine::new(Arc::new(loaded), 2).exact(&q, &SearchParams::new(2));
         assert_eq!(a.answer.distance, b.answer.distance);
         assert_eq!(a.answer.series_id, b.answer.series_id);
     }

@@ -15,8 +15,7 @@
 //!   early-abandoning), then banded DTW on survivors.
 
 use super::answer::Answer;
-use super::bsf::SharedBsf;
-use super::exact::{run_search, SearchParams, SearchStats, StealView};
+use super::bsf::{ResultSet, SharedBsf, SharedKnn};
 use super::kernel::QueryKernel;
 use crate::distance::{dtw_banded, keogh_envelope_reusing, lb_keogh_sq, LbKeoghEnvelope};
 use crate::index::Index;
@@ -135,8 +134,8 @@ impl QueryKernel for DtwKernel<'_> {
 
 /// Greedy root-to-leaf descent under the DTW kernel's node bounds:
 /// returns the most promising leaf, or `None` on an empty forest. The
-/// single place both DTW seeding paths ([`approx_dtw`] and
-/// [`dtw_knn_search`]) derive their initial leaf from.
+/// single place both DTW seeding paths ([`approx_dtw`] for 1-NN and
+/// [`seed_dtw_knn`] for k-NN) derive their initial leaf from.
 fn most_promising_leaf<'i>(index: &'i Index, kernel: &DtwKernel) -> Option<&'i crate::tree::Leaf> {
     use crate::tree::Node;
     let forest = index.forest();
@@ -197,8 +196,8 @@ pub fn approx_dtw(index: &Index, kernel: &DtwKernel) -> (f64, Option<u32>) {
 }
 
 /// Builds the DTW kernel and an approx-seeded [`SharedBsf`] — the DTW
-/// analogue of [`super::exact::seed_ed`], shared by [`dtw_search`] and
-/// the batch engine.
+/// analogue of [`super::exact::seed_ed`], shared by the batch engine and
+/// the approximate answer.
 pub(crate) fn seed_dtw<'q>(
     index: &Index,
     query: &'q [f32],
@@ -209,41 +208,18 @@ pub(crate) fn seed_dtw<'q>(
     (kernel, SharedBsf::new(init_sq, init_id), init_sq.sqrt())
 }
 
-/// Exact 1-NN DTW search with a Sakoe-Chiba band of `window` points.
-pub fn dtw_search(
+/// Builds the DTW kernel and a [`SharedKnn`] holding the `k` smallest
+/// DTW distances of the most promising leaf — the seed of a DTW k-NN
+/// search. The returned seed bound is the rooted k-th seed distance:
+/// infinite when the leaf holds fewer than `k` series.
+pub(crate) fn seed_dtw_knn<'q>(
     index: &Index,
-    query: &[f32],
-    window: usize,
-    params: &SearchParams,
-) -> (Answer, SearchStats) {
-    let (kernel, bsf, initial) = seed_dtw(index, query, window);
-    let mut stats = run_search(
-        index,
-        &kernel,
-        params,
-        &bsf,
-        None,
-        &StealView::new(),
-        &|_, _| {},
-    );
-    stats.initial_bsf = initial;
-    (bsf.answer(), stats)
-}
-
-/// Exact k-NN search under DTW: the two Section-4 extensions composed.
-/// The result set tracks the k smallest DTW distances; pruning uses the
-/// current k-th distance.
-pub fn dtw_knn_search(
-    index: &Index,
-    query: &[f32],
+    query: &'q [f32],
     window: usize,
     k: usize,
-    params: &SearchParams,
-) -> (super::answer::KnnAnswer, SearchStats) {
-    use super::bsf::{ResultSet, SharedKnn};
+) -> (DtwKernel<'q>, SharedKnn, f64) {
     let kernel = DtwKernel::new(query, window, index.config().segments);
     let knn = SharedKnn::new(k);
-    // Seed from the most promising leaf (DTW distances).
     if let Some(leaf) = most_promising_leaf(index, &kernel) {
         let layout = index.layout();
         for p in leaf.slice.range() {
@@ -252,16 +228,8 @@ pub fn dtw_knn_search(
             }
         }
     }
-    let stats = run_search(
-        index,
-        &kernel,
-        params,
-        &knn,
-        None,
-        &StealView::new(),
-        &|_, _| {},
-    );
-    (knn.snapshot(), stats)
+    let initial = knn.threshold_sq().sqrt();
+    (kernel, knn, initial)
 }
 
 /// Brute-force DTW 1-NN oracle. Scans in original-id order so tie
@@ -284,7 +252,10 @@ pub fn dtw_brute_force(index: &Index, query: &[f32], window: usize) -> Answer {
 mod tests {
     use super::*;
     use crate::index::IndexConfig;
+    use crate::search::engine::BatchEngine;
+    use crate::search::exact::SearchParams;
     use crate::series::DatasetBuffer;
+    use std::sync::Arc;
 
     fn walk_dataset(n: usize, len: usize, seed: u64) -> DatasetBuffer {
         let mut x = seed | 1;
@@ -305,12 +276,12 @@ mod tests {
         DatasetBuffer::from_vec(data, len)
     }
 
-    fn build(n: usize) -> crate::index::Index {
-        crate::index::Index::build(
+    fn build(n: usize) -> Arc<Index> {
+        Arc::new(Index::build(
             walk_dataset(n, 64, 21),
             IndexConfig::new(64).with_segments(8).with_leaf_capacity(16),
             2,
-        )
+        ))
     }
 
     #[test]
@@ -337,12 +308,14 @@ mod tests {
     #[test]
     fn dtw_search_matches_brute_force() {
         let idx = build(500);
+        let engines = [1usize, 2].map(|threads| BatchEngine::new(Arc::clone(&idx), threads));
         for qseed in [31u64, 47] {
             let q = walk_dataset(1, 64, qseed).series(0).to_vec();
             for window in [1usize, 3, 6] {
                 let want = dtw_brute_force(&idx, &q, window);
-                for threads in [1usize, 2] {
-                    let (got, _) = dtw_search(&idx, &q, window, &SearchParams::new(threads));
+                for engine in &engines {
+                    let threads = engine.n_threads();
+                    let (got, _) = engine.dtw(&q, window, &SearchParams::new(threads));
                     assert!(
                         (got.distance - want.distance).abs() < 1e-9,
                         "qseed={qseed} window={window} threads={threads}"
@@ -356,34 +329,8 @@ mod tests {
     fn dtw_search_finds_identical_series() {
         let idx = build(400);
         let q = idx.series_by_id(123).to_vec();
-        let (ans, _) = dtw_search(&idx, &q, 3, &SearchParams::new(2));
+        let (ans, _) = BatchEngine::new(idx, 2).dtw(&q, 3, &SearchParams::new(2));
         assert_eq!(ans.distance, 0.0);
-    }
-
-    #[test]
-    fn dtw_knn_matches_brute_force_top_k() {
-        let idx = build(400);
-        let q = walk_dataset(1, 64, 61).series(0).to_vec();
-        let window = 3;
-        let k = 5;
-        // Oracle: all DTW distances, sorted.
-        let mut all: Vec<f64> = (0..idx.num_series())
-            .map(|i| {
-                dtw_banded(&q, idx.series_by_id(i as u32), window, f64::INFINITY)
-                    .expect("unbounded")
-            })
-            .collect();
-        all.sort_by(f64::total_cmp);
-        let (got, _) = dtw_knn_search(&idx, &q, window, k, &SearchParams::new(2));
-        assert_eq!(got.neighbors.len(), k);
-        for (j, &want) in all.iter().take(k).enumerate() {
-            assert!(
-                (got.neighbors[j].0 - want).abs() < 1e-9,
-                "rank {j}: {} vs {}",
-                got.neighbors[j].0,
-                want
-            );
-        }
     }
 
     #[test]
@@ -410,7 +357,7 @@ mod tests {
         let idx = build(400);
         let q = walk_dataset(1, 64, 5).series(0).to_vec();
         let ed = idx.brute_force(&q);
-        let (dtw, _) = dtw_search(&idx, &q, 4, &SearchParams::new(2));
+        let (dtw, _) = BatchEngine::new(idx, 2).dtw(&q, 4, &SearchParams::new(2));
         assert!(dtw.distance <= ed.distance + 1e-9);
     }
 }

@@ -2,11 +2,9 @@
 //!
 //! Odyssey's headline results are about *batch* throughput: hundreds of
 //! queries dispatched by a scheduling policy onto a fixed set of node
-//! threads. The per-query entry points
-//! ([`exact_search`](super::exact::exact_search) and friends) pay
-//! `std::thread::scope` spawn/join, barrier construction, and scratch
-//! allocation for **every** query; a [`BatchEngine`] pays them **once
-//! per index** instead:
+//! threads. Every query runs on a [`BatchEngine`], which pays thread
+//! spawn, barrier construction and scratch allocation **once per index**
+//! instead of once per query:
 //!
 //! * a pool of worker threads is created at engine construction and
 //!   stays resident (pinned to cores, best-effort, on Linux) until the
@@ -17,8 +15,9 @@
 //! * a query runs on the whole pool or on a *lane* (a disjoint group of
 //!   workers), preserving the paper's intra-query parallelism,
 //!   RS-batch/HelpTH semantics and [`StealView`] work-stealing hooks
-//!   unchanged — the engine runs the exact same three-phase body as the
-//!   per-query path, at the pool's or the lane's width.
+//!   unchanged. Both are a crate-private `WorkerGroup`, so the
+//!   per-query body (seed, admit, run the three phases, observe) is
+//!   written once and runs at the pool's or the lane's width.
 //!
 //! The submitting thread participates as worker 0, so a 1-thread engine
 //! runs queries inline with zero synchronization, and an `n`-thread
@@ -40,15 +39,15 @@
 //! mid-round while several lane queries are in flight.
 
 use super::answer::{Answer, KnnAnswer};
-use super::bsf::ResultSet;
-use super::dtw_search::seed_dtw;
+use super::bsf::{ResultSet, SharedBsf, SharedKnn};
+use super::dtw_search::{seed_dtw, seed_dtw_knn};
 use super::epsilon::EpsilonRelaxed;
 use super::exact::{
     seed_ed, ExecShared, SearchOutcome, SearchParams, SearchStats, StealView,
 };
 use super::kernel::QueryKernel;
 use super::knn::seed_knn;
-use super::multiq::{validate_order, validate_widths, DispatchRuntime, LaneCtx};
+use super::multiq::{validate_order, validate_widths, DispatchRuntime, LaneCtx, LaneState};
 use super::scratch::WorkerScratch;
 use crate::index::Index;
 use crate::sync::PhaseBarrier;
@@ -298,23 +297,30 @@ impl BatchEngine {
         t0.elapsed().as_secs_f64().max(f64::MIN_POSITIVE)
     }
 
-    /// Runs one admitted query on the resident pool. Mirrors
-    /// [`super::exact::run_search_with_service`] — same three-phase
-    /// engine, same `batch_subset`/`on_improve` hooks — but
-    /// `params.n_threads` is overridden by the pool size, no threads are
-    /// spawned, and the [`StealView`] plus the cooperative steal-service
-    /// hook come from the engine itself: `query` carries the view, and
-    /// workers invoke the registry's installed service between queue
-    /// claims.
+    /// The full pool as a worker group (the submitter runs tid 0).
+    fn group(&self) -> WorkerGroup<'_> {
+        WorkerGroup {
+            index: &self.index,
+            registry: &self.registry,
+            width: self.pool.n_threads,
+            barrier: &self.pool.inner.barrier,
+            runner: GroupRunner::Pool(&self.pool),
+        }
+    }
+
+    /// Runs one admitted query on the resident pool: the three phases
+    /// over every RS-batch (`batch_subset = None`, the owner's run) or
+    /// over the given global batch ids only (a thief's run), invoking
+    /// `on_improve(distance_sq, id)` on every result improvement (the
+    /// BSF-sharing hook). `params.n_threads` is overridden by the pool
+    /// size, and the grant `query` carries the [`StealView`].
     ///
     /// # Panics
     /// A panic raised by a hook (or the engine body) on any participant
     /// propagates to the caller after all workers have finished the
-    /// query. A panic between the phase barriers *poisons* the pool's
-    /// [`PhaseBarrier`], so the surviving workers abort the round with
-    /// a clear message instead of deadlocking on a party that will
-    /// never arrive (the pool resets the barrier afterwards and stays
-    /// usable).
+    /// query. It *poisons* the pool's [`PhaseBarrier`], so the other
+    /// workers abort the round instead of deadlocking; the pool resets
+    /// the barrier afterwards and stays usable.
     pub fn run_query<K: QueryKernel + ?Sized, R: ResultSet + ?Sized>(
         &self,
         kernel: &K,
@@ -324,51 +330,25 @@ impl BatchEngine {
         query: &InflightQuery,
         on_improve: &(dyn Fn(f64, u32) + Sync),
     ) -> SearchStats {
-        let mut eff = *params;
-        eff.n_threads = self.pool.n_threads;
-        let hook = self.registry.service_hook();
-        let registry = &*self.registry;
-        let service = move || {
-            if let Some(h) = &hook {
-                h(registry);
-            }
-        };
-        let shared = ExecShared::new(
-            &self.index,
-            kernel,
-            &eff,
-            results,
-            batch_subset,
-            query.view(),
-            on_improve,
-            &service,
-        );
-        if shared.has_work() {
-            let barrier = &self.pool.inner.barrier;
-            self.pool
-                .run(&|tid, scratch| shared.worker(tid, barrier, scratch));
-        }
-        shared.finish()
+        self.group()
+            .run_query(kernel, params, results, batch_subset, query, on_improve)
     }
 
-    /// Exact Euclidean 1-NN on the pool; answer-identical to
-    /// [`super::exact::exact_search`] with the same thread count.
-    /// Standalone calls register with the steal service as query 0.
+    /// Exact Euclidean 1-NN on the pool, seeded by the approximate
+    /// search (Algorithm 1, line 5). Standalone calls register with the
+    /// steal service as query 0.
     pub fn exact(&self, query: &[f32], params: &SearchParams) -> SearchOutcome {
-        let (kernel, bsf, initial) = seed_ed(&self.index, query);
-        let bsf = Arc::new(bsf);
-        let grant = self.admit(0, Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>);
-        let mut stats = self.run_query(&kernel, params, &*bsf, None, &grant, &|_, _| {});
-        stats.initial_bsf = initial;
-        self.registry.observe(0, &stats);
+        let query = BatchQuery::new(query, QueryKind::Exact);
+        let item = self.group().execute(0, &query, params, None);
         SearchOutcome {
-            answer: bsf.answer(),
-            stats,
+            answer: *item.answer.nn(),
+            stats: item.stats,
         }
     }
 
-    /// ε-approximate 1-NN on the pool (see
-    /// [`super::epsilon::epsilon_search`]).
+    /// ε-approximate 1-NN on the pool: the returned distance is within
+    /// `(1 + ε)` of the exact nearest-neighbor distance (see
+    /// [`EpsilonRelaxed`]).
     pub fn epsilon(
         &self,
         query: &[f32],
@@ -380,42 +360,55 @@ impl BatchEngine {
         let relaxed = EpsilonRelaxed::new(&*bsf, epsilon);
         let grant = self.admit(0, Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>);
         let mut stats = self.run_query(&kernel, params, &relaxed, None, &grant, &|_, _| {});
+        drop(grant);
         stats.initial_bsf = initial;
         self.registry.observe(0, &stats);
         (bsf.answer(), stats)
     }
 
-    /// Exact Euclidean k-NN on the pool; answer-identical to
-    /// [`super::knn::knn_search`] with the same thread count.
+    /// Exact Euclidean k-NN on the pool, seeded from the approximate
+    /// search's leaf.
     pub fn knn(
         &self,
         query: &[f32],
         k: usize,
         params: &SearchParams,
     ) -> (KnnAnswer, SearchStats) {
-        let (kernel, knn) = seed_knn(&self.index, query, k);
-        let knn = Arc::new(knn);
-        let grant = self.admit(0, Arc::clone(&knn) as Arc<dyn ResultSet + Send + Sync>);
-        let stats = self.run_query(&kernel, params, &*knn, None, &grant, &|_, _| {});
-        self.registry.observe(0, &stats);
-        (knn.snapshot(), stats)
+        let query = BatchQuery::new(query, QueryKind::Knn(k));
+        let item = self.group().execute(0, &query, params, None);
+        let BatchAnswer::Knn(answer) = item.answer else { unreachable!("k-NN item") };
+        (answer, item.stats)
     }
 
-    /// Exact DTW 1-NN on the pool; answer-identical to
-    /// [`super::dtw_search::dtw_search`] with the same thread count.
+    /// Exact DTW 1-NN on the pool with a Sakoe-Chiba band of `window`
+    /// points.
     pub fn dtw(
         &self,
         query: &[f32],
         window: usize,
         params: &SearchParams,
     ) -> (Answer, SearchStats) {
-        let (kernel, bsf, initial) = seed_dtw(&self.index, query, window);
-        let bsf = Arc::new(bsf);
-        let grant = self.admit(0, Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>);
-        let mut stats = self.run_query(&kernel, params, &*bsf, None, &grant, &|_, _| {});
-        stats.initial_bsf = initial;
-        self.registry.observe(0, &stats);
-        (bsf.answer(), stats)
+        let query = BatchQuery::new(query, QueryKind::Dtw(window));
+        let item = self.group().execute(0, &query, params, None);
+        (*item.answer.nn(), item.stats)
+    }
+
+    /// Exact k-NN under DTW on the pool — the two Section-4 extensions
+    /// composed: the result set keeps the `k` smallest DTW distances and
+    /// pruning uses the current k-th one. Seeded from the DTW kernel's
+    /// most promising leaf.
+    pub fn dtw_knn(
+        &self,
+        query: &[f32],
+        window: usize,
+        k: usize,
+        params: &SearchParams,
+    ) -> (KnnAnswer, SearchStats) {
+        let seeded = seed_dtw_knn(&self.index, query, window, k);
+        let knn = |set: &SharedKnn| BatchAnswer::Knn(set.snapshot());
+        let item = self.group().run_seeded(0, seeded, params, None, knn);
+        let BatchAnswer::Knn(answer) = item.answer else { unreachable!("k-NN item") };
+        (answer, item.stats)
     }
 
     /// The lane widths [`BatchEngine::run_batch`] runs a batch of
@@ -536,19 +529,11 @@ impl BatchEngine {
 /// deadline. The returned distance is a true upper bound (it is the
 /// real distance to a real series), never a fabricated "exact" claim.
 pub fn approximate_answer(index: &Index, query: &BatchQuery) -> BatchAnswer {
+    let q = query.data;
     match query.kind {
-        QueryKind::Exact => {
-            let (_kernel, bsf, _initial) = seed_ed(index, query.data);
-            BatchAnswer::Nn(bsf.answer())
-        }
-        QueryKind::Knn(k) => {
-            let (_kernel, knn) = seed_knn(index, query.data, k);
-            BatchAnswer::Knn(knn.snapshot())
-        }
-        QueryKind::Dtw(window) => {
-            let (_kernel, bsf, _initial) = seed_dtw(index, query.data, window);
-            BatchAnswer::Nn(bsf.answer())
-        }
+        QueryKind::Exact => BatchAnswer::Nn(seed_ed(index, q).1.answer()),
+        QueryKind::Knn(k) => BatchAnswer::Knn(seed_knn(index, q, k).1.snapshot()),
+        QueryKind::Dtw(window) => BatchAnswer::Nn(seed_dtw(index, q, window).1.answer()),
     }
 }
 
@@ -577,6 +562,120 @@ fn calibration_probes(index: &Index, count: usize) -> Vec<Vec<f32>> {
             q
         })
         .collect()
+}
+
+// ---------------------------------------------------------------------
+// The worker group: one per-query body for the pool and for lanes
+// ---------------------------------------------------------------------
+
+/// How a [`WorkerGroup`] runs a job on every member: the resident pool
+/// (the submitter runs tid 0), or a lane (its rank-0 worker runs rank 0
+/// with its own scratch).
+pub(super) enum GroupRunner<'g> {
+    Pool(&'g WorkerPool),
+    Lane(&'g LaneState, &'g mut WorkerScratch),
+}
+
+/// The workers one query runs on: the engine's full pool or one
+/// dispatch lane. The two differ only in the width, the phase barrier
+/// and the runner, so the per-query body is written once for both.
+pub(super) struct WorkerGroup<'g> {
+    pub(super) index: &'g Arc<Index>,
+    pub(super) registry: &'g Arc<StealRegistry>,
+    pub(super) width: usize,
+    pub(super) barrier: &'g PhaseBarrier,
+    pub(super) runner: GroupRunner<'g>,
+}
+
+impl WorkerGroup<'_> {
+    /// Runs one admitted query's three phases on every member at the
+    /// group's width (see [`BatchEngine::run_query`]).
+    pub(super) fn run_query<K: QueryKernel + ?Sized, R: ResultSet + ?Sized>(
+        &mut self,
+        kernel: &K,
+        params: &SearchParams,
+        results: &R,
+        batch_subset: Option<&[usize]>,
+        query: &InflightQuery,
+        on_improve: &(dyn Fn(f64, u32) + Sync),
+    ) -> SearchStats {
+        let mut eff = *params;
+        eff.n_threads = self.width;
+        let hook = self.registry.service_hook();
+        let registry = &**self.registry;
+        let service = move || {
+            if let Some(h) = &hook {
+                h(registry);
+            }
+        };
+        let shared = ExecShared::new(
+            self.index,
+            kernel,
+            &eff,
+            results,
+            batch_subset,
+            query.view(),
+            on_improve,
+            &service,
+        );
+        if shared.has_work() {
+            let barrier = self.barrier;
+            let job = |tid, scratch: &mut WorkerScratch| shared.worker(tid, barrier, scratch);
+            match &mut self.runner {
+                GroupRunner::Pool(pool) => pool.run(&job),
+                GroupRunner::Lane(lane, scratch) => lane.run(&job, scratch),
+            }
+        }
+        shared.finish()
+    }
+
+    /// Answers one [`BatchQuery`]: seeds its kernel and result set from
+    /// the approximate search, then [`WorkerGroup::run_seeded`].
+    pub(super) fn execute(
+        &mut self,
+        query_id: usize,
+        query: &BatchQuery,
+        params: &SearchParams,
+        estimate: Option<f64>,
+    ) -> BatchItem {
+        let (index, q) = (self.index, query.data);
+        let nn = |bsf: &SharedBsf| BatchAnswer::Nn(bsf.answer());
+        match query.kind {
+            QueryKind::Exact => self.run_seeded(query_id, seed_ed(index, q), params, estimate, nn),
+            QueryKind::Knn(k) => {
+                let knn = |set: &SharedKnn| BatchAnswer::Knn(set.snapshot());
+                self.run_seeded(query_id, seed_knn(index, q, k), params, estimate, knn)
+            }
+            QueryKind::Dtw(w) => {
+                self.run_seeded(query_id, seed_dtw(index, q, w), params, estimate, nn)
+            }
+        }
+    }
+
+    /// Runs a seeded `(kernel, result set, seed bound)` query: admits
+    /// it with the steal service under `query_id`, runs it over every
+    /// RS-batch, records its seed bound, reports it to the observer and
+    /// reads the `answer` off the result set.
+    fn run_seeded<K: QueryKernel, S: ResultSet + Send + Sync + 'static>(
+        &mut self,
+        query_id: usize,
+        (kernel, results, initial_bsf): (K, S, f64),
+        params: &SearchParams,
+        estimate: Option<f64>,
+        answer: impl FnOnce(&S) -> BatchAnswer,
+    ) -> BatchItem {
+        let results = Arc::new(results);
+        let shared = Arc::clone(&results) as Arc<dyn ResultSet + Send + Sync>;
+        let grant = self.registry.register_estimated(query_id, self.width, shared, estimate);
+        let mut stats = self.run_query(&kernel, params, &*results, None, &grant, &|_, _| {});
+        drop(grant);
+        stats.initial_bsf = initial_bsf;
+        self.registry.observe(query_id, &stats);
+        BatchItem {
+            answer: answer(&results),
+            stats,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1056,7 +1155,7 @@ struct PoolInner {
 
 /// A fixed-size persistent thread pool executing one type-erased job at
 /// a time on **all** threads (the submitter participates as tid 0).
-struct WorkerPool {
+pub(super) struct WorkerPool {
     inner: Arc<PoolInner>,
     /// Scratch of the submitting thread (tid 0). Locking it first also
     /// serializes concurrent `run` calls.
@@ -1117,7 +1216,7 @@ impl WorkerPool {
 
     /// Runs `f(tid, scratch)` once on every pool thread (the caller
     /// executes tid 0 inline) and returns when all are done.
-    fn run(&self, f: JobRef<'_>) {
+    pub(super) fn run(&self, f: JobRef<'_>) {
         // Taking the caller scratch first serializes submissions.
         let mut scratch = self
             .caller_scratch
@@ -1332,25 +1431,56 @@ mod tests {
     fn engine_exact_matches_per_query_path_and_brute_force() {
         let idx = build(1200);
         let engine = BatchEngine::new(Arc::clone(&idx), 2);
+        let inline = BatchEngine::new(Arc::clone(&idx), 1);
         let params = SearchParams::new(2);
         for qseed in [7u64, 77, 777] {
             let q = walk_dataset(1, 64, qseed).series(0).to_vec();
             let want = idx.brute_force(&q);
-            let scope = super::super::exact::exact_search(&idx, &q, &params);
+            let single = inline.exact(&q, &params);
             let pooled = engine.exact(&q, &params);
             // Brute force sums in a different lane order than the
             // early-abandoning kernel: compare with tolerance there,
-            // but bit-exact against the per-query engine path.
+            // but bit-exact against the 1-thread (inline) engine.
             assert!(
                 (pooled.answer.distance - want.distance).abs() < 1e-9,
                 "qseed={qseed}: engine vs brute force"
             );
             assert_eq!(
                 pooled.answer.distance.to_bits(),
-                scope.answer.distance.to_bits(),
-                "qseed={qseed}: engine vs per-query scope"
+                single.answer.distance.to_bits(),
+                "qseed={qseed}: pool vs inline engine"
             );
         }
+    }
+
+    #[test]
+    fn dtw_knn_matches_brute_force_top_k() {
+        let idx = build(400);
+        let q = walk_dataset(1, 64, 61).series(0).to_vec();
+        let window = 3;
+        let k = 5;
+        // Oracle: all DTW distances, sorted.
+        let mut all: Vec<f64> = (0..idx.num_series())
+            .map(|i| {
+                crate::distance::dtw_banded(&q, idx.series_by_id(i as u32), window, f64::INFINITY)
+                    .expect("unbounded")
+            })
+            .collect();
+        all.sort_by(f64::total_cmp);
+        let engine = BatchEngine::new(Arc::clone(&idx), 2);
+        let (got, stats) = engine.dtw_knn(&q, window, k, &SearchParams::new(2));
+        assert_eq!(got.neighbors.len(), k);
+        for (j, &want) in all.iter().take(k).enumerate() {
+            assert!(
+                (got.neighbors[j].0 - want).abs() < 1e-9,
+                "rank {j}: {} vs {}",
+                got.neighbors[j].0,
+                want
+            );
+        }
+        // The seed bound is a real k-th distance (infinite when the seed
+        // leaf holds fewer than k series), never below the answer's.
+        assert!(stats.initial_bsf * stats.initial_bsf >= got.neighbors[k - 1].0 - 1e-9);
     }
 
     #[test]

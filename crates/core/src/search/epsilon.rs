@@ -14,10 +14,7 @@
 //! it reports while keeping offers unmodified, so the engine, stealing
 //! and BSF-sharing machinery all work unchanged.
 
-use super::answer::Answer;
 use super::bsf::ResultSet;
-use super::exact::{run_search, seed_ed, SearchParams, SearchStats, StealView};
-use crate::index::Index;
 
 /// A pruning-relaxed view of a result set: reports `threshold / (1+ε)²`,
 /// so anything pruned could improve the answer by at most a factor
@@ -60,36 +57,15 @@ impl<R: ResultSet> ResultSet for EpsilonRelaxed<'_, R> {
     }
 }
 
-/// ε-approximate 1-NN search: the returned distance is guaranteed to be
-/// within `(1 + ε)` of the exact nearest-neighbor distance, typically at
-/// a fraction of the cost (pruning fires much earlier).
-pub fn epsilon_search(
-    index: &Index,
-    query: &[f32],
-    epsilon: f64,
-    params: &SearchParams,
-) -> (Answer, SearchStats) {
-    let (kernel, bsf, initial) = seed_ed(index, query);
-    let relaxed = EpsilonRelaxed::new(&bsf, epsilon);
-    let mut stats = run_search(
-        index,
-        &kernel,
-        params,
-        &relaxed,
-        None,
-        &StealView::new(),
-        &|_, _| {},
-    );
-    stats.initial_bsf = initial;
-    (bsf.answer(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexConfig;
+    use crate::index::{Index, IndexConfig};
     use crate::search::bsf::SharedBsf;
+    use crate::search::engine::BatchEngine;
+    use crate::search::exact::SearchParams;
     use crate::series::DatasetBuffer;
+    use std::sync::Arc;
 
     fn walk_dataset(n: usize, len: usize, seed: u64) -> DatasetBuffer {
         let mut x = seed | 1;
@@ -110,12 +86,12 @@ mod tests {
         DatasetBuffer::from_vec(data, len)
     }
 
-    fn build(n: usize) -> Index {
-        Index::build(
+    fn build(n: usize) -> Arc<Index> {
+        Arc::new(Index::build(
             walk_dataset(n, 64, 3),
             IndexConfig::new(64).with_segments(8).with_leaf_capacity(16),
             2,
-        )
+        ))
     }
 
     #[test]
@@ -123,18 +99,19 @@ mod tests {
         let idx = build(800);
         let q = walk_dataset(1, 64, 91).series(0).to_vec();
         let exact = idx.brute_force(&q);
-        let (got, _) = epsilon_search(&idx, &q, 0.0, &SearchParams::new(2));
+        let (got, _) = BatchEngine::new(idx, 2).epsilon(&q, 0.0, &SearchParams::new(2));
         assert!((got.distance - exact.distance).abs() < 1e-9);
     }
 
     #[test]
     fn guarantee_holds_for_various_epsilons() {
         let idx = build(1000);
+        let engine = BatchEngine::new(Arc::clone(&idx), 2);
         for qseed in [5u64, 17, 33] {
             let q = walk_dataset(1, 64, qseed).series(0).to_vec();
             let exact = idx.brute_force(&q);
             for eps in [0.05, 0.2, 1.0, 5.0] {
-                let (got, _) = epsilon_search(&idx, &q, eps, &SearchParams::new(2));
+                let (got, _) = engine.epsilon(&q, eps, &SearchParams::new(2));
                 assert!(
                     got.distance <= (1.0 + eps) * exact.distance + 1e-9,
                     "eps={eps} qseed={qseed}: {} > {}",
@@ -163,8 +140,9 @@ mod tests {
             crate::series::znormalize(&mut v);
             v
         };
-        let (_, s0) = epsilon_search(&idx, &q, 0.0, &SearchParams::new(1));
-        let (_, s2) = epsilon_search(&idx, &q, 2.0, &SearchParams::new(1));
+        let engine = BatchEngine::new(idx, 1);
+        let (_, s0) = engine.epsilon(&q, 0.0, &SearchParams::new(1));
+        let (_, s2) = engine.epsilon(&q, 2.0, &SearchParams::new(1));
         assert!(
             s2.real_distance_computations <= s0.real_distance_computations,
             "eps=2: {} vs eps=0: {}",

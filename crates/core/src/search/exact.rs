@@ -1,10 +1,12 @@
 //! The Odyssey exact-search engine (Algorithms 1–2, Figure 5).
 //!
-//! [`run_search`] executes the three phases — tree traversal over
-//! RS-batches (with helping), priority-queue preprocessing, and
-//! priority-queue processing — generically over a
+//! `ExecShared`'s per-thread body executes the three phases — tree
+//! traversal over RS-batches (with helping), priority-queue
+//! preprocessing, and priority-queue processing — generically over a
 //! [`QueryKernel`](super::kernel::QueryKernel) and a
-//! [`ResultSet`](super::bsf::ResultSet).
+//! [`ResultSet`](super::bsf::ResultSet). Every query runs it on a
+//! [`BatchEngine`](super::engine::BatchEngine) worker group: the
+//! engine's full pool or one of its dispatch lanes.
 //!
 //! The engine publishes progress into a [`StealView`], the object a
 //! node's work-stealing manager (Algorithm 3) inspects when a steal
@@ -12,8 +14,9 @@
 //! *Take-Away property* (rightmost unstolen queues in the sorted order —
 //! the queues least likely to have been processed) and marks them stolen
 //! so local workers skip them. The thief re-runs this same engine on its
-//! own identical index restricted to those batch ids
-//! (`batch_subset`) — no series data ever crosses nodes.
+//! own identical index restricted to those batch ids (the `batch_subset`
+//! of [`BatchEngine::run_query`](super::engine::BatchEngine::run_query))
+//! — no series data ever crosses nodes.
 
 use super::answer::Answer;
 use super::batches::RsBatches;
@@ -88,8 +91,10 @@ impl SearchParams {
 /// Work counters and timings of one search execution.
 #[derive(Debug, Clone, Default)]
 pub struct SearchStats {
-    /// Rooted initial BSF (from the approximate search); the feature the
-    /// scheduler's regression model predicts from (Figure 4).
+    /// Rooted seed bound from the approximate search — the initial BSF
+    /// for 1-NN, the k-th seed distance for k-NN (infinite when the seed
+    /// leaf holds fewer than k series); the feature the scheduler's
+    /// regression model predicts from (Figure 4).
     pub initial_bsf: f64,
     /// Node-level lower-bound computations during traversal.
     pub lb_node_computations: u64,
@@ -113,7 +118,7 @@ pub struct SearchStats {
     pub processing_time: std::time::Duration,
 }
 
-/// Result of [`exact_search`].
+/// Result of [`BatchEngine::exact`](super::engine::BatchEngine::exact).
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
     /// The 1-NN answer.
@@ -299,9 +304,9 @@ struct BatchState<'a> {
 }
 
 /// Builds the Euclidean kernel for `query` and seeds a [`SharedBsf`]
-/// from the approximate search (Algorithm 1, line 5). Shared by
-/// [`exact_search`], ε-approximate search, and the batch engine so the
-/// per-query setup lives in exactly one place.
+/// from the approximate search (Algorithm 1, line 5). Shared by the
+/// engine's exact and ε-approximate searches and by the approximate
+/// answer, so the per-query setup lives in exactly one place.
 pub(crate) fn seed_ed<'q>(index: &Index, query: &'q [f32]) -> (EdKernel<'q>, SharedBsf, f64) {
     let kernel = EdKernel::new(query, index.config().segments);
     let approx = index.approx_search_with_table(query, kernel.qpaa(), kernel.table());
@@ -309,112 +314,13 @@ pub(crate) fn seed_ed<'q>(index: &Index, query: &'q [f32]) -> (EdKernel<'q>, Sha
     (kernel, bsf, approx.distance)
 }
 
-/// Convenience 1-NN Euclidean exact search: seeds the BSF with the
-/// approximate search (Algorithm 1, line 5) and runs the engine on all
-/// RS-batches.
-pub fn exact_search(index: &Index, query: &[f32], params: &SearchParams) -> SearchOutcome {
-    let (kernel, bsf, initial) = seed_ed(index, query);
-    let view = StealView::new();
-    let mut stats = run_search(index, &kernel, params, &bsf, None, &view, &|_, _| {});
-    stats.initial_bsf = initial;
-    SearchOutcome {
-        answer: bsf.answer(),
-        stats,
-    }
-}
-
-/// Runs the three-phase engine.
-///
-/// * `batch_subset` — `None` processes every RS-batch (the owner's run);
-///   `Some(ids)` processes only those global batch ids (a thief's run).
-/// * `view` — progress published for the work-stealing manager.
-/// * `on_improve(distance_sq, id)` — invoked on every result improvement
-///   (the hook the distributed BSF-sharing channel attaches to).
-///
-/// Returns work statistics; answers accumulate in `results`.
-pub fn run_search<K: QueryKernel + ?Sized, R: ResultSet + ?Sized>(
-    index: &Index,
-    kernel: &K,
-    params: &SearchParams,
-    results: &R,
-    batch_subset: Option<&[usize]>,
-    view: &StealView,
-    on_improve: &(dyn Fn(f64, u32) + Sync),
-) -> SearchStats {
-    run_search_with_service(
-        index,
-        kernel,
-        params,
-        results,
-        batch_subset,
-        view,
-        on_improve,
-        &|| {},
-    )
-}
-
-/// [`run_search`] with an additional `service` hook, invoked by worker
-/// threads once per claimed priority queue during the processing phase.
-///
-/// The distributed layer uses it to let the *workers themselves* serve
-/// pending steal requests: the paper dedicates a manager thread to this
-/// (its nodes have 128 cores), but in an oversubscribed simulation a
-/// blocked manager thread can be starved by the very workers whose
-/// queues should be stolen — cooperative serving removes that artifact
-/// without changing the protocol.
-#[allow(clippy::too_many_arguments)]
-pub fn run_search_with_service<K: QueryKernel + ?Sized, R: ResultSet + ?Sized>(
-    index: &Index,
-    kernel: &K,
-    params: &SearchParams,
-    results: &R,
-    batch_subset: Option<&[usize]>,
-    view: &StealView,
-    on_improve: &(dyn Fn(f64, u32) + Sync),
-    service: &(dyn Fn() + Sync),
-) -> SearchStats {
-    let shared = ExecShared::new(
-        index,
-        kernel,
-        params,
-        results,
-        batch_subset,
-        view,
-        on_improve,
-        service,
-    );
-    if shared.has_work() {
-        let n_threads = shared.n_threads;
-        let barrier = PhaseBarrier::new(n_threads);
-        std::thread::scope(|scope| {
-            for tid in 0..n_threads {
-                let shared = &shared;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    // A participant panic poisons the shared barrier so
-                    // its siblings abort the query instead of waiting
-                    // forever for this thread's next phase arrival; the
-                    // scope re-raises the panic at join.
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        shared.worker(tid, barrier, &mut WorkerScratch::default())
-                    }));
-                    if let Err(payload) = out {
-                        barrier.poison();
-                        std::panic::resume_unwind(payload);
-                    }
-                });
-            }
-        });
-    }
-    shared.finish()
-}
-
 /// The shared state of one query execution: everything the per-thread
 /// engine body needs. Generic over the kernel and result set so the hot
-/// loops stay monomorphized (and inlinable) under both drivers — the
-/// per-query [`std::thread::scope`] path ([`run_search_with_service`])
-/// and the persistent [`BatchEngine`](super::engine::BatchEngine)
-/// worker pool, which type-erases only at its job-closure boundary.
+/// loops stay monomorphized (and inlinable); the engine's worker group
+/// type-erases only at its job-closure boundary. Workers call `service`
+/// once per claimed queue, so they serve pending steal requests
+/// themselves: in an oversubscribed simulation a manager thread alone
+/// can be starved by the very workers whose queues it should hand out.
 pub(crate) struct ExecShared<'e, K: ?Sized, R: ?Sized> {
     kernel: &'e K,
     results: &'e R,
@@ -424,7 +330,6 @@ pub(crate) struct ExecShared<'e, K: ?Sized, R: ?Sized> {
     forest: &'e [RootSubtree],
     root_soa: &'e RootSoa,
     layout: &'e LeafLayout,
-    pub(crate) n_threads: usize,
     help_th: usize,
     /// Queue sealing threshold `TH`.
     th: usize,
@@ -467,8 +372,7 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
         service: &'e (dyn Fn() + Sync),
     ) -> Self {
         let start = std::time::Instant::now();
-        let n_threads = params.n_threads.max(1);
-        let batches = index.rs_batches(params.nsb.unwrap_or(n_threads));
+        let batches = index.rs_batches(params.nsb.unwrap_or(params.n_threads.max(1)));
         view.init(batches.len());
         let active: Vec<usize> = match batch_subset {
             Some(ids) => ids.iter().copied().filter(|&b| b < batches.len()).collect(),
@@ -492,7 +396,6 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
             forest: index.forest(),
             root_soa: index.root_soa(),
             layout: index.layout(),
-            n_threads,
             help_th: params.help_th,
             th: params.th,
             active,
@@ -810,6 +713,7 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
 mod tests {
     use super::*;
     use crate::index::{Index, IndexConfig};
+    use crate::search::engine::BatchEngine;
     use crate::series::DatasetBuffer;
 
     fn walk_dataset(n: usize, len: usize, seed: u64) -> DatasetBuffer {
@@ -836,22 +740,41 @@ mod tests {
         d.series(0).to_vec()
     }
 
-    fn build(n: usize, cap: usize) -> Index {
+    fn build(n: usize, cap: usize) -> Arc<Index> {
         let data = walk_dataset(n, 64, 33);
-        Index::build(
+        Arc::new(Index::build(
             data,
             IndexConfig::new(64).with_segments(8).with_leaf_capacity(cap),
             2,
-        )
+        ))
+    }
+
+    /// Admits `bsf` under `query_id` and runs the engine over
+    /// `batch_subset` (every RS-batch when `None`), first letting
+    /// `prepare` act on the grant's steal view.
+    fn run_admitted(
+        engine: &BatchEngine,
+        kernel: &EdKernel,
+        params: &SearchParams,
+        bsf: &Arc<SharedBsf>,
+        batch_subset: Option<&[usize]>,
+        query_id: usize,
+        prepare: impl FnOnce(&StealView),
+    ) -> SearchStats {
+        let grant = engine.admit(query_id, Arc::clone(bsf) as Arc<dyn ResultSet + Send + Sync>);
+        prepare(grant.view());
+        engine.run_query(kernel, params, &**bsf, batch_subset, &grant, &|_, _| {})
     }
 
     #[test]
     fn exact_matches_brute_force_across_configs() {
         let idx = build(1200, 24);
+        let engines = [1usize, 2, 4].map(|threads| BatchEngine::new(Arc::clone(&idx), threads));
         for qseed in [100u64, 200, 300] {
             let q = query(qseed, 64);
             let want = idx.brute_force(&q);
-            for threads in [1usize, 2, 4] {
+            for engine in &engines {
+                let threads = engine.n_threads();
                 for th in [4usize, 64, usize::MAX] {
                     for nsb in [1usize, 3, 8] {
                         for help_th in [0usize, 2, usize::MAX] {
@@ -859,7 +782,7 @@ mod tests {
                                 .with_th(th)
                                 .with_nsb(nsb)
                                 .with_help_th(help_th);
-                            let got = exact_search(&idx, &q, &params);
+                            let got = engine.exact(&q, &params);
                             assert!(
                                 (got.answer.distance - want.distance).abs() < 1e-9,
                                 "qseed={qseed} threads={threads} th={th} nsb={nsb} \
@@ -878,7 +801,7 @@ mod tests {
     fn exact_finds_planted_identical_series() {
         let idx = build(800, 16);
         let q = idx.series_by_id(391).to_vec();
-        let out = exact_search(&idx, &q, &SearchParams::new(2));
+        let out = BatchEngine::new(idx, 2).exact(&q, &SearchParams::new(2));
         assert_eq!(out.answer.distance, 0.0);
         assert_eq!(out.answer.series_id, Some(391));
     }
@@ -887,7 +810,7 @@ mod tests {
     fn stats_are_populated() {
         let idx = build(600, 16);
         let q = query(9, 64);
-        let out = exact_search(&idx, &q, &SearchParams::new(2).with_th(8));
+        let out = BatchEngine::new(idx, 2).exact(&q, &SearchParams::new(2).with_th(8));
         assert!(out.stats.initial_bsf.is_finite());
         assert!(out.stats.lb_node_computations > 0);
         assert!(out.stats.pq_count >= 1);
@@ -902,29 +825,12 @@ mod tests {
         let idx = build(1500, 16);
         let q = query(77, 64);
         let want = idx.brute_force(&q);
+        let engine = BatchEngine::new(Arc::clone(&idx), 2);
         let kernel = EdKernel::new(&q, idx.config().segments);
         let params = SearchParams::new(2).with_nsb(6);
-        let bsf = SharedBsf::new(f64::INFINITY, None);
-        let first: Vec<usize> = vec![0, 2, 4];
-        let second: Vec<usize> = vec![1, 3, 5];
-        run_search(
-            &idx,
-            &kernel,
-            &params,
-            &bsf,
-            Some(&first),
-            &StealView::new(),
-            &|_, _| {},
-        );
-        run_search(
-            &idx,
-            &kernel,
-            &params,
-            &bsf,
-            Some(&second),
-            &StealView::new(),
-            &|_, _| {},
-        );
+        let bsf = Arc::new(SharedBsf::new(f64::INFINITY, None));
+        run_admitted(&engine, &kernel, &params, &bsf, Some(&[0, 2, 4]), 0, |_| {});
+        run_admitted(&engine, &kernel, &params, &bsf, Some(&[1, 3, 5]), 1, |_| {});
         assert!((bsf.answer().distance - want.distance).abs() < 1e-9);
     }
 
@@ -935,27 +841,20 @@ mod tests {
         let idx = build(1500, 16);
         let q = query(5151, 64);
         let want = idx.brute_force(&q);
+        let engine = BatchEngine::new(Arc::clone(&idx), 2);
         let kernel = EdKernel::new(&q, idx.config().segments);
         let params = SearchParams::new(2).with_nsb(6);
         let approx = idx.approx_search(&q);
-        let bsf = SharedBsf::new(approx.distance_sq, approx.series_id);
-        let view = StealView::new();
-        view.init(6);
+        let bsf = Arc::new(SharedBsf::new(approx.distance_sq, approx.series_id));
         // Pre-mark two batches as stolen before the owner starts.
-        let stolen = view.stolen.get().expect("initialized");
-        stolen[4].store(true, Ordering::Release);
-        stolen[5].store(true, Ordering::Release);
-        run_search(&idx, &kernel, &params, &bsf, None, &view, &|_, _| {});
+        run_admitted(&engine, &kernel, &params, &bsf, None, 0, |view| {
+            view.init(6);
+            let stolen = view.stolen.get().expect("initialized");
+            stolen[4].store(true, Ordering::Release);
+            stolen[5].store(true, Ordering::Release);
+        });
         // Thief completes the stolen batches against the shared BSF.
-        run_search(
-            &idx,
-            &kernel,
-            &params,
-            &bsf,
-            Some(&[4, 5]),
-            &StealView::new(),
-            &|_, _| {},
-        );
+        run_admitted(&engine, &kernel, &params, &bsf, Some(&[4, 5]), 1, |_| {});
         assert!((bsf.answer().distance - want.distance).abs() < 1e-9);
     }
 
@@ -996,16 +895,18 @@ mod tests {
         use std::sync::Mutex as StdMutex;
         let idx = build(900, 16);
         let q = query(31, 64);
+        // A 1-thread engine runs inline: improvements arrive in order.
+        let engine = BatchEngine::new(Arc::clone(&idx), 1);
         let kernel = EdKernel::new(&q, idx.config().segments);
-        let bsf = SharedBsf::new(f64::INFINITY, None);
+        let bsf = Arc::new(SharedBsf::new(f64::INFINITY, None));
         let seen: StdMutex<Vec<f64>> = StdMutex::new(Vec::new());
-        run_search(
-            &idx,
+        let grant = engine.admit(0, Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>);
+        engine.run_query(
             &kernel,
             &SearchParams::new(1),
-            &bsf,
+            &*bsf,
             None,
-            &StealView::new(),
+            &grant,
             &|d, _| seen.lock().unwrap().push(d),
         );
         let seen = seen.into_inner().unwrap();

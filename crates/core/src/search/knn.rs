@@ -8,7 +8,6 @@
 
 use super::answer::KnnAnswer;
 use super::bsf::{ResultSet, SharedKnn};
-use super::exact::{run_search, SearchParams, SearchStats, StealView};
 use super::kernel::EdKernel;
 use crate::index::Index;
 use crate::tree::Node;
@@ -59,37 +58,19 @@ pub fn seed_from_approx_leaf(index: &Index, query: &[f32], knn: &SharedKnn) {
 
 /// Builds the Euclidean kernel and a [`SharedKnn`] seeded from the
 /// approximate-search leaf — the k-NN analogue of
-/// [`super::exact::seed_ed`], shared by [`knn_search`] and the batch
-/// engine.
+/// [`super::exact::seed_ed`], shared by the batch engine and the
+/// approximate answer. The returned seed bound is the rooted k-th seed
+/// distance: infinite when the seed leaf holds fewer than `k` series.
 pub(crate) fn seed_knn<'q>(
     index: &Index,
     query: &'q [f32],
     k: usize,
-) -> (EdKernel<'q>, SharedKnn) {
+) -> (EdKernel<'q>, SharedKnn, f64) {
     let knn = SharedKnn::new(k);
     seed_from_approx_leaf(index, query, &knn);
     let kernel = EdKernel::new(query, index.config().segments);
-    (kernel, knn)
-}
-
-/// Exact k-NN search under Euclidean distance.
-pub fn knn_search(
-    index: &Index,
-    query: &[f32],
-    k: usize,
-    params: &SearchParams,
-) -> (KnnAnswer, SearchStats) {
-    let (kernel, knn) = seed_knn(index, query, k);
-    let stats = run_search(
-        index,
-        &kernel,
-        params,
-        &knn,
-        None,
-        &StealView::new(),
-        &|_, _| {},
-    );
-    (knn.snapshot(), stats)
+    let initial = knn.threshold_sq().sqrt();
+    (kernel, knn, initial)
 }
 
 /// Brute-force k-NN oracle.
@@ -111,7 +92,10 @@ pub fn knn_brute_force(index: &Index, query: &[f32], k: usize) -> KnnAnswer {
 mod tests {
     use super::*;
     use crate::index::IndexConfig;
+    use crate::search::engine::BatchEngine;
+    use crate::search::exact::SearchParams;
     use crate::series::DatasetBuffer;
+    use std::sync::Arc;
 
     fn walk_dataset(n: usize, len: usize, seed: u64) -> DatasetBuffer {
         let mut x = seed | 1;
@@ -135,16 +119,18 @@ mod tests {
     #[test]
     fn knn_matches_brute_force() {
         let data = walk_dataset(900, 64, 17);
-        let idx = crate::index::Index::build(
+        let idx = Arc::new(crate::index::Index::build(
             data,
             IndexConfig::new(64).with_segments(8).with_leaf_capacity(20),
             2,
-        );
+        ));
         let q = walk_dataset(1, 64, 4242).series(0).to_vec();
+        let engines = [1usize, 3].map(|threads| BatchEngine::new(Arc::clone(&idx), threads));
         for k in [1usize, 5, 10] {
             let want = knn_brute_force(&idx, &q, k);
-            for threads in [1usize, 3] {
-                let (got, _) = knn_search(&idx, &q, k, &SearchParams::new(threads).with_th(16));
+            for engine in &engines {
+                let threads = engine.n_threads();
+                let (got, _) = engine.knn(&q, k, &SearchParams::new(threads).with_th(16));
                 assert_eq!(got.neighbors.len(), k);
                 // Distances must match exactly (ids may tie).
                 for (g, w) in got.neighbors.iter().zip(&want.neighbors) {
@@ -162,27 +148,29 @@ mod tests {
     #[test]
     fn k1_equals_exact_search() {
         let data = walk_dataset(600, 64, 55);
-        let idx = crate::index::Index::build(
+        let idx = Arc::new(crate::index::Index::build(
             data,
             IndexConfig::new(64).with_segments(8).with_leaf_capacity(16),
             2,
-        );
+        ));
         let q = walk_dataset(1, 64, 99).series(0).to_vec();
-        let (knn, _) = knn_search(&idx, &q, 1, &SearchParams::new(2));
-        let one = idx.exact_search(&q, 2);
+        let engine = BatchEngine::new(idx, 2);
+        let (knn, _) = engine.knn(&q, 1, &SearchParams::new(2));
+        let one = engine.exact(&q, &SearchParams::new(2)).answer;
         assert!((knn.neighbors[0].0 - one.distance_sq).abs() < 1e-9);
     }
 
     #[test]
     fn knn_with_k_larger_than_collection() {
         let data = walk_dataset(5, 64, 3);
-        let idx = crate::index::Index::build(
+        let idx = Arc::new(crate::index::Index::build(
             data,
             IndexConfig::new(64).with_segments(8).with_leaf_capacity(4),
             1,
-        );
+        ));
         let q = walk_dataset(1, 64, 8).series(0).to_vec();
-        let (got, _) = knn_search(&idx, &q, 10, &SearchParams::new(1));
+        let (got, stats) = BatchEngine::new(idx, 1).knn(&q, 10, &SearchParams::new(1));
         assert_eq!(got.neighbors.len(), 5, "only 5 series exist");
+        assert_eq!(stats.initial_bsf, f64::INFINITY, "a seed short of k bounds nothing");
     }
 }

@@ -21,14 +21,14 @@
 //! the distributed layer's work-stealing manager uses to give away
 //! RS-batches without moving any data.
 //!
-//! Three drivers execute that per-query body: the per-query
-//! [`std::thread::scope`] path ([`exact::run_search`]), the persistent
-//! worker-pool [`engine::BatchEngine`], which amortizes thread and
-//! scratch setup across whole query batches (the private `scratch`
-//! module holds the per-worker reusable arenas), and the inter-query
-//! concurrency layer in [`multiq`], which partitions the pool into
-//! disjoint worker groups ("lanes") so several queries of a batch run
-//! simultaneously.
+//! One driver executes that per-query body: the persistent worker-pool
+//! [`engine::BatchEngine`], which amortizes thread and scratch setup
+//! across whole query batches (the private `scratch` module holds the
+//! per-worker reusable arenas). A query runs on the engine's full pool
+//! or on one lane of the inter-query concurrency layer in [`multiq`],
+//! which partitions the pool into disjoint worker groups so several
+//! queries of a batch run simultaneously; both go through the same
+//! per-query code. A 1-thread engine runs its queries inline.
 
 pub mod answer;
 pub mod batches;

@@ -18,37 +18,27 @@
 //!   only its group's workers (and their [`WorkerScratch`] arenas);
 //! * a [`LaneCtx`] handed to the per-lane driver on the group's rank-0
 //!   worker, exposing [`LaneCtx::execute`] and [`LaneCtx::run_query`] —
-//!   the exact same three-phase [`ExecShared`] body as the sequential
-//!   paths, run at the lane's width. Answers are therefore
-//!   bit-identical to the full-pool per-query entry points: exactness
-//!   never depended on the thread count.
+//!   the engine's one per-query body, at the lane's width. Answers are
+//!   therefore bit-identical to the full-pool entry points, and every
+//!   lane query is registered with the engine's [`StealRegistry`], so
+//!   inter-node work-stealing keeps operating while lanes are in flight.
 //!
 //! The driver loops: claim the next query from a source shared by all
 //! lanes, answer it, publish the result. A lane that finishes claims
 //! the next query at once, so no lane idles while work is queued.
-//!
-//! Every lane query is registered with the engine's
-//! [`StealRegistry`](super::engine::StealRegistry), so inter-node
-//! work-stealing keeps operating while lanes are in flight: the lane
-//! driver [`LaneCtx::admit`]s each query and workers serve pending
-//! steal requests cooperatively mid-query.
-//!
-//! *Which* widths a batch gets is a policy question: `run_batch` splits
-//! the pool evenly, and the `odyssey-sched` admission module derives
-//! widths from per-query cost predictions (easy → narrow lane, hard →
-//! a wide one).
+//! *Which* widths a round gets is policy: `run_batch` splits the pool
+//! evenly, and the `odyssey-sched` admission module derives widths from
+//! per-query cost predictions (easy → narrow lane, hard → a wide one).
 
 use super::bsf::ResultSet;
 use super::engine::{
-    erase_job, BatchAnswer, BatchItem, BatchQuery, InflightQuery, Job, JobRef, QueryKind,
-    StealRegistry,
+    erase_job, BatchItem, BatchQuery, GroupRunner, InflightQuery, Job, JobRef, StealRegistry,
+    WorkerGroup,
 };
-use super::exact::{seed_ed, ExecShared, SearchParams, SearchStats};
+use super::exact::{SearchParams, SearchStats};
 use super::kernel::QueryKernel;
-use super::knn::seed_knn;
 use super::scratch::WorkerScratch;
 use crate::index::Index;
-use crate::search::dtw_search::seed_dtw;
 use crate::sync::PhaseBarrier;
 #[cfg(debug_assertions)]
 use super::engine::poisoned_job;
@@ -65,7 +55,7 @@ use std::sync::Arc;
 pub(crate) struct LaneState {
     width: usize,
     /// The group's phase barrier (`width` parties) — serves both the
-    /// lane job hand-off and the [`ExecShared`] phase barriers.
+    /// lane job hand-off and the three-phase body's phase barriers.
     barrier: PhaseBarrier,
     /// The published per-query job (lifetime-erased; see
     /// [`erase_job`]'s safety contract, upheld by [`LaneState::run`]).
@@ -88,7 +78,7 @@ impl LaneState {
     /// follower out of the erased job, so the unwind never frees a
     /// frame the job still borrows (the lane-level analogue of the
     /// worker pool's drain-before-resume discipline).
-    fn run(&self, body: JobRef<'_>, scratch: &mut WorkerScratch) {
+    pub(super) fn run(&self, body: JobRef<'_>, scratch: &mut WorkerScratch) {
         if self.width == 1 {
             body(0, scratch);
             return;
@@ -353,11 +343,21 @@ impl LaneCtx<'_, '_> {
             .register_estimated(query_id, self.lane.width, results, estimate)
     }
 
-    /// Runs one admitted query on this lane's worker group. Mirrors
-    /// [`BatchEngine::run_query`](super::engine::BatchEngine::run_query)
-    /// — same three-phase engine, same hook surface, same
-    /// engine-provided steal view and cooperative service — except
-    /// `params.n_threads` is overridden by the **lane width**, so the
+    /// This lane as a worker group (the caller runs rank 0).
+    fn group(&mut self) -> WorkerGroup<'_> {
+        WorkerGroup {
+            index: self.index,
+            registry: self.registry,
+            width: self.lane.width,
+            barrier: &self.lane.barrier,
+            runner: GroupRunner::Lane(self.lane, self.scratch),
+        }
+    }
+
+    /// Runs one admitted query on this lane's worker group: the same
+    /// body as
+    /// [`BatchEngine::run_query`](super::engine::BatchEngine::run_query),
+    /// with `params.n_threads` overridden by the **lane width**, so the
     /// query only ever touches this group's workers.
     pub fn run_query<K: QueryKernel + ?Sized, R: ResultSet + ?Sized>(
         &mut self,
@@ -368,33 +368,8 @@ impl LaneCtx<'_, '_> {
         query: &InflightQuery,
         on_improve: &(dyn Fn(f64, u32) + Sync),
     ) -> SearchStats {
-        let lane = self.lane;
-        let mut eff = *params;
-        eff.n_threads = lane.width;
-        let hook = self.registry.service_hook();
-        let registry = &**self.registry;
-        let service = move || {
-            if let Some(h) = &hook {
-                h(registry);
-            }
-        };
-        let shared = ExecShared::new(
-            self.index,
-            kernel,
-            &eff,
-            results,
-            batch_subset,
-            query.view(),
-            on_improve,
-            &service,
-        );
-        if shared.has_work() {
-            lane.run(
-                &|rank, scratch| shared.worker(rank, &lane.barrier, scratch),
-                self.scratch,
-            );
-        }
-        shared.finish()
+        self.group()
+            .run_query(kernel, params, results, batch_subset, query, on_improve)
     }
 
     /// Answers one [`BatchQuery`] on the lane — the lane analogue of the
@@ -419,55 +394,7 @@ impl LaneCtx<'_, '_> {
         params: &SearchParams,
         estimate: Option<f64>,
     ) -> BatchItem {
-        let index = self.index;
-        let item = match query.kind {
-            QueryKind::Exact => {
-                let (kernel, bsf, initial) = seed_ed(index, query.data);
-                let bsf = Arc::new(bsf);
-                let grant = self.admit_estimated(
-                    query_id,
-                    Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>,
-                    estimate,
-                );
-                let mut stats = self.run_query(&kernel, params, &*bsf, None, &grant, &|_, _| {});
-                stats.initial_bsf = initial;
-                BatchItem {
-                    answer: BatchAnswer::Nn(bsf.answer()),
-                    stats,
-                }
-            }
-            QueryKind::Knn(k) => {
-                let (kernel, knn) = seed_knn(index, query.data, k);
-                let knn = Arc::new(knn);
-                let grant = self.admit_estimated(
-                    query_id,
-                    Arc::clone(&knn) as Arc<dyn ResultSet + Send + Sync>,
-                    estimate,
-                );
-                let stats = self.run_query(&kernel, params, &*knn, None, &grant, &|_, _| {});
-                BatchItem {
-                    answer: BatchAnswer::Knn(knn.snapshot()),
-                    stats,
-                }
-            }
-            QueryKind::Dtw(window) => {
-                let (kernel, bsf, initial) = seed_dtw(index, query.data, window);
-                let bsf = Arc::new(bsf);
-                let grant = self.admit_estimated(
-                    query_id,
-                    Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>,
-                    estimate,
-                );
-                let mut stats = self.run_query(&kernel, params, &*bsf, None, &grant, &|_, _| {});
-                stats.initial_bsf = initial;
-                BatchItem {
-                    answer: BatchAnswer::Nn(bsf.answer()),
-                    stats,
-                }
-            }
-        };
-        self.registry.observe(query_id, &item.stats);
-        item
+        self.group().execute(query_id, query, params, estimate)
     }
 }
 

@@ -13,8 +13,10 @@
 
 use crate::index::{Index, IndexConfig};
 use crate::search::answer::Answer;
-use crate::search::exact::{exact_search, SearchParams};
+use crate::search::engine::BatchEngine;
+use crate::search::exact::SearchParams;
 use crate::series::{znormalize, DatasetBuffer};
+use std::sync::Arc;
 
 /// A position inside the original long-sequence collection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +30,7 @@ pub struct WindowRef {
 /// A whole-matching index over the sliding windows of long sequences.
 #[derive(Debug)]
 pub struct SubsequenceIndex {
-    index: Index,
+    index: Arc<Index>,
     refs: Vec<WindowRef>,
     window: usize,
 }
@@ -76,7 +78,7 @@ impl SubsequenceIndex {
             .with_leaf_capacity(128);
         let index = Index::build(DatasetBuffer::from_vec(data, window), cfg, n_threads);
         SubsequenceIndex {
-            index,
+            index: Arc::new(index),
             refs,
             window,
         }
@@ -110,7 +112,8 @@ impl SubsequenceIndex {
     pub fn best_match(&self, query: &[f32], n_threads: usize) -> (Answer, WindowRef) {
         assert_eq!(query.len(), self.window, "query/window length mismatch");
         let q = crate::series::znormalized(query);
-        let out = exact_search(&self.index, &q, &SearchParams::new(n_threads));
+        let engine = BatchEngine::new(Arc::clone(&self.index), n_threads);
+        let out = engine.exact(&q, &SearchParams::new(n_threads));
         let id = out.answer.series_id.expect("non-empty index");
         (out.answer, self.refs[id as usize])
     }
@@ -131,8 +134,8 @@ impl SubsequenceIndex {
         // Over-fetch, then greedily keep non-trivial matches. The factor
         // bounds how many overlapping windows one true match can spawn.
         let overfetch = k * (2 * exclusion / self.window.max(1) + 4);
-        let (knn, _) = crate::search::knn::knn_search(
-            &self.index,
+        let engine = BatchEngine::new(Arc::clone(&self.index), n_threads);
+        let (knn, _) = engine.knn(
             &q,
             overfetch.min(self.num_windows()),
             &SearchParams::new(n_threads),

@@ -19,8 +19,8 @@
 //!    instrumented and the happens-before edges are visible — the
 //!    repo's TSan CI tier depends on this.
 //!
-//! The barrier is cyclic (generation-counted) and is shared by the
-//! pool, the scoped per-query driver, and the lane runtime.
+//! The barrier is cyclic (generation-counted); the engine's resident
+//! pool and each of its dispatch lanes own one.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};

@@ -76,11 +76,12 @@ fn parallel_index_build_is_ub_free() {
 fn pool_job_erasure_round_trips() {
     let idx = tiny_index(32, 1);
     let engine = BatchEngine::new(Arc::clone(&idx), 2);
+    let inline = BatchEngine::new(Arc::clone(&idx), 1);
     let params = SearchParams::new(2);
     for seed in 0..3u64 {
         let q = walk_dataset(1, 16, 40 + seed).series(0).to_vec();
         let got = engine.exact(&q, &params);
-        let want = odyssey_core::search::exact::exact_search(&idx, &q, &params);
+        let want = inline.exact(&q, &params);
         assert_eq!(got.answer.distance.to_bits(), want.answer.distance.to_bits());
     }
 }

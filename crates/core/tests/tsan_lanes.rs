@@ -277,11 +277,12 @@ fn kill_mid_round_then_rerun_is_bit_identical_at_2_4_8_threads() {
 fn pool_reuse_across_queries_at_2_4_8_threads() {
     let index = build(500);
     let params = SearchParams::new(1);
+    let inline = BatchEngine::new(Arc::clone(&index), 1);
     for pool in [2usize, 4, 8] {
         let engine = BatchEngine::new(Arc::clone(&index), pool);
         for qseed in 0..4u64 {
             let q = walk_dataset(1, 64, 2000 + qseed).series(0).to_vec();
-            let single = odyssey_core::search::exact::exact_search(&index, &q, &params);
+            let single = inline.exact(&q, &params);
             let pooled = engine.exact(&q, &params);
             assert_eq!(
                 pooled.answer.distance.to_bits(),
@@ -300,6 +301,7 @@ fn pool_reuse_across_queries_at_2_4_8_threads() {
 #[test]
 fn helping_traversal_bit_identical_at_2_4_8_threads() {
     let index = build(900);
+    let inline = BatchEngine::new(Arc::clone(&index), 1);
     for pool in [2usize, 4, 8] {
         let engine = BatchEngine::new(Arc::clone(&index), pool);
         let params = SearchParams::new(pool)
@@ -308,8 +310,7 @@ fn helping_traversal_bit_identical_at_2_4_8_threads() {
             .with_help_th(usize::MAX);
         for qseed in 0..4u64 {
             let q = walk_dataset(1, 64, 3100 + qseed).series(0).to_vec();
-            let single =
-                odyssey_core::search::exact::exact_search(&index, &q, &SearchParams::new(1));
+            let single = inline.exact(&q, &SearchParams::new(1));
             let pooled = engine.exact(&q, &params);
             assert_eq!(
                 pooled.answer.distance.to_bits(),

@@ -1,16 +1,14 @@
-//! Quickstart: build an index over a data-series collection and answer
-//! exact 1-NN, k-NN, and DTW queries on a single node — then run the
-//! same workload as one batch on a persistent `BatchEngine`.
+//! Quickstart: build an index over a data-series collection, start a
+//! persistent `BatchEngine` on it, and answer exact 1-NN, k-NN, and DTW
+//! queries on a single node — then run the same workload as one batch.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
 use odyssey::core::index::{Index, IndexConfig};
-use odyssey::core::search::dtw_search::dtw_search;
 use odyssey::core::search::engine::{BatchEngine, BatchQuery, QueryKind};
-use odyssey::core::search::exact::{exact_search, SearchParams};
-use odyssey::core::search::knn::knn_search;
+use odyssey::core::search::exact::SearchParams;
 use odyssey::workloads::generator::random_walk;
 use odyssey::workloads::queries::{QueryWorkload, WorkloadKind};
 use std::sync::Arc;
@@ -49,11 +47,14 @@ fn main() {
         7,
     );
 
+    // A persistent 2-thread engine: the worker pool and scratch arenas
+    // are provisioned once, not per query.
+    let engine = BatchEngine::new(Arc::new(index), 2);
     let params = SearchParams::new(2);
     for qi in 0..workload.len() {
         let q = workload.query(qi);
         // Exact 1-NN under Euclidean distance.
-        let out = exact_search(&index, q, &params);
+        let out = engine.exact(q, &params);
         println!(
             "query {qi}: 1-NN id={:?} dist={:.4} (initial BSF {:.4}, {} real dists, {} queues)",
             out.answer.series_id,
@@ -65,22 +66,20 @@ fn main() {
     }
 
     // k-NN: the 5 nearest series to the first query.
-    let (knn, _) = knn_search(&index, workload.query(0), 5, &params);
+    let (knn, _) = engine.knn(workload.query(0), 5, &params);
     let ids: Vec<u32> = knn.neighbors.iter().map(|&(_, id)| id).collect();
     println!("query 0: 5-NN ids = {ids:?}");
 
     // DTW with a 5% warping window.
-    let (dtw, _) = dtw_search(&index, workload.query(0), 128 * 5 / 100, &params);
+    let (dtw, _) = engine.dtw(workload.query(0), 128 * 5 / 100, &params);
     println!(
         "query 0: DTW 1-NN id={:?} dist={:.4} (<= Euclidean {:.4})",
         dtw.series_id,
         dtw.distance,
-        exact_search(&index, workload.query(0), &params).answer.distance
+        engine.exact(workload.query(0), &params).answer.distance
     );
 
-    // The same workload as one batch on a persistent engine: the worker
-    // pool and scratch arenas are provisioned once, not per query.
-    let engine = BatchEngine::new(Arc::new(index), 2);
+    // The same workload as one batch: queries run side by side on lanes.
     let batch: Vec<BatchQuery> = (0..workload.len())
         .map(|qi| BatchQuery::new(workload.query(qi), QueryKind::Exact))
         .collect();

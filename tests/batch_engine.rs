@@ -1,8 +1,8 @@
 //! Batch-engine equivalence: a mixed batch of easy/hard/k-NN/DTW
 //! queries executed through **one** persistent [`BatchEngine`] must
-//! return answers bit-identical to the per-query entry points
-//! (`exact_search` / `knn_search` / `dtw_search`, and the engine's own
-//! `exact` / `knn` / `dtw`), across thread counts and batch lengths —
+//! return answers bit-identical to the per-query entry points (`exact`
+//! / `knn` / `dtw`) of a 1-thread engine, which runs every query inline,
+//! and agree with brute force, across thread counts and batch lengths —
 //! `run_batch`'s lanes change *where* a query runs, never *what* is
 //! computed.
 
@@ -11,9 +11,9 @@ mod common;
 use common::{assert_bit_identical, per_query_reference};
 use odyssey::core::index::{Index, IndexConfig};
 use odyssey::core::search::engine::{BatchAnswer, BatchEngine, BatchQuery, QueryKind};
-use odyssey::core::search::exact::{exact_search, SearchParams};
-use odyssey::core::search::knn::knn_search;
-use odyssey::core::search::dtw_search::dtw_search;
+use odyssey::core::search::dtw_search::dtw_brute_force;
+use odyssey::core::search::exact::SearchParams;
+use odyssey::core::search::knn::knn_brute_force;
 use odyssey::workloads::generator::random_walk;
 use odyssey::workloads::queries::{QueryWorkload, WorkloadKind};
 use std::collections::HashSet;
@@ -50,6 +50,7 @@ fn mixed_batch_is_bit_identical_to_per_query_paths() {
     // A deliberately scrambled (reverse) dispatch order: results must
     // still come back in input positions.
     let order: Vec<usize> = (0..batch.len()).rev().collect();
+    let inline = BatchEngine::new(Arc::clone(&index), 1);
 
     for threads in [1usize, 2, 4] {
         let params = SearchParams::new(threads).with_th(32);
@@ -60,7 +61,8 @@ fn mixed_batch_is_bit_identical_to_per_query_paths() {
             let q = batch[qi].data;
             match (batch[qi].kind, &item.answer) {
                 (QueryKind::Exact, BatchAnswer::Nn(got)) => {
-                    let want = exact_search(&index, q, &params).answer;
+                    let want = inline.exact(q, &params).answer;
+                    assert!((got.distance - index.brute_force(q).distance).abs() < 1e-9);
                     assert_eq!(
                         got.distance.to_bits(),
                         want.distance.to_bits(),
@@ -68,8 +70,12 @@ fn mixed_batch_is_bit_identical_to_per_query_paths() {
                     );
                 }
                 (QueryKind::Knn(kk), BatchAnswer::Knn(got)) => {
-                    let (want, _) = knn_search(&index, q, kk, &params);
+                    let (want, _) = inline.knn(q, kk, &params);
                     assert_eq!(got.neighbors.len(), want.neighbors.len());
+                    let oracle = knn_brute_force(&index, q, kk);
+                    for (g, b) in got.neighbors.iter().zip(&oracle.neighbors) {
+                        assert!((g.0 - b.0).abs() < 1e-9, "item={qi}: knn vs brute force");
+                    }
                     for (g, w) in got.neighbors.iter().zip(&want.neighbors) {
                         assert_eq!(
                             g.0.to_bits(),
@@ -79,7 +85,8 @@ fn mixed_batch_is_bit_identical_to_per_query_paths() {
                     }
                 }
                 (QueryKind::Dtw(ww), BatchAnswer::Nn(got)) => {
-                    let (want, _) = dtw_search(&index, q, ww, &params);
+                    let (want, _) = inline.dtw(q, ww, &params);
+                    assert!((got.distance - dtw_brute_force(&index, q, ww).distance).abs() < 1e-9);
                     assert_eq!(
                         got.distance.to_bits(),
                         want.distance.to_bits(),
@@ -89,6 +96,45 @@ fn mixed_batch_is_bit_identical_to_per_query_paths() {
                 (kind, ans) => panic!("item {qi}: kind {kind:?} produced {ans:?}"),
             }
         }
+    }
+}
+
+#[test]
+fn knn_reports_the_seed_kth_distance_as_initial_bsf() {
+    // The observers training the cost and TH models read a k-NN query's
+    // `initial_bsf` as its seed bound: the seed leaf's rooted k-th
+    // distance (infinite below k series), on the pool and on lanes alike.
+    let (index, easy, hard) = setup();
+    let engine = BatchEngine::new(Arc::clone(&index), 2);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    engine.steal_registry().install_observer(Arc::new(move |_, stats| {
+        sink.lock().unwrap().push(stats.initial_bsf);
+    }));
+    let params = SearchParams::new(2);
+    for k in [1usize, 5, 30] {
+        let batch: Vec<BatchQuery> = [easy.query(0), hard.query(0), hard.query(1)]
+            .into_iter()
+            .map(|q| BatchQuery::new(q, QueryKind::Knn(k)))
+            .collect();
+        let seeds: Vec<f64> = batch
+            .iter()
+            .map(|q| match engine.approximate(q) {
+                BatchAnswer::Knn(a) if a.neighbors.len() == k => a.neighbors[k - 1].0.sqrt(),
+                _ => f64::INFINITY,
+            })
+            .collect();
+        // Three queries on a 2-thread pool run on two width-1 lanes.
+        let lanes = engine.run_batch(&batch, &[0, 1, 2], &params);
+        for (qi, q) in batch.iter().enumerate() {
+            let (_, pooled) = engine.knn(q.data, k, &params);
+            assert_eq!(pooled.initial_bsf.to_bits(), seeds[qi].to_bits(), "k={k} q={qi} pool");
+            let laned = lanes.items[qi].stats.initial_bsf;
+            assert_eq!(laned.to_bits(), seeds[qi].to_bits(), "k={k} q={qi} lane");
+        }
+        let observed = std::mem::take(&mut *seen.lock().unwrap());
+        assert_eq!(observed.len(), 2 * batch.len(), "k={k}: one observation per query");
+        assert!(!observed.contains(&0.0) || seeds.contains(&0.0), "k={k}: {observed:?}");
     }
 }
 

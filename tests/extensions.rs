@@ -5,12 +5,13 @@
 use odyssey::cluster::{ClusterConfig, OdysseyCluster, Replication};
 use odyssey::core::index::{Index, IndexConfig};
 use odyssey::core::persist;
-use odyssey::core::search::epsilon::epsilon_search;
+use odyssey::core::search::engine::BatchEngine;
 use odyssey::core::search::exact::SearchParams;
 use odyssey::core::subsequence::SubsequenceIndex;
 use odyssey::workloads::generator::{noisy_walk, random_walk};
 use odyssey::workloads::io as wio;
 use odyssey::workloads::queries::{QueryWorkload, WorkloadKind};
+use std::sync::Arc;
 
 #[test]
 fn epsilon_search_guarantee_on_realistic_workload() {
@@ -29,10 +30,11 @@ fn epsilon_search_guarantee_on_realistic_workload() {
         },
         0xE92,
     );
+    let engine = BatchEngine::new(Arc::new(index), 2);
     for qi in 0..w.len() {
-        let exact = index.brute_force(w.query(qi));
+        let exact = engine.index().brute_force(w.query(qi));
         for eps in [0.1, 0.5] {
-            let (got, _) = epsilon_search(&index, w.query(qi), eps, &SearchParams::new(2));
+            let (got, _) = engine.epsilon(w.query(qi), eps, &SearchParams::new(2));
             assert!(got.distance <= (1.0 + eps) * exact.distance + 1e-9);
             assert!(got.distance >= exact.distance - 1e-9);
         }
@@ -54,9 +56,11 @@ fn persisted_index_answers_like_the_original_through_files() {
     persist::save_index_file(&index, &path).expect("save");
     let loaded = persist::load_index_file(&path).expect("load");
     let w = QueryWorkload::generate(&data, 5, WorkloadKind::Hard, 0xCD);
+    let fresh = BatchEngine::new(Arc::new(index), 2);
+    let loaded = BatchEngine::new(Arc::new(loaded), 2);
     for qi in 0..w.len() {
-        let a = index.exact_search(w.query(qi), 2);
-        let b = loaded.exact_search(w.query(qi), 2);
+        let a = fresh.exact(w.query(qi), &SearchParams::new(2)).answer;
+        let b = loaded.exact(w.query(qi), &SearchParams::new(2)).answer;
         assert_eq!(a.distance, b.distance);
     }
     std::fs::remove_file(&path).ok();
@@ -70,8 +74,7 @@ fn persisted_layout_supports_stolen_batch_runs() {
     // replication group, one built fresh, one loaded from disk — must
     // compose to the exact answer. This only works if the loaded index
     // has a bit-identical scan permutation and forest.
-    use odyssey::core::search::bsf::SharedBsf;
-    use odyssey::core::search::exact::{run_search, StealView};
+    use odyssey::core::search::bsf::{ResultSet, SharedBsf};
     use odyssey::core::search::kernel::EdKernel;
 
     let data = random_walk(1_400, 64, 0xBEEF);
@@ -90,12 +93,15 @@ fn persisted_layout_supports_stolen_batch_runs() {
     );
 
     let w = QueryWorkload::generate(&data, 4, WorkloadKind::Hard, 0xFEED);
+    let fresh = BatchEngine::new(Arc::new(index), 2);
+    let loaded = BatchEngine::new(Arc::new(loaded), 2);
+    let index = fresh.index();
     for qi in 0..w.len() {
         let q = w.query(qi);
         let want = index.brute_force(q);
         // Plain answers agree between fresh and loaded copies.
-        let a = index.exact_search(q, 2);
-        let b = loaded.exact_search(q, 2);
+        let a = fresh.exact(q, &SearchParams::new(2)).answer;
+        let b = loaded.exact(q, &SearchParams::new(2)).answer;
         assert_eq!(a.distance, b.distance, "query {qi}");
         assert_eq!(a.series_id, b.series_id, "query {qi}");
 
@@ -104,8 +110,9 @@ fn persisted_layout_supports_stolen_batch_runs() {
         let kernel = EdKernel::new(q, index.config().segments);
         let params = SearchParams::new(2).with_nsb(6);
         let approx = index.approx_search(q);
-        let bsf = SharedBsf::new(approx.distance_sq, approx.series_id);
-        let view = StealView::new();
+        let bsf = Arc::new(SharedBsf::new(approx.distance_sq, approx.series_id));
+        let owner = fresh.admit(0, Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>);
+        let view = owner.view();
         view.test_init(6);
         let stolen = view.try_steal(2);
         assert_eq!(stolen.len(), 0, "nothing stealable before processing");
@@ -113,16 +120,10 @@ fn persisted_layout_supports_stolen_batch_runs() {
         view.test_publish(vec![0, 1, 2, 3, 4, 5]);
         let stolen = view.try_steal(2);
         assert_eq!(stolen, vec![5, 4]);
-        run_search(&index, &kernel, &params, &bsf, None, &view, &|_, _| {});
-        run_search(
-            &loaded,
-            &kernel,
-            &params,
-            &bsf,
-            Some(&stolen),
-            &StealView::new(),
-            &|_, _| {},
-        );
+        fresh.run_query(&kernel, &params, &*bsf, None, &owner, &|_, _| {});
+        drop(owner);
+        let thief = loaded.admit(0, Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>);
+        loaded.run_query(&kernel, &params, &*bsf, Some(&stolen), &thief, &|_, _| {});
         assert!(
             (bsf.answer().distance - want.distance).abs() < 1e-9,
             "query {qi}: stolen-batch composition across persistence"

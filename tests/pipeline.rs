@@ -4,7 +4,8 @@
 
 use odyssey::cluster::{units, ClusterConfig, OdysseyCluster, Replication, SchedulerKind};
 use odyssey::core::index::{Index, IndexConfig};
-use odyssey::core::search::exact::{exact_search, SearchParams};
+use odyssey::core::search::engine::BatchEngine;
+use odyssey::core::search::exact::SearchParams;
 use odyssey::sched::{QueryCostPredictor, ThresholdModel};
 use odyssey::workloads::generator::noisy_walk;
 use odyssey::workloads::queries::{QueryWorkload, WorkloadKind};
@@ -13,11 +14,12 @@ use std::sync::Arc;
 #[test]
 fn trained_predictor_feeds_the_scheduler() {
     let data = noisy_walk(2_000, 64, 0xBEEF);
-    let index = Index::build(
+    let index = Arc::new(Index::build(
         data.clone(),
         IndexConfig::new(64).with_segments(8).with_leaf_capacity(64),
         2,
-    );
+    ));
+    let engine = BatchEngine::new(Arc::clone(&index), 2);
     // Training pass: measure per-query work on a training workload.
     let train = QueryWorkload::generate(
         &data,
@@ -32,7 +34,7 @@ fn trained_predictor_feeds_the_scheduler() {
     let mut bsfs = Vec::new();
     let mut costs = Vec::new();
     for qi in 0..train.len() {
-        let out = exact_search(&index, train.query(qi), &params);
+        let out = engine.exact(train.query(qi), &params);
         bsfs.push(out.stats.initial_bsf);
         costs.push(units::search_units(&out.stats, 64, 8) as f64);
     }
@@ -69,11 +71,12 @@ fn trained_predictor_feeds_the_scheduler() {
 #[test]
 fn threshold_model_keeps_search_exact() {
     let data = noisy_walk(1_500, 64, 0xCAFE);
-    let index = Index::build(
+    let index = Arc::new(Index::build(
         data.clone(),
         IndexConfig::new(64).with_segments(8).with_leaf_capacity(64),
         2,
-    );
+    ));
+    let engine = BatchEngine::new(Arc::clone(&index), 2);
     // Collect (BSF, median queue size) under unbounded queues.
     let train = QueryWorkload::generate(
         &data,
@@ -88,7 +91,7 @@ fn threshold_model_keeps_search_exact() {
     let mut bsfs = Vec::new();
     let mut medians = Vec::new();
     for qi in 0..train.len() {
-        let out = exact_search(&index, train.query(qi), &unbounded);
+        let out = engine.exact(train.query(qi), &unbounded);
         bsfs.push(out.stats.initial_bsf);
         medians.push(out.stats.pq_size_median.max(1) as f64);
     }
@@ -99,7 +102,7 @@ fn threshold_model_keeps_search_exact() {
         let q = test.query(qi);
         let th = model.predict_th(index.approx_search(q).distance);
         let params = SearchParams::new(2).with_th(th);
-        let got = exact_search(&index, q, &params);
+        let got = engine.exact(q, &params);
         let want = index.brute_force(q);
         assert!(
             (got.answer.distance - want.distance).abs() < 1e-9,

@@ -20,11 +20,13 @@ use odyssey::core::index::{Index, IndexConfig};
 use odyssey::core::paa::paa;
 use odyssey::core::sax::{mindist_paa_isax_sq, mindist_paa_sax_sq, sax_word_into, IsaxWord};
 use odyssey::core::search::dtw_search::DtwKernel;
-use odyssey::core::search::exact::{exact_search, SearchParams};
+use odyssey::core::search::engine::BatchEngine;
+use odyssey::core::search::exact::SearchParams;
 use odyssey::core::search::kernel::{EdKernel, QueryKernel};
 use odyssey::core::series::{znormalized, DatasetBuffer};
 use odyssey::partition::{gray, validate_partition, PartitioningScheme};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// An arbitrary z-normalized series of the given length.
 fn series_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -259,8 +261,8 @@ proptest! {
         prop_assert_eq!(loaded.forest().len(), index.forest().len());
         let qb = odyssey::workloads::generator::random_walk(1, 48, seed ^ 0x5);
         let q = qb.series(0);
-        let a = exact_search(&index, q, &SearchParams::new(1));
-        let b = exact_search(&loaded, q, &SearchParams::new(1));
+        let a = BatchEngine::new(Arc::new(index), 1).exact(q, &SearchParams::new(1));
+        let b = BatchEngine::new(Arc::new(loaded), 1).exact(q, &SearchParams::new(1));
         prop_assert_eq!(a.answer.distance, b.answer.distance);
     }
 
@@ -278,9 +280,7 @@ proptest! {
         let qb = odyssey::workloads::generator::random_walk(1, 32, seed ^ 0xE);
         let q = qb.series(0);
         let exact = index.brute_force(q);
-        let (got, _) = odyssey::core::search::epsilon::epsilon_search(
-            &index, q, eps, &SearchParams::new(1),
-        );
+        let (got, _) = BatchEngine::new(Arc::new(index), 1).epsilon(q, eps, &SearchParams::new(1));
         prop_assert!(got.distance <= (1.0 + eps) * exact.distance + 1e-9);
         prop_assert!(got.distance >= exact.distance - 1e-9);
     }
@@ -303,7 +303,7 @@ proptest! {
         let q = q.series(0);
         let want = index.brute_force(q);
         let params = SearchParams::new(n_threads).with_nsb(nsb).with_th(th);
-        let got = exact_search(&index, q, &params);
+        let got = BatchEngine::new(Arc::new(index), n_threads).exact(q, &params);
         prop_assert!((got.answer.distance - want.distance).abs() < 1e-9);
     }
 
@@ -380,10 +380,9 @@ proptest! {
         );
         let qbuf = odyssey::workloads::generator::random_walk(1, 32, seed ^ 0xABCD);
         let q = qbuf.series(0);
-        let one = exact_search(&index, q, &SearchParams::new(1)).answer;
-        let (knn, _) = odyssey::core::search::knn::knn_search(
-            &index, q, k, &SearchParams::new(2),
-        );
+        let index = Arc::new(index);
+        let one = BatchEngine::new(Arc::clone(&index), 1).exact(q, &SearchParams::new(1)).answer;
+        let (knn, _) = BatchEngine::new(index, 2).knn(q, k, &SearchParams::new(2));
         prop_assert!((knn.neighbors[0].0 - one.distance_sq).abs() < 1e-9);
         // Sorted ascending.
         for w in knn.neighbors.windows(2) {

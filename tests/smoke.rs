@@ -6,9 +6,11 @@
 use odyssey::cluster::{ClusterConfig, OdysseyCluster};
 use odyssey::core::distance::euclidean_sq;
 use odyssey::core::index::{Index, IndexConfig};
-use odyssey::core::search::exact::{exact_search, SearchParams};
+use odyssey::core::search::engine::BatchEngine;
+use odyssey::core::search::exact::SearchParams;
 use odyssey::core::series::DatasetBuffer;
 use odyssey::workloads::generator::random_walk;
+use std::sync::Arc;
 
 fn brute_force_sq(data: &DatasetBuffer, q: &[f32]) -> (f64, usize) {
     (0..data.num_series())
@@ -26,10 +28,11 @@ fn single_node_exact_search_matches_brute_force() {
         IndexConfig::new(32).with_segments(8).with_leaf_capacity(32),
         2,
     );
+    let engine = BatchEngine::new(Arc::new(index), 2);
     for qi in 0..queries.num_series() {
         let q = queries.series(qi);
         let (want_sq, _) = brute_force_sq(&data, q);
-        let got = exact_search(&index, q, &SearchParams::new(2));
+        let got = engine.exact(q, &SearchParams::new(2));
         assert!(
             (got.answer.distance_sq - want_sq).abs() < 1e-9,
             "query {qi}: engine {} != brute force {}",

@@ -45,6 +45,9 @@
 //!    reviewed primitives (the `parking_lot` shim, the core crate's
 //!    poisonable barriers), not ad-hoc `std::sync` blocking types that
 //!    sit outside the sanitizer tiers' coverage story.
+//! 9. **One execution body.** `ExecShared::new(` may appear only in
+//!    `WorkerGroup::run_query` (`search/engine.rs`), the per-query body
+//!    the engine's pool and lanes share; a second site is a second driver.
 //!
 //! Comments and string literals are stripped before token matching, so
 //! prose about `unsafe` never trips the lint, and the lint can check its
@@ -99,6 +102,10 @@ const UNSAFE_HOST_ROOTS: &[&str] = &["crates/core/src/lib.rs"];
 /// Files whose `thread::sleep` calls must carry a `// FAULT-CLOCK:`
 /// marker (the deterministic fault-injection clock).
 const FAULT_CLOCK_FILES: &[&str] = &["crates/cluster/src/faults.rs"];
+
+/// Rule 9's only permitted `ExecShared::new(` site: `(file, impl type, fn)`.
+const EXEC_BODY_SITE: (&str, &str, &str) =
+    ("crates/core/src/search/engine.rs", "WorkerGroup", "run_query");
 
 /// One lint finding.
 #[derive(Debug)]
@@ -269,6 +276,14 @@ fn has_safety_comment(raw_lines: &[&str], idx: usize) -> bool {
     has_marker_comment(raw_lines, idx, "SAFETY:") || has_marker_comment(raw_lines, idx, "# Safety")
 }
 
+/// The name declared by a stripped line's `fn` item, if any (`None`
+/// for lines without one and for `fn(..)` pointer types).
+fn fn_name(code: &str) -> Option<&str> {
+    let rest = code[token_at(code, "fn")? + 2..].trim_start();
+    let end = rest.bytes().position(|b| !is_word_byte(b)).unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
 /// Lints one source file; `rel` is its workspace-relative path with
 /// `/` separators.
 pub fn lint_source(rel: &str, content: &str) -> Vec<Violation> {
@@ -289,8 +304,25 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<Violation> {
         });
     };
 
+    // The innermost `impl` header and `fn` seen so far (rule 9).
+    let mut impl_header = "";
+    let mut current_fn = "";
     for (i, code) in stripped.iter().enumerate() {
         let line = i + 1;
+        let t = code.trim_start();
+        if t.starts_with("impl ") || t.starts_with("impl<") {
+            impl_header = t;
+        }
+        if let Some(name) = fn_name(code) {
+            current_fn = name;
+        }
+        let (site_file, site_impl, site_fn) = EXEC_BODY_SITE;
+        if code.contains("ExecShared::new(")
+            && !(rel == site_file && has_token(impl_header, site_impl) && current_fn == site_fn)
+        {
+            let why = format!("second driver: `ExecShared::new(` outside `{site_impl}::{site_fn}`");
+            push(&mut out, line, "exec-body", why);
+        }
         if unsafe_construct(code) {
             if !UNSAFE_WHITELIST.contains(&rel) {
                 push(
@@ -680,6 +712,32 @@ mod tests {
         assert!(rules("crates/service/src/histogram.rs", prose).is_empty());
         // The service crate root is also held to `#![forbid(unsafe_code)]`.
         assert_eq!(rules("crates/service/src/lib.rs", "pub mod x;\n"), vec!["lint-attrs"]);
+    }
+
+    #[test]
+    fn exec_shared_outside_the_worker_group_body_is_flagged() {
+        // Another type's `run_query`, or a free fn, is a second driver.
+        let lane = concat!(
+            "impl LaneCtx<'_, '_> {\n    fn run_query(&mut self) {\n",
+            "        ExecShared::new(a);\n",
+        );
+        assert_eq!(rules("crates/core/src/search/multiq.rs", lane), vec!["exec-body"]);
+        let pool = lane.replace("LaneCtx<'_, '_>", "BatchEngine");
+        assert_eq!(rules("crates/core/src/search/engine.rs", &pool), vec!["exec-body"]);
+        let free = "fn scoped() {\n    ExecShared::new(a);\n}\n";
+        assert_eq!(rules("crates/core/src/search/engine.rs", free), vec!["exec-body"]);
+    }
+
+    #[test]
+    fn exec_shared_in_the_worker_group_body_passes() {
+        let body = concat!(
+            "impl WorkerGroup<'_> {\n    fn run_query(&mut self, f: fn(u8)) {\n",
+            "        let s = || {};\n        ExecShared::new(\n",
+        );
+        assert!(rules("crates/core/src/search/engine.rs", body).is_empty());
+        // Prose and strings about the constructor never trip the rule.
+        let prose = "// ExecShared::new( once\nfn f() { let _ = \"ExecShared::new(\"; }\n";
+        assert!(rules("crates/core/src/search/exact.rs", prose).is_empty());
     }
 
     #[test]
