@@ -84,15 +84,6 @@ impl BuildReport {
     pub fn total_index_bytes(&self) -> usize {
         self.per_node_index_bytes.iter().sum()
     }
-
-    /// Max-over-chunks wall-clock index time.
-    pub fn max_wall_index_time(&self) -> Duration {
-        self.per_chunk_times
-            .iter()
-            .map(|t| t.index_time())
-            .max()
-            .unwrap_or_default()
-    }
 }
 
 /// Result of answering a 1-NN (Euclidean or DTW) batch.
@@ -1211,7 +1202,8 @@ impl OdysseyCluster {
                 let (init_sq, init_id) = match stolen_bsf {
                     Some(bsf_sq) => (bsf_sq, None),
                     None => {
-                        let a = index.approx_search_paa(query, kernel.qpaa());
+                        let a =
+                            index.approx_search_with_table(query, kernel.qpaa(), kernel.table());
                         (a.distance_sq, a.series_id)
                     }
                 };
@@ -1537,8 +1529,8 @@ impl OdysseyCluster {
     ) -> SearchStats {
         let board_opt = self.config.bsf_sharing.then_some((knn_board, qid));
         let set = BoardKnn::new(k, board_opt);
-        seed_from_approx_leaf(index, q, &set.local);
         let kernel = EdKernel::new(q, index.config().segments);
+        seed_from_approx_leaf(index, &kernel, &set.local);
         let mut params = params;
         // The k-NN analogue of the initial BSF: the k-th distance
         // after seeding (infinite when the seed leaf held < k).

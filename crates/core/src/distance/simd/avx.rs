@@ -235,16 +235,15 @@ pub(super) unsafe fn lb_block_sq_soa(
     }
 }
 
-/// AVX2 8-way mindist-table sweep over segment-major iSAX **word
-/// ranges** (the root-level bound): candidate `j`'s segment-`i` region
+/// AVX2 8-way mindist-table sweep over segment-major **symbol
+/// intervals** (the root-level bound): candidate `j`'s segment-`i` region
 /// is the symbol interval `[lo[i * stride + offset + j],
 /// hi[i * stride + offset + j]]`, and the realized table entry is the
 /// query's per-segment reference symbol clamped into that interval —
 /// `out[j] = sum_i table[i * 256 + clamp(ref_sym[i], lo_ij, hi_ij)]`,
 /// accumulated in ascending segment order. The `u8` clamp
 /// (`max` then `min`) is exact integer arithmetic, so every candidate's
-/// sum is bit-identical to
-/// [`crate::sax::MindistTable::word_lb_sq`].
+/// sum is bit-identical to the scalar fallback in [`super`].
 ///
 /// # Safety
 /// The CPU must support AVX2; callers must be gated by the runtime
@@ -289,7 +288,7 @@ pub(super) unsafe fn word_lb_sq_soa(
             let hiv = _mm_loadl_epi64(hp.add(row).cast::<__m128i>());
             let refv = _mm_set1_epi8(ref_sym[i] as i8);
             // clamp(ref, lo, hi) on unsigned bytes; lo <= hi per the
-            // iSAX word invariant, so max-then-min is the exact clamp.
+            // `RootSoa` invariant, so max-then-min is the exact clamp.
             let sym = _mm_min_epu8(_mm_max_epu8(refv, lov), hiv);
             let idx = _mm256_cvtepu8_epi32(sym);
             let idx = _mm256_add_epi32(idx, _mm256_set1_epi32((i * MAX_CARD) as i32));

@@ -164,11 +164,12 @@ pub(crate) fn lb_block_sq_soa(
     }
 }
 
-/// Dispatched mindist-table sweep over segment-major iSAX **word
-/// ranges** (the root-level node bound): `out[j] = sum over segments i
-/// of table[i * MAX_CARD + clamp(ref_sym[i], lo_ij, hi_ij)]` where
-/// `lo_ij = lo[i * stride + offset + j]` (likewise `hi`), summed in
-/// ascending segment order — the exact per-word arithmetic of
+/// Dispatched mindist-table sweep over segment-major **symbol
+/// intervals** (the root-level node bound): `out[j] = sum over segments
+/// i of table[i * MAX_CARD + clamp(ref_sym[i], lo_ij, hi_ij)]` where
+/// `lo_ij = lo[i * stride + offset + j]` (likewise `hi`, with
+/// `lo_ij <= hi_ij`), summed in ascending segment order — for a word's
+/// full range, the exact per-word arithmetic of
 /// [`crate::sax::MindistTable::word_lb_sq`].
 ///
 /// # Panics

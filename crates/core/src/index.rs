@@ -9,17 +9,18 @@
 use crate::buffers::{root_key_of_sax, SummarizationBuffers, Summaries};
 use crate::layout::LeafLayout;
 use crate::paa::paa;
-use crate::sax::sax_word_into;
+use crate::sax::{sax_word_into, MindistTable};
 use crate::search::answer::Answer;
 use crate::search::batches::RsBatches;
 use crate::series::DatasetBuffer;
-use crate::tree::{build_forest, Node, RootSubtree};
+use crate::tree::{build_forest, Leaf, Node, RootSoa, RootSubtree};
 use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Roots bounded per sweep call in the approximate search's fallback
-/// scan — a stack buffer's worth, so the scan allocates nothing.
+/// Roots bounded per sweep call in `Index::seed_leaf`'s
+/// minimum-bound root scan — a stack buffer's worth, so the scan
+/// allocates nothing.
 const ROOT_SWEEP_CHUNK: usize = 64;
 
 /// Distinct RS-batch counts whose partitions [`Index::rs_batches`]
@@ -93,10 +94,10 @@ pub struct Index {
     config: IndexConfig,
     layout: LeafLayout,
     forest: Vec<RootSubtree>,
-    /// Segment-major planes of the root words (the shape the SIMD
-    /// root-mindist sweep consumes); a pure function of `forest`,
-    /// rebuilt on load, never persisted.
-    root_soa: crate::tree::RootSoa,
+    /// Segment-major planes of each root's data-tight SAX envelope (the
+    /// shape the SIMD root-mindist sweep consumes); a pure function of
+    /// `forest` and `layout`, rebuilt on load, never persisted.
+    root_soa: RootSoa,
     build_times: BuildTimes,
     /// RS-batch partitions already computed, keyed by the effective
     /// batch count (see [`Index::rs_batches`]). Derived state: not
@@ -139,11 +140,12 @@ impl Index {
         // buffer is dropped — the permuted copy plus the id mapping is the
         // single copy of the raw values.
         let layout = LeafLayout::build(&data, &summaries, scan_to_id);
+        let root_soa = RootSoa::build(&forest, &layout);
         let tree_time = t1.elapsed();
         Index {
             config,
             layout,
-            root_soa: crate::tree::RootSoa::build(&forest),
+            root_soa,
             forest,
             build_times: BuildTimes {
                 buffer_time,
@@ -167,10 +169,11 @@ impl Index {
         assert_eq!(scan_data.series_len(), config.series_len);
         let layout =
             LeafLayout::from_scan_parts(scan_data, scan_sax, scan_to_id, config.segments);
+        let root_soa = RootSoa::build(&forest, &layout);
         Index {
             config,
             layout,
-            root_soa: crate::tree::RootSoa::build(&forest),
+            root_soa,
             forest,
             build_times: BuildTimes::default(),
             rs_batches: RwLock::new(Vec::new()),
@@ -210,11 +213,11 @@ impl Index {
         &self.forest
     }
 
-    /// Segment-major planes of the root words — the operand of the
-    /// batched root-level lower-bound sweep
-    /// ([`crate::sax::MindistTable::root_lb_block`]).
+    /// Segment-major planes of each root subtree's data-tight SAX
+    /// envelope — the operand of the batched root-level lower-bound
+    /// sweep ([`crate::sax::MindistTable::root_lb_block`]).
     #[inline]
-    pub fn root_soa(&self) -> &crate::tree::RootSoa {
+    pub fn root_soa(&self) -> &RootSoa {
         &self.root_soa
     }
 
@@ -285,74 +288,92 @@ impl Index {
 
     /// Approximate search (the "initial BSF" computation, Algorithm 1
     /// line 5): descend greedily to the most promising leaf and take the
-    /// best real distance inside it.
+    /// best real distance inside it. Builds a throwaway per-query
+    /// [`MindistTable`] — callers that already hold one (the
+    /// exact-search kernels) use [`Index::approx_search_with_table`]
+    /// instead.
     pub fn approx_search(&self, query: &[f32]) -> ApproxResult {
         let qpaa = self.query_paa(query);
-        self.approx_search_paa(query, &qpaa)
-    }
-
-    /// [`Index::approx_search`] with a precomputed query PAA. Builds a
-    /// throwaway per-query [`MindistTable`](crate::sax::MindistTable) —
-    /// callers that already hold one (the exact-search kernels) use
-    /// [`Index::approx_search_with_table`] instead.
-    pub fn approx_search_paa(&self, query: &[f32], qpaa: &[f64]) -> ApproxResult {
-        let table = crate::sax::MindistTable::from_paa(qpaa, self.config.series_len);
-        self.approx_search_with_table(query, qpaa, &table)
+        let table = MindistTable::from_paa(&qpaa, self.config.series_len);
+        self.approx_search_with_table(query, &qpaa, &table)
     }
 
     /// [`Index::approx_search`] against a caller-supplied per-query
-    /// mindist table (built from the same `qpaa`). All lower bounds —
-    /// the fallback scan over every root and the greedy descent — go
-    /// through the table, whose `word_lb_sq` is bit-identical to the
-    /// reference [`crate::sax::mindist_paa_isax_sq`], so the visited leaf (and
-    /// hence the seeded BSF) is exactly the one the reference
-    /// arithmetic selects. The root scan runs through the batched SIMD
-    /// sweep over the root-word planes rather than one
-    /// breakpoint-recomputing call per root.
+    /// mindist table (built from the same `qpaa`): the best real
+    /// distance inside the seed leaf (`Index::seed_leaf`), which the
+    /// k-NN and DTW seeds start from too.
     pub fn approx_search_with_table(
         &self,
         query: &[f32],
         qpaa: &[f64],
-        table: &crate::sax::MindistTable,
+        table: &MindistTable,
     ) -> ApproxResult {
-        if self.forest.is_empty() {
+        let Some(leaf) = self.seed_leaf(table, Some(qpaa)) else {
             return ApproxResult {
                 distance: f64::INFINITY,
                 distance_sq: f64::INFINITY,
                 series_id: None,
                 leaf_size: 0,
             };
-        }
-        // Prefer the root subtree whose region contains the query; fall
-        // back to the minimum-mindist subtree (first minimum on ties,
-        // matching `Iterator::min_by` over the same values).
-        let mut qsax = vec![0u8; self.config.segments];
-        sax_word_into(qpaa, &mut qsax);
-        let qkey = root_key_of_sax(&qsax);
-        let subtree = match self.forest.binary_search_by_key(&qkey, |t| t.key) {
-            Ok(i) => &self.forest[i],
-            Err(_) => {
-                let mut best = f64::INFINITY;
-                let mut best_root = 0usize;
-                let mut lbs = [0.0f64; ROOT_SWEEP_CHUNK];
-                let mut start = 0;
-                while start < self.forest.len() {
-                    let end = (start + ROOT_SWEEP_CHUNK).min(self.forest.len());
-                    let lbs = &mut lbs[..end - start];
-                    table.root_lb_block(&self.root_soa, start..end, lbs);
-                    for (k, &d) in lbs.iter().enumerate() {
-                        if d.total_cmp(&best) == std::cmp::Ordering::Less {
-                            best = d;
-                            best_root = start + k;
-                        }
-                    }
-                    start = end;
-                }
-                &self.forest[best_root]
-            }
         };
-        // Greedy descent by child mindist.
-        let mut node = &subtree.node;
+        // Leaf-contiguous scan: sequential raw values; slice positions
+        // ascend in original-id order, so ties resolve exactly as a
+        // dataset-order scan would.
+        let mut best = f64::INFINITY;
+        let mut best_id = None;
+        for p in leaf.slice.range() {
+            let d = crate::distance::euclidean_sq(query, self.layout.series(p));
+            if d < best {
+                best = d;
+                best_id = Some(self.layout.original_id(p));
+            }
+        }
+        ApproxResult {
+            distance: best.sqrt(),
+            distance_sq: best,
+            series_id: best_id,
+            leaf_size: leaf.slice.len(),
+        }
+    }
+
+    /// The approximate search's leaf — the one every seed starts from
+    /// (Euclidean 1-NN and k-NN, DTW 1-NN and k-NN), or `None` on an
+    /// empty forest.
+    ///
+    /// The root is the *home* root when `qpaa` (a Euclidean query's PAA)
+    /// is given and the forest has a subtree keyed by the query's root
+    /// word; otherwise it is the root with the smallest bound under
+    /// `table` (first minimum on ties), from the batched sweep over the
+    /// data-tight root planes. From there the descent is greedy by the
+    /// children's word bounds (the left child on ties).
+    pub(crate) fn seed_leaf(&self, table: &MindistTable, qpaa: Option<&[f64]>) -> Option<&Leaf> {
+        if self.forest.is_empty() {
+            return None;
+        }
+        let home = qpaa.and_then(|qpaa| {
+            let mut qsax = vec![0u8; self.config.segments];
+            sax_word_into(qpaa, &mut qsax);
+            let qkey = root_key_of_sax(&qsax);
+            self.forest.binary_search_by_key(&qkey, |t| t.key).ok()
+        });
+        let root = home.unwrap_or_else(|| {
+            let mut best = f64::INFINITY;
+            let mut best_root = 0usize;
+            let mut lbs = [0.0f64; ROOT_SWEEP_CHUNK];
+            for start in (0..self.forest.len()).step_by(ROOT_SWEEP_CHUNK) {
+                let end = (start + ROOT_SWEEP_CHUNK).min(self.forest.len());
+                let lbs = &mut lbs[..end - start];
+                table.root_lb_block(&self.root_soa, start..end, lbs);
+                for (k, &d) in lbs.iter().enumerate() {
+                    if d.total_cmp(&best) == std::cmp::Ordering::Less {
+                        best = d;
+                        best_root = start + k;
+                    }
+                }
+            }
+            best_root
+        });
+        let mut node = &self.forest[root].node;
         loop {
             match node {
                 Node::Inner { children, .. } => {
@@ -360,26 +381,7 @@ impl Index {
                     let d1 = table.word_lb_sq(children[1].word());
                     node = if d0 <= d1 { &children[0] } else { &children[1] };
                 }
-                Node::Leaf(leaf) => {
-                    // Leaf-contiguous scan: sequential raw values; slice
-                    // positions ascend in original-id order, so ties
-                    // resolve exactly as a dataset-order scan would.
-                    let mut best = f64::INFINITY;
-                    let mut best_id = None;
-                    for p in leaf.slice.range() {
-                        let d = crate::distance::euclidean_sq(query, self.layout.series(p));
-                        if d < best {
-                            best = d;
-                            best_id = Some(self.layout.original_id(p));
-                        }
-                    }
-                    return ApproxResult {
-                        distance: best.sqrt(),
-                        distance_sq: best,
-                        series_id: best_id,
-                        leaf_size: leaf.slice.len(),
-                    };
-                }
+                Node::Leaf(leaf) => return Some(leaf),
             }
         }
     }

@@ -198,6 +198,14 @@ impl LeafLayout {
         }
     }
 
+    /// Segment `seg`'s symbols of a contiguous position range: one
+    /// contiguous run of the segment-major transpose.
+    #[inline]
+    pub(crate) fn segment_symbols(&self, seg: usize, range: std::ops::Range<usize>) -> &[u8] {
+        let base = seg * self.num_series();
+        &self.sax_soa[base + range.start..base + range.end]
+    }
+
     /// The full segment-major transpose (test-only diagnostics).
     #[cfg(test)]
     pub(crate) fn sax_soa_bytes(&self) -> &[u8] {

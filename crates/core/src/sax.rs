@@ -434,13 +434,16 @@ impl MindistTable {
     }
 
     /// Node-level lower bounds for a contiguous range of forest roots,
-    /// eight words per iteration over the segment-major root planes
-    /// ([`crate::tree::RootSoa`]): each `out[k]` is bit-identical to
-    /// [`MindistTable::word_lb_sq`] of root `range.start + k`'s word —
-    /// the clamp of the per-segment reference symbol into the word's
-    /// covered symbol interval is exact integer arithmetic, and the
-    /// per-root sums accumulate in the same ascending-segment order.
-    /// Dispatches to the AVX2 clamp-and-gather kernel when
+    /// eight roots per iteration over the segment-major root planes
+    /// ([`crate::tree::RootSoa`]): per segment, the table entry at the
+    /// reference symbol clamped into the root's symbol interval
+    /// `[lo, hi]` (any interval with `lo <= hi`; the production planes
+    /// hold each subtree's data-tight SAX envelope), summed in ascending
+    /// segment order. The clamp is exact integer arithmetic, so for an
+    /// interval that is a word's full range `out[k]` is bit-identical to
+    /// [`MindistTable::word_lb_sq`], and for a point interval to
+    /// [`MindistTable::series_lb_sq`] of the clamped word. Dispatches to
+    /// the AVX2 clamp-and-gather kernel when
     /// [`crate::distance::simd::avx2_available`] says so.
     ///
     /// # Panics

@@ -132,53 +132,11 @@ impl QueryKernel for DtwKernel<'_> {
     }
 }
 
-/// Greedy root-to-leaf descent under the DTW kernel's node bounds:
-/// returns the most promising leaf, or `None` on an empty forest. The
-/// single place both DTW seeding paths ([`approx_dtw`] for 1-NN and
-/// [`seed_dtw_knn`] for k-NN) derive their initial leaf from.
-fn most_promising_leaf<'i>(index: &'i Index, kernel: &DtwKernel) -> Option<&'i crate::tree::Leaf> {
-    use crate::tree::Node;
-    let forest = index.forest();
-    if forest.is_empty() {
-        return None;
-    }
-    // Minimum-bound root via the batched sweep (first minimum on ties,
-    // matching `Iterator::min_by` over the same values).
-    let mut best = f64::INFINITY;
-    let mut best_root = 0usize;
-    let mut lbs = [0.0f64; 64];
-    let mut start = 0;
-    while start < forest.len() {
-        let end = (start + lbs.len()).min(forest.len());
-        let lbs = &mut lbs[..end - start];
-        kernel.root_lb_block(forest, index.root_soa(), start..end, lbs);
-        for (k, &d) in lbs.iter().enumerate() {
-            if d.total_cmp(&best) == std::cmp::Ordering::Less {
-                best = d;
-                best_root = start + k;
-            }
-        }
-        start = end;
-    }
-    let subtree = &forest[best_root];
-    let mut node = &subtree.node;
-    loop {
-        match node {
-            Node::Inner { children, .. } => {
-                let d0 = kernel.node_lb_sq(children[0].word());
-                let d1 = kernel.node_lb_sq(children[1].word());
-                node = if d0 <= d1 { &children[0] } else { &children[1] };
-            }
-            Node::Leaf(leaf) => return Some(leaf),
-        }
-    }
-}
-
 /// Descends to the approximate-search leaf and returns the best *DTW*
 /// squared distance inside it plus the series id (the initial BSF for
 /// DTW queries). Public so the distributed layer can seed per-node BSFs.
 pub fn approx_dtw(index: &Index, kernel: &DtwKernel) -> (f64, Option<u32>) {
-    let Some(leaf) = most_promising_leaf(index, kernel) else {
+    let Some(leaf) = index.seed_leaf(&kernel.table, None) else {
         return (f64::INFINITY, None);
     };
     let layout = index.layout();
@@ -220,7 +178,7 @@ pub(crate) fn seed_dtw_knn<'q>(
 ) -> (DtwKernel<'q>, SharedKnn, f64) {
     let kernel = DtwKernel::new(query, window, index.config().segments);
     let knn = SharedKnn::new(k);
-    if let Some(leaf) = most_promising_leaf(index, &kernel) {
+    if let Some(leaf) = index.seed_leaf(&kernel.table, None) {
         let layout = index.layout();
         for p in leaf.slice.range() {
             if let Some(d) = dtw_banded(query, layout.series(p), window, knn.threshold_sq()) {

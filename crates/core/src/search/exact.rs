@@ -422,12 +422,12 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
 
     /// One worker's visit to an RS-batch — its own claim or a `HelpTH`
     /// help pass. Claims subtrees in chunks with `Fetch&Add`, bounds
-    /// each claimed chunk's *roots* in one batched sweep (the SIMD
-    /// clamp-and-gather kernel under table-backed kernels — an iSAX
-    /// forest over high-entropy data is wide and shallow, so the root
-    /// level is where almost all node bounds happen), prunes against
-    /// the shared threshold, and descends surviving inner roots through
-    /// the reused stack.
+    /// each claimed chunk's *roots* in one batched sweep over their
+    /// data-tight SAX envelopes (the SIMD clamp-and-gather kernel under
+    /// table-backed kernels — an iSAX forest over high-entropy data is
+    /// wide and shallow, so the root level is where almost all node
+    /// bounds happen), prunes against the shared threshold, and
+    /// descends surviving inner roots through the reused stack.
     ///
     /// Surviving leaves go into a **worker-local** [`BoundedPqSet`]
     /// (sealed at `TH`, provisioned from the `heaps` scratch), so the
@@ -479,12 +479,15 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
                     Node::Inner { children, .. } => {
                         // Iterative descent with an explicit (reused)
                         // stack; inner nodes are rare enough that their
-                        // bounds stay per-word.
+                        // bounds stay per-word. The root's data-tight
+                        // bound holds for every series below it, so a
+                        // node's bound is the larger of the two.
+                        let root_lb = lb;
                         stack.clear();
                         stack.push(&children[0]);
                         stack.push(&children[1]);
                         while let Some(node) = stack.pop() {
-                            let lb = self.kernel.node_lb_sq(node.word());
+                            let lb = self.kernel.node_lb_sq(node.word()).max(root_lb);
                             *lb_node_local += 1;
                             if lb >= self.results.threshold_sq() {
                                 continue;

@@ -8,7 +8,9 @@
 //!
 //! `node_lb_sq(word) <= series_lb_sq(sax(S)) <= distance_sq(S)` for every
 //! series `S` summarized by `word` — that chain is exactly what makes
-//! pruning exact.
+//! pruning exact. At the root level the batched bound sits inside it:
+//! `node_lb_sq(root word) <= root_lb_block <= series_lb_sq(sax(S))` for
+//! every `S` under the root.
 //!
 //! Both shipped kernels precompute a per-query
 //! [`MindistTable`](crate::sax::MindistTable) at construction, so every
@@ -55,11 +57,14 @@ pub trait QueryKernel: Sync {
     }
 
     /// Node-level lower bounds for a contiguous range of forest roots
-    /// (`out.len() == range.len()`). Each `out[k]` must equal
-    /// `node_lb_sq` of root `range.start + k`'s word; the default
-    /// delegates per root, table-backed kernels override with the
-    /// batched sweep over the segment-major root planes so the SIMD
-    /// clamp-and-gather kernel applies.
+    /// (`out.len() == range.len()`). Each `out[k]` must lie between
+    /// `node_lb_sq` of root `range.start + k`'s word and `series_lb_sq`
+    /// of every series stored under that root — the root link of the
+    /// soundness chain. The default delegates per root to the word
+    /// bound (the loose end); table-backed kernels override with the
+    /// batched sweep over the data-tight root planes ([`RootSoa`]), so
+    /// the SIMD clamp-and-gather kernel applies and a root is bounded
+    /// by its series' actual SAX envelope.
     fn root_lb_block(
         &self,
         forest: &[RootSubtree],

@@ -10,49 +10,18 @@ use super::answer::KnnAnswer;
 use super::bsf::{ResultSet, SharedKnn};
 use super::kernel::EdKernel;
 use crate::index::Index;
-use crate::tree::Node;
 
 /// Seeds a k-NN result set from the leaf the approximate search lands in
-/// (the k-NN analogue of the initial-BSF computation).
-pub fn seed_from_approx_leaf(index: &Index, query: &[f32], knn: &SharedKnn) {
-    let qpaa = index.query_paa(query);
-    if index.forest().is_empty() {
+/// (`Index::seed_leaf` under the kernel's table — the k-NN analogue of
+/// the initial-BSF computation).
+pub fn seed_from_approx_leaf(index: &Index, kernel: &EdKernel, knn: &SharedKnn) {
+    let Some(leaf) = index.seed_leaf(kernel.table(), Some(kernel.qpaa())) else {
         return;
-    }
-    // Greedy descent, mirroring Index::approx_search_paa.
-    let mut qsax = vec![0u8; index.config().segments];
-    crate::sax::sax_word_into(&qpaa, &mut qsax);
-    let qkey = crate::buffers::root_key_of_sax(&qsax);
-    let forest = index.forest();
-    let subtree = match forest.binary_search_by_key(&qkey, |t| t.key) {
-        Ok(i) => &forest[i],
-        Err(_) => &forest[0],
     };
-    let mut node = &subtree.node;
-    loop {
-        match node {
-            Node::Inner { children, .. } => {
-                let d0 = crate::sax::mindist_paa_isax_sq(
-                    &qpaa,
-                    children[0].word(),
-                    index.config().series_len,
-                );
-                let d1 = crate::sax::mindist_paa_isax_sq(
-                    &qpaa,
-                    children[1].word(),
-                    index.config().series_len,
-                );
-                node = if d0 <= d1 { &children[0] } else { &children[1] };
-            }
-            Node::Leaf(leaf) => {
-                let layout = index.layout();
-                for p in leaf.slice.range() {
-                    let d = crate::distance::euclidean_sq(query, layout.series(p));
-                    knn.offer(d, layout.original_id(p));
-                }
-                return;
-            }
-        }
+    let layout = index.layout();
+    for p in leaf.slice.range() {
+        let d = crate::distance::euclidean_sq(kernel.query(), layout.series(p));
+        knn.offer(d, layout.original_id(p));
     }
 }
 
@@ -66,9 +35,9 @@ pub(crate) fn seed_knn<'q>(
     query: &'q [f32],
     k: usize,
 ) -> (EdKernel<'q>, SharedKnn, f64) {
-    let knn = SharedKnn::new(k);
-    seed_from_approx_leaf(index, query, &knn);
     let kernel = EdKernel::new(query, index.config().segments);
+    let knn = SharedKnn::new(k);
+    seed_from_approx_leaf(index, &kernel, &knn);
     let initial = knn.threshold_sq().sqrt();
     (kernel, knn, initial)
 }
@@ -158,6 +127,58 @@ mod tests {
         let (knn, _) = engine.knn(&q, 1, &SearchParams::new(2));
         let one = engine.exact(&q, &SearchParams::new(2)).answer;
         assert!((knn.neighbors[0].0 - one.distance_sq).abs() < 1e-9);
+    }
+
+    #[test]
+    fn knn_seed_leaf_is_the_approximate_search_leaf_when_the_home_root_is_absent() {
+        let data = walk_dataset(400, 64, 21);
+        let idx = crate::index::Index::build(
+            data,
+            IndexConfig::new(64).with_segments(8).with_leaf_capacity(8),
+            2,
+        );
+        let layout = idx.layout();
+        // The ids of the leaf storing `id`, and the root it hangs under.
+        let leaf_of = |id: u32| {
+            let p = layout.scan_pos(id);
+            let mut found = None;
+            for (r, t) in idx.forest().iter().enumerate() {
+                t.node.for_each_leaf(&mut |leaf| {
+                    if leaf.slice.range().contains(&p) {
+                        let mut ids: Vec<u32> =
+                            leaf.slice.range().map(|p| layout.original_id(p)).collect();
+                        ids.sort_unstable();
+                        found = Some((r, ids));
+                    }
+                });
+            }
+            found.expect("every series is in a leaf")
+        };
+        // A query whose root word names no subtree, and whose
+        // minimum-bound root is not the first one (so falling back to
+        // `forest[0]` would pick another leaf).
+        let (q, approx, (root, want)) = (0..500u64)
+            .map(|s| walk_dataset(1, 64, 7000 + s).series(0).to_vec())
+            .find_map(|q| {
+                let mut qsax = vec![0u8; 8];
+                crate::sax::sax_word_into(&idx.query_paa(&q), &mut qsax);
+                let key = crate::buffers::root_key_of_sax(&qsax);
+                if idx.forest().binary_search_by_key(&key, |t| t.key).is_ok() {
+                    return None;
+                }
+                let approx = idx.approx_search(&q);
+                let leaf = leaf_of(approx.series_id?);
+                (leaf.0 != 0).then_some((q, approx, leaf))
+            })
+            .expect("some query has no home root");
+        assert!(root > 0);
+        let (_, knn, _) = seed_knn(&idx, &q, 1000);
+        let seeded = knn.snapshot().neighbors;
+        assert_eq!(seeded.len(), approx.leaf_size);
+        assert_eq!(seeded[0], (approx.distance_sq, approx.series_id.unwrap()));
+        let mut got: Vec<u32> = seeded.iter().map(|&(_, id)| id).collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "k-NN seeds from the approximate search's leaf");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! is materialized from.
 
 use crate::buffers::{SummarizationBuffer, SummarizationBuffers, Summaries};
+use crate::layout::LeafLayout;
 use crate::sax::{IsaxWord, MAX_CARD_BITS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -161,22 +162,33 @@ pub struct RootSubtree {
     pub size: usize,
 }
 
-/// Segment-major (SoA) planes of the forest's **root words**: byte
-/// `lo[i * len + r]` / `hi[i * len + r]` is the full-cardinality symbol
-/// interval covered by segment `i` of root `r`'s iSAX word
-/// ([`IsaxWord::full_range`]).
+/// Segment-major (SoA) planes of the forest's **root bounds**: byte
+/// `lo[i * len + r]` / `hi[i * len + r]` is the smallest / largest
+/// full-cardinality segment-`i` symbol of any series stored under root
+/// `r` — the subtree's actual SAX envelope, not the (much wider) range
+/// its 1-bit-per-segment root word covers.
 ///
 /// An iSAX forest over a high-entropy collection is wide and shallow —
-/// most series land in distinct root words — so the engine's
-/// node-level lower bound is evaluated once per *root* per query, and
-/// that sweep dominates traversal. This transpose is the shape the
-/// 8-way SIMD word-mindist kernel
-/// ([`crate::sax::MindistTable::root_lb_block`]) consumes: per segment,
-/// eight roots' `lo`/`hi` bytes are two contiguous 8-byte loads.
+/// most series land in distinct root words, most roots are lone leaves
+/// of a few series — so the engine's node-level lower bound is evaluated
+/// once per *root* per query, and that bound decides which leaves are
+/// queued. This transpose is the shape the 8-way SIMD clamp-and-gather
+/// kernel ([`crate::sax::MindistTable::root_lb_block`]) consumes: per
+/// segment, eight roots' `lo`/`hi` bytes are two contiguous 8-byte
+/// loads. The kernel accepts any symbol interval `lo <= hi`, and
+/// clamping into an interval is a minimum over it, so for every series
+/// `s` under a root:
 ///
-/// Built once at index assembly (both the build and the ODY2 load path);
-/// never persisted — it is a pure function of the forest.
-#[derive(Debug, Clone, Default)]
+/// `word_lb(root word) <= root_lb <= series_lb(sax(s))`
+///
+/// (the series' symbols lie in the data interval, which lies in the
+/// word's range; IEEE addition is monotone, so summing smaller terms in
+/// the same order never gives a larger bound).
+///
+/// Built once at index assembly (both the build and the ODY2 load path)
+/// from the scan layout's segment-major SAX planes; never persisted — it
+/// is a pure function of the forest and the layout.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RootSoa {
     /// Lower symbol bounds, segment-major, stride = root count.
     lo: Vec<u8>,
@@ -189,16 +201,50 @@ pub struct RootSoa {
 }
 
 impl RootSoa {
-    /// Builds the planes from the forest's root words.
+    /// Builds the data-tight planes: per root and segment, the min / max
+    /// symbol over the root's series in `layout` (a min/max over each of
+    /// its leaves' scan ranges). A root that stores no series keeps its
+    /// word's range.
     ///
     /// # Panics
-    /// Panics if the root words disagree on segment count.
-    pub fn build(forest: &[RootSubtree]) -> Self {
-        Self::from_words(forest.iter().map(|t| t.node.word()))
+    /// Panics if the root words disagree on segment count, or a leaf
+    /// slice lies outside the layout.
+    pub fn build(forest: &[RootSubtree], layout: &LeafLayout) -> Self {
+        let mut soa = Self::from_words(forest.iter().map(|t| t.node.word()));
+        let len = soa.len;
+        let mut leaves: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        for (r, tree) in forest.iter().enumerate() {
+            tree.node.for_each_leaf(&mut |leaf| {
+                if !leaf.slice.is_empty() {
+                    leaves.push((r, leaf.slice.range()));
+                }
+            });
+        }
+        // Segment-major, so each pass reads one row of the layout's
+        // transpose front to back and writes one row of each plane.
+        for i in 0..soa.segments {
+            let lo = &mut soa.lo[i * len..(i + 1) * len];
+            let hi = &mut soa.hi[i * len..(i + 1) * len];
+            for (r, _) in &leaves {
+                (lo[*r], hi[*r]) = (u8::MAX, u8::MIN);
+            }
+            for (r, range) in &leaves {
+                let syms = layout.segment_symbols(i, range.clone());
+                let (l, h) = syms
+                    .iter()
+                    .fold((u8::MAX, u8::MIN), |(l, h), &s| (l.min(s), h.max(s)));
+                lo[*r] = lo[*r].min(l);
+                hi[*r] = hi[*r].max(h);
+            }
+        }
+        soa
     }
 
-    /// Builds the planes from an explicit word sequence (exposed for
-    /// tests; [`RootSoa::build`] is the production path).
+    /// Builds the planes from an explicit word sequence: each root's
+    /// interval is its word's full range ([`IsaxWord::full_range`]).
+    ///
+    /// # Panics
+    /// Panics if the words disagree on segment count.
     pub fn from_words<'a>(words: impl ExactSizeIterator<Item = &'a IsaxWord>) -> Self {
         let len = words.len();
         let mut segments = 0;
@@ -217,6 +263,33 @@ impl RootSoa {
                 hi[i * len + r] = h as u8;
             }
         }
+        RootSoa {
+            lo,
+            hi,
+            len,
+            segments,
+        }
+    }
+
+    /// Builds the planes from raw segment-major bytes (stride
+    /// `lo.len() / segments`) — exposed so tests can drive the root
+    /// sweep with arbitrary symbol intervals; [`RootSoa::build`] is the
+    /// production path.
+    ///
+    /// # Panics
+    /// Panics if the planes differ in length, their length is not a
+    /// multiple of `segments`, or some `lo` byte exceeds its `hi` byte.
+    pub fn from_planes(lo: Vec<u8>, hi: Vec<u8>, segments: usize) -> Self {
+        assert_eq!(lo.len(), hi.len(), "ragged lo/hi planes");
+        assert!(
+            lo.len().is_multiple_of(segments),
+            "planes are not {segments} segments deep"
+        );
+        assert!(
+            lo.iter().zip(&hi).all(|(l, h)| l <= h),
+            "inverted symbol interval"
+        );
+        let len = lo.len().checked_div(segments).unwrap_or(0);
         RootSoa {
             lo,
             hi,
@@ -608,6 +681,46 @@ mod tests {
         for t in &forest {
             check(&t.node);
         }
+    }
+
+    #[test]
+    fn root_planes_hold_each_subtree_sax_envelope() {
+        // Split roots (capacity 6) and lone-leaf roots alike: each
+        // plane byte is the min / max symbol over exactly the series the
+        // root stores, read here from the dataset-ordered summaries.
+        let data = walk_dataset(600, 64, 4321);
+        let summaries = Summaries::compute(&data, 4, 2);
+        let buffers = SummarizationBuffers::build(&summaries);
+        let (forest, perm) = build_forest(&buffers, &summaries, 6, 2);
+        assert!(forest.iter().any(|t| matches!(t.node, Node::Inner { .. })));
+        let layout = LeafLayout::build(&data, &summaries, perm.clone());
+        let soa = RootSoa::build(&forest, &layout);
+        assert_eq!((soa.len(), soa.segments()), (forest.len(), 4));
+        let mut base = 0;
+        for (r, t) in forest.iter().enumerate() {
+            let ids = &perm[base..base + t.size];
+            base += t.size;
+            for i in 0..4 {
+                let syms = ids.iter().map(|&id| summaries.sax(id)[i]);
+                let want = (syms.clone().min().unwrap(), syms.max().unwrap());
+                let got = (
+                    soa.lo_plane()[i * soa.len() + r],
+                    soa.hi_plane()[i * soa.len() + r],
+                );
+                assert_eq!(got, want, "root {r} segment {i}");
+                let (wl, wh) = t.node.word().full_range(i);
+                assert!(
+                    wl <= want.0 as usize && want.1 as usize <= wh,
+                    "inside the word"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "inverted symbol interval")]
+    fn from_planes_rejects_inverted_intervals() {
+        RootSoa::from_planes(vec![3, 9], vec![4, 8], 1);
     }
 
     #[test]

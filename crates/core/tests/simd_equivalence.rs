@@ -14,6 +14,8 @@
 //! * lengths that are not multiples of the 4-lane width, the 8-wide
 //!   gather, or the 32-element abandon block (tail handling);
 //! * every segment count 1..=16 plus ragged view offsets (SoA sweep);
+//! * arbitrary `lo <= hi` symbol intervals under point (ED) and
+//!   envelope (DTW) tables (root sweep);
 //! * early-abandon thresholds placed exactly at block-boundary partial
 //!   sums (the inclusive/exclusive abandon edge), all NaN-free.
 
@@ -222,6 +224,90 @@ fn root_word_sweep_matches_word_lb_for_all_segment_counts() {
                     "segments={segments} range={range:?} j={j} under dispatch {}",
                     dispatch_name()
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn root_sweep_matches_scalar_on_arbitrary_intervals() {
+    use odyssey_core::paa::paa;
+    use odyssey_core::sax::{sax_word_into, MindistTable};
+    use odyssey_core::tree::RootSoa;
+
+    // The production root planes hold each subtree's data envelope, so
+    // an interval need not be a power-of-two-aligned word range: any
+    // `lo <= hi` byte pair, points and the whole symbol line included.
+    let series_len = 32;
+    let n = 41; // odd: 8-wide body + tails
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let mut byte = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x >> 24) as u8
+    };
+    for segments in 1..=16usize {
+        let (mut lo, mut hi) = (vec![0u8; segments * n], vec![0u8; segments * n]);
+        for k in 0..segments * n {
+            let (a, b) = (byte(), byte());
+            (lo[k], hi[k]) = match k % 7 {
+                0 => (a, a),
+                1 => (0, u8::MAX),
+                _ => (a.min(b), a.max(b)),
+            };
+        }
+        let roots = RootSoa::from_planes(lo.clone(), hi.clone(), segments);
+        let qpaa = paa(&pseudo_series(segments as u64 + 77, series_len), segments);
+        // A point table (ED) and an envelope table (DTW's segment hull);
+        // each clamps the symbol of its envelope's lower end.
+        let env_lo: Vec<f64> = qpaa
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v - 0.15 * (i % 4) as f64)
+            .collect();
+        let env_hi: Vec<f64> = qpaa
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v + 0.25 * (i % 3) as f64)
+            .collect();
+        let tables = [
+            ("ED", MindistTable::from_paa(&qpaa, series_len), &qpaa),
+            (
+                "DTW",
+                MindistTable::from_envelope(&env_lo, &env_hi, series_len),
+                &env_lo,
+            ),
+        ];
+        for (kind, table, lower_end) in &tables {
+            let mut reference = vec![0u8; segments];
+            sax_word_into(lower_end, &mut reference);
+            for range in [0..n, 0..8, 3..20, 5..6, 33..41, 40..41, 17..17] {
+                let mut got = vec![0.0f64; range.len()];
+                table.root_lb_block(&roots, range.clone(), &mut got);
+                for (j, g) in got.iter().enumerate() {
+                    let r = range.start + j;
+                    // The scalar reference: the series bound of the word
+                    // whose every symbol is the clamped reference symbol.
+                    let clamped: Vec<u8> = (0..segments)
+                        .map(|i| reference[i].clamp(lo[i * n + r], hi[i * n + r]))
+                        .collect();
+                    let want = table.series_lb_sq(&clamped);
+                    assert_eq!(
+                        g.to_bits(),
+                        want.to_bits(),
+                        "{kind} segments={segments} range={range:?} j={j} under dispatch {}",
+                        dispatch_name()
+                    );
+                    // And it bounds every word inside the interval.
+                    let inside: Vec<u8> = (0..segments)
+                        .map(|i| {
+                            let (l, h) = (lo[i * n + r], hi[i * n + r]);
+                            l + ((h - l) as u32 * (byte() as u32) / 255) as u8
+                        })
+                        .collect();
+                    assert!(*g <= table.series_lb_sq(&inside), "{kind} root {r} unsound");
+                }
             }
         }
     }

@@ -520,14 +520,6 @@ impl ServiceClient<'_> {
     pub fn in_flight(&self) -> usize {
         self.state.in_flight.load(Ordering::Acquire)
     }
-
-    /// Remaining admission slots before [`Busy`].
-    pub fn capacity_left(&self) -> usize {
-        self.state
-            .config
-            .queue_capacity
-            .saturating_sub(self.in_flight())
-    }
 }
 
 /// The online query service front-end. One `QueryService` value is a

@@ -6,6 +6,8 @@
 //!   below it;
 //! * the parallel engine equals brute force for arbitrary data and
 //!   arbitrary engine parameters;
+//! * the data-tight root bound sits between the root word's bound and
+//!   every stored series' bound, and survives save and load;
 //! * partitioning schemes produce true partitions;
 //! * Gray-code bijectivity and the one-bit-step law;
 //! * scheduler assignments are complete and the greedy bound holds;
@@ -305,6 +307,64 @@ proptest! {
         let params = SearchParams::new(n_threads).with_nsb(nsb).with_th(th);
         let got = BatchEngine::new(Arc::new(index), n_threads).exact(q, &params);
         prop_assert!((got.answer.distance - want.distance).abs() < 1e-9);
+    }
+
+    #[test]
+    fn root_bounds_are_data_tight_sound_and_survive_persistence(
+        seed in any::<u64>(),
+        segs in 2usize..6,
+        cap in 2usize..16,
+        window in 0usize..6,
+    ) {
+        // Few segments and small leaves force split roots. For every root
+        // and both kernels: node_lb(root word) <= root_lb <= series_lb of
+        // each series stored under the root — exactly, not within an
+        // epsilon (the root bound sums per-segment minima in the same
+        // order, and IEEE addition is monotone).
+        let data = odyssey::workloads::generator::random_walk(300, 32, seed);
+        let index = Index::build(
+            data,
+            IndexConfig::new(32).with_segments(segs).with_leaf_capacity(cap),
+            2,
+        );
+        let forest = index.forest();
+        prop_assert!(forest.iter().any(|t| t.node.leaf_count() > 1), "no split root");
+        let qb = odyssey::workloads::generator::random_walk(1, 32, seed ^ 0x5EED);
+        let q = qb.series(0);
+        let ed = EdKernel::new(q, segs);
+        let dtw = DtwKernel::new(q, window, segs);
+        let kernels: [(&str, &dyn QueryKernel); 2] = [("ED", &ed), ("DTW", &dtw)];
+        let layout = index.layout();
+        for (name, kernel) in kernels {
+            let mut root_lb = vec![0.0f64; forest.len()];
+            kernel.root_lb_block(forest, index.root_soa(), 0..forest.len(), &mut root_lb);
+            for (r, t) in forest.iter().enumerate() {
+                let word_lb = kernel.node_lb_sq(t.node.word());
+                prop_assert!(word_lb <= root_lb[r], "{name} root {r}: {word_lb} > {}", root_lb[r]);
+                let mut min_series = f64::INFINITY;
+                t.node.for_each_leaf(&mut |leaf| {
+                    for p in leaf.slice.range() {
+                        min_series = min_series.min(kernel.series_lb_sq(layout.sax(p)));
+                    }
+                });
+                let lb = root_lb[r];
+                prop_assert!(lb <= min_series, "{name} root {r}: {lb} > {min_series}");
+            }
+        }
+        // Saved and loaded: the planes are rebuilt byte for byte, and the
+        // answers match bit for bit.
+        let mut file = Vec::new();
+        odyssey::core::persist::save_index(&index, &mut file).expect("save to memory");
+        let loaded = odyssey::core::persist::load_index(&mut file.as_slice()).expect("load");
+        prop_assert!(loaded.root_soa() == index.root_soa(), "root planes differ after load");
+        let params = SearchParams::new(2);
+        let (a, b) = (BatchEngine::new(Arc::new(index), 2), BatchEngine::new(Arc::new(loaded), 2));
+        let bits = |d: f64, id: Option<u32>| (d.to_bits(), id);
+        let (ea, eb) = (a.exact(q, &params).answer, b.exact(q, &params).answer);
+        prop_assert_eq!(bits(ea.distance_sq, ea.series_id), bits(eb.distance_sq, eb.series_id));
+        let (da, db) = (a.dtw(q, window, &params).0, b.dtw(q, window, &params).0);
+        prop_assert_eq!(bits(da.distance_sq, da.series_id), bits(db.distance_sq, db.series_id));
+        prop_assert_eq!(a.knn(q, 5, &params).0.neighbors, b.knn(q, 5, &params).0.neighbors);
     }
 
     #[test]
