@@ -5,7 +5,7 @@ use odyssey_cluster::{ClusterConfig, OdysseyCluster, Replication, SchedulerKind}
 use odyssey_core::index::{Index, IndexConfig};
 use odyssey_core::persist;
 use odyssey_core::search::engine::{BatchAnswer, BatchEngine, BatchQuery, QueryKind};
-use odyssey_core::search::exact::SearchParams;
+use odyssey_core::search::exact::{SearchParams, DEFAULT_TH};
 use odyssey_sched::scheduler::dynamic_order;
 use odyssey_sched::ThresholdModel;
 use odyssey_workloads::generator;
@@ -24,6 +24,7 @@ pub const USAGE: &str = "usage:
   odyssey serve --index FILE --queries FILE [--rate QPS] [--seed S] [--threads T] \\
                 [--lane-width W] [--capacity C] [--interactive-every K] \\
                 [--deadline-ms D] [--k K] [--dtw-window W]
+                (serves the index as a 1-node cluster: T workers, lanes of W)
   odyssey cluster --data FILE --len L --queries FILE [--nodes N] \\
                   [--replication full|equally-split|partial-K] \\
                   [--scheduler static|dynamic|predict-st|predict-st-unsorted|predict-dn] \\
@@ -225,15 +226,17 @@ fn cmd_query(args: &Args) -> Result<(), String> {
 }
 
 /// Stands up an online [`QueryService`](odyssey_service::QueryService)
-/// on a built index and replays the query file as an **open-loop**
-/// arrival stream: inter-arrival gaps are drawn from a seeded
-/// exponential distribution at the requested rate, so the schedule is
-/// fixed by `--seed` and `--rate` alone — arrivals do not wait for
-/// completions, which is what exposes queueing delay and backpressure.
+/// over a saved index, served as a 1-node cluster (`--threads` workers
+/// per node, `--lane-width` workers per serving lane), and replays the
+/// query file as an **open-loop** arrival stream: inter-arrival gaps
+/// are drawn from a seeded exponential distribution at the requested
+/// rate, so the schedule is fixed by `--seed` and `--rate` alone —
+/// arrivals do not wait for completions, which is what exposes
+/// queueing delay and backpressure.
 /// Every `--interactive-every`-th query is submitted interactive (with
 /// `--deadline-ms`, when given); the rest ride the batch class.
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    use odyssey_service::{QueryService, ServiceConfig, ServiceQuery};
+    use odyssey_service::{QueryService, ServiceConfig, ServiceQuery, SubmitError};
 
     let index = persist::load_index_file(Path::new(args.require("index")?))
         .map_err(|e| e.to_string())?;
@@ -247,6 +250,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let seed: u64 = args.get_or("seed", 42)?;
     let threads: usize = args.get_or("threads", 2)?;
     let lane_width: usize = args.get_or("lane-width", 1)?;
+    if threads == 0 || lane_width == 0 {
+        return Err("--threads and --lane-width must be at least 1".into());
+    }
     let capacity: usize = args.get_or("capacity", 64)?;
     let interactive_every: usize = args.get_or("interactive-every", 2)?;
     let deadline_ms: u64 = args.get_or("deadline-ms", 0)?;
@@ -276,18 +282,26 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         })
         .collect();
 
-    let mut config = ServiceConfig::default()
-        .with_pool_threads(threads)
-        .with_lane_width(lane_width)
-        .with_queue_capacity(capacity);
+    let mut config = ServiceConfig::default().with_queue_capacity(capacity);
     if deadline_ms > 0 {
         config = config.with_interactive_deadline(std::time::Duration::from_millis(deadline_ms));
     }
     let service = QueryService::new(config);
-    let index = Arc::new(index);
-    let (submitted, report) = service.serve_index(&index, |client| {
+    // The index is served as a 1-node cluster. `Nsb` is one RS-batch
+    // per lane worker and `TH` the engine default, the search a lone
+    // `SearchParams` resolves to on a lane of that width.
+    let cluster = OdysseyCluster::from_index(
+        Arc::new(index),
+        ClusterConfig::new(1)
+            .with_threads_per_node(threads)
+            .with_service_lane_width(lane_width)
+            .with_pq_threshold(DEFAULT_TH)
+            .with_rs_batches(lane_width.min(threads)),
+    );
+    let ((submitted, invalid), report) = service.serve_cluster(&cluster, |client| {
         let start = std::time::Instant::now();
         let mut submitted = 0u64;
+        let mut invalid = 0u64;
         for (qi, &due) in arrivals.iter().enumerate() {
             if let Some(gap) = due.checked_sub(start.elapsed()) {
                 std::thread::sleep(gap);
@@ -305,15 +319,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             // Open loop: a Busy rejection is recorded (in the report)
             // and the arrival is lost, as an overloaded front-end
             // would shed it.
-            if client.submit(q).is_ok() {
-                submitted += 1;
+            match client.submit(q) {
+                Ok(_) => submitted += 1,
+                Err(SubmitError::Busy(_)) => {}
+                Err(_) => invalid += 1,
             }
         }
-        submitted
+        (submitted, invalid)
     });
     println!(
         "served {submitted}/{} arrivals at ~{rate:.0} qps (seed {seed}): \
-         {} completed, {} rejected (backpressure), {} degraded, wall {:?}",
+         {} completed, {} rejected (backpressure), {invalid} invalid, {} degraded, wall {:?}",
         nq, report.completed, report.rejected, report.degraded, report.wall
     );
     for (name, h) in [("interactive", &report.interactive), ("batch", &report.batch)] {

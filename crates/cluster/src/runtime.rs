@@ -225,44 +225,77 @@ impl OdysseyCluster {
             n_groups,
             "partition must have one chunk per replication group"
         );
-        let mut chunk_index = Vec::with_capacity(n_groups);
-        let mut per_chunk_times = Vec::with_capacity(n_groups);
-        let mut per_chunk_buffer_units = Vec::with_capacity(n_groups);
-        let mut per_chunk_tree_units = Vec::with_capacity(n_groups);
-        let mut per_chunk_index_bytes = Vec::with_capacity(n_groups);
-        for g in 0..n_groups {
-            // Chunk ids are remapped to local ids inside the chunk index;
-            // `id_map` restores global ids in answers.
-            let chunk = partition.materialize(data, g);
-            let icfg = IndexConfig::new(data.series_len())
-                .with_segments(config.segments.min(data.series_len()))
-                .with_leaf_capacity(config.leaf_capacity);
-            let index = Index::build(chunk, icfg, config.threads_per_node);
-            per_chunk_times.push(index.build_times());
-            per_chunk_buffer_units.push(units::buffer_units(
-                index.num_series(),
-                data.series_len(),
-            ));
-            per_chunk_tree_units.push(units::tree_units(&index));
-            per_chunk_index_bytes.push(index.size_bytes());
-            chunk_index.push(Arc::new(index));
-        }
-        let per_node_index_bytes = (0..config.n_nodes)
-            .map(|n| per_chunk_index_bytes[topology.group_of(n)])
+        let chunk_index = (0..n_groups)
+            .map(|g| {
+                // Chunk ids are remapped to local ids inside the chunk
+                // index; `id_map` restores global ids in answers.
+                let chunk = partition.materialize(data, g);
+                let icfg = IndexConfig::new(data.series_len())
+                    .with_segments(config.segments.min(data.series_len()))
+                    .with_leaf_capacity(config.leaf_capacity);
+                Arc::new(Index::build(chunk, icfg, config.threads_per_node))
+            })
             .collect();
+        let id_maps = partition.chunks.into_iter().map(Arc::from).collect();
+        Self::assemble(config, topology, chunk_index, id_maps)
+    }
+
+    /// A cluster whose single replication group serves an existing
+    /// index — with [`ClusterConfig::new`]`(1)`, a 1-node cluster. This
+    /// is how a loaded index file is served online. Series ids are the
+    /// index's own (an identity id map), and the build report is
+    /// computed from the index; the configuration's index-shape knobs
+    /// (`segments`, `leaf_capacity`) are unused.
+    ///
+    /// # Panics
+    /// Panics unless the configuration describes exactly one
+    /// replication group.
+    pub fn from_index(index: Arc<Index>, config: ClusterConfig) -> Self {
+        let topology = Topology::new(config.n_nodes, config.replication.n_groups(config.n_nodes))
+            .unwrap_or_else(|e| panic!("invalid topology: {e}"));
+        assert_eq!(
+            topology.n_groups(),
+            1,
+            "an index is served by one replication group"
+        );
+        let ids: Arc<[u32]> = (0..index.num_series() as u32).collect();
+        Self::assemble(config, topology, vec![index], vec![ids])
+    }
+
+    /// The shared tail of both constructors: the per-chunk build
+    /// report, computed from the built indexes, and fresh feedback.
+    fn assemble(
+        config: ClusterConfig,
+        topology: Topology,
+        chunk_index: Vec<Arc<Index>>,
+        id_maps: Vec<Arc<[u32]>>,
+    ) -> Self {
+        let per_chunk_index_bytes: Vec<usize> =
+            chunk_index.iter().map(|index| index.size_bytes()).collect();
         let build = BuildReport {
-            per_chunk_times,
-            per_chunk_buffer_units,
-            per_chunk_tree_units,
+            per_chunk_times: chunk_index
+                .iter()
+                .map(|index| index.build_times())
+                .collect(),
+            per_chunk_buffer_units: chunk_index
+                .iter()
+                .map(|index| units::buffer_units(index.num_series(), index.config().series_len))
+                .collect(),
+            per_chunk_tree_units: chunk_index
+                .iter()
+                .map(|index| units::tree_units(index))
+                .collect(),
+            per_node_index_bytes: (0..config.n_nodes)
+                .map(|n| per_chunk_index_bytes[topology.group_of(n)])
+                .collect(),
             per_chunk_index_bytes,
-            per_node_index_bytes,
         };
         let (feedback, th_feedback) = Self::make_feedback(&config);
         OdysseyCluster {
             config,
             topology,
             chunk_index,
-            id_maps: partition.chunks.into_iter().map(Arc::from).collect(),
+            id_maps,
             build,
             feedback,
             th_feedback,
@@ -1919,6 +1952,49 @@ mod tests {
             full.build_report().total_index_bytes()
                 > split.build_report().total_index_bytes()
         );
+    }
+
+    /// A 1-node cluster over an existing index answers bit-identically
+    /// to a batch engine on that index, in the index's own ids, and its
+    /// build report is the index's.
+    #[test]
+    fn from_index_serves_the_index_as_one_node() {
+        let data = random_walk(900, 64, 59);
+        let w = QueryWorkload::generate(
+            &data,
+            10,
+            WorkloadKind::Mixed {
+                hard_fraction: 0.5,
+                noise: 0.05,
+            },
+            61,
+        );
+        let index = Arc::new(Index::build(
+            data,
+            IndexConfig::new(64).with_segments(8).with_leaf_capacity(32),
+            2,
+        ));
+        let cluster = OdysseyCluster::from_index(Arc::clone(&index), ClusterConfig::new(1));
+        let r = cluster.build_report();
+        assert_eq!(r.per_node_index_bytes, vec![index.size_bytes()]);
+        assert_eq!(
+            r.per_chunk_buffer_units,
+            vec![units::buffer_units(index.num_series(), 64)]
+        );
+        assert_eq!(r.per_chunk_tree_units, vec![units::tree_units(&index)]);
+        let engine = BatchEngine::new(Arc::clone(&index), 2);
+        let report = cluster.answer_batch(&w.queries);
+        assert!(report.fully_covered());
+        for qi in 0..w.len() {
+            let want = engine.exact(w.query(qi), &SearchParams::new(2)).answer;
+            let got = report.answers[qi];
+            assert_eq!(
+                got.distance.to_bits(),
+                want.distance.to_bits(),
+                "query {qi}"
+            );
+            assert_eq!(got.series_id, want.series_id, "query {qi}");
+        }
     }
 
     #[test]

@@ -286,26 +286,10 @@ impl<'c> ServeHandle<'c> {
         self.entries.lock().len()
     }
 
-    /// Queued (unclaimed) group-executions across the cluster.
-    pub fn queue_depth(&self) -> usize {
-        self.queues
-            .iter()
-            .map(|q| {
-                let gq = q.lock();
-                gq.interactive.len() + gq.batch.len()
-            })
-            .sum()
-    }
-
     /// Closes the stream: node loops drain their queues and exit.
     /// Every already-submitted query still completes.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
-    }
-
-    /// The cluster's live health map for this session.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shard_map
     }
 
     fn stats(&self) -> ServeStats {

@@ -144,6 +144,9 @@ fn env_excess_sq(c: f32, upper: f32, lower: f32) -> f64 {
 /// Dispatches to the AVX2 kernel when
 /// [`crate::distance::simd::avx2_available`] says so; the result is
 /// bit-identical to [`lb_keogh_sq_scalar`] either way.
+///
+/// # Panics
+/// Panics if the envelope and `candidate` differ in length.
 #[inline]
 pub fn lb_keogh_sq(env: &LbKeoghEnvelope, candidate: &[f32], threshold_sq: f64) -> Option<f64> {
     crate::distance::simd::lb_keogh_sq(&env.upper, &env.lower, candidate, threshold_sq)

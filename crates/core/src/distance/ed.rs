@@ -69,6 +69,9 @@ const ABANDON_BLOCK: usize = 32;
 /// Dispatches to the AVX2 kernel when
 /// [`crate::distance::simd::avx2_available`] says so; the result is
 /// bit-identical to [`euclidean_sq_early_abandon_scalar`] either way.
+///
+/// # Panics
+/// Panics if the lengths differ.
 #[inline]
 pub fn euclidean_sq_early_abandon(a: &[f32], b: &[f32], threshold_sq: f64) -> Option<f64> {
     crate::distance::simd::euclidean_sq_early_abandon(a, b, threshold_sq)

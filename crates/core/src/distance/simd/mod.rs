@@ -91,13 +91,18 @@ pub fn dispatch_name() -> &'static str {
 /// Dispatched early-abandoning squared Euclidean distance; bit-identical
 /// to [`crate::distance::ed::euclidean_sq_early_abandon_scalar`] in both
 /// modes.
+///
+/// # Panics
+/// Panics if the slices differ in length.
 #[inline]
 pub(crate) fn euclidean_sq_early_abandon(a: &[f32], b: &[f32], threshold_sq: f64) -> Option<f64> {
+    assert!(a.len() == b.len(), "equal lengths");
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: gated by `avx2_available()`, i.e. a cached
         // `is_x86_feature_detected!("avx2")` probe, so the AVX2
-        // target-feature requirement of the callee is met.
+        // target-feature requirement of the callee is met; the
+        // equal-length precondition is the assertion above.
         return unsafe { avx::euclidean_sq_early_abandon(a, b, threshold_sq) };
     }
     crate::distance::ed::euclidean_sq_early_abandon_scalar(a, b, threshold_sq)
@@ -106,6 +111,9 @@ pub(crate) fn euclidean_sq_early_abandon(a: &[f32], b: &[f32], threshold_sq: f64
 /// Dispatched early-abandoning squared LB_Keogh envelope distance;
 /// bit-identical to [`crate::distance::dtw::lb_keogh_sq_scalar`] in
 /// both modes.
+///
+/// # Panics
+/// Panics if the envelope and the candidate differ in length.
 #[inline]
 pub(crate) fn lb_keogh_sq(
     upper: &[f32],
@@ -113,11 +121,16 @@ pub(crate) fn lb_keogh_sq(
     candidate: &[f32],
     threshold_sq: f64,
 ) -> Option<f64> {
+    assert!(
+        upper.len() == candidate.len() && lower.len() == candidate.len(),
+        "equal lengths"
+    );
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: gated by `avx2_available()`, i.e. a cached
         // `is_x86_feature_detected!("avx2")` probe, so the AVX2
-        // target-feature requirement of the callee is met.
+        // target-feature requirement of the callee is met; the
+        // equal-length precondition is the assertion above.
         return unsafe { avx::lb_keogh_sq(upper, lower, candidate, threshold_sq) };
     }
     crate::distance::dtw::lb_keogh_sq_scalar(upper, lower, candidate, threshold_sq)
@@ -275,6 +288,22 @@ mod tests {
         ) {
             assert_eq!(name, "scalar");
         }
+    }
+
+    // The AVX2 bodies index every slice up to one slice's length, so a
+    // length mismatch must stop at the safe dispatcher in release
+    // builds too, not only under `debug_assert!`.
+    #[test]
+    #[should_panic(expected = "equal lengths")]
+    fn early_abandon_ed_rejects_unequal_lengths() {
+        crate::distance::euclidean_sq_early_abandon(&[0.5; 100], &[0.25; 64], f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal lengths")]
+    fn lb_keogh_rejects_unequal_lengths() {
+        let env = crate::distance::dtw::keogh_envelope(&[0.5; 64], 4);
+        crate::distance::dtw::lb_keogh_sq(&env, &[0.25; 100], f64::INFINITY);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The service crate's contracts: streamed answers bit-identical to
-//! the batch engine, bounded-queue backpressure, and honest
-//! deadline-expiry degradation.
+//! the batch engine, bounded-queue backpressure, typed rejection of
+//! malformed queries, and honest deadline-expiry degradation. A single
+//! index is served as a 1-node cluster (`OdysseyCluster::from_index`).
 
+use odyssey_cluster::{ClusterConfig, OdysseyCluster, Replication};
 use odyssey_core::index::{Index, IndexConfig};
 use odyssey_core::search::engine::{BatchAnswer, BatchEngine, QueryKind};
 use odyssey_core::search::exact::SearchParams;
 use odyssey_core::series::DatasetBuffer;
 use odyssey_service::{
-    LatencyClass, QueryService, ServeOutcome, ServiceConfig, ServiceQuery,
+    LatencyClass, QueryService, ServeOutcome, ServiceConfig, ServiceQuery, SubmitError,
 };
 use odyssey_workloads::generator::random_walk;
 use odyssey_workloads::queries::{QueryWorkload, WorkloadKind};
@@ -22,6 +24,14 @@ fn build_index(n: usize, seed: u64) -> (DatasetBuffer, Arc<Index>) {
         4,
     ));
     (data, index)
+}
+
+/// `index` served as a 1-node cluster with `threads` workers.
+fn one_node(index: &Arc<Index>, threads: usize) -> OdysseyCluster {
+    OdysseyCluster::from_index(
+        Arc::clone(index),
+        ClusterConfig::new(1).with_threads_per_node(threads),
+    )
 }
 
 fn mixed_workload(data: &DatasetBuffer, n: usize, seed: u64) -> QueryWorkload {
@@ -59,12 +69,8 @@ fn streamed_matches_batch_at_1_2_4_8_threads() {
                 QueryKind::Dtw(win) => BatchAnswer::Nn(engine.dtw(w.query(qi), win, &params).0),
             })
             .collect();
-        let service = QueryService::new(
-            ServiceConfig::default()
-                .with_pool_threads(threads)
-                .with_queue_capacity(64),
-        );
-        let (ids, report) = service.serve_index(&index, |client| {
+        let service = QueryService::new(ServiceConfig::default().with_queue_capacity(64));
+        let (ids, report) = service.serve_cluster(&one_node(&index, threads), |client| {
             (0..w.len())
                 .map(|qi| {
                     let q = ServiceQuery {
@@ -119,12 +125,9 @@ fn full_queue_rejects_with_busy() {
     let (data, index) = build_index(900, 5);
     let w = mixed_workload(&data, 40, 7);
     let capacity = 2;
-    let service = QueryService::new(
-        ServiceConfig::default()
-            .with_pool_threads(2)
-            .with_queue_capacity(capacity),
-    );
-    let ((admitted, rejected, max_retry), report) = service.serve_index(&index, |client| {
+    let service = QueryService::new(ServiceConfig::default().with_queue_capacity(capacity));
+    let cluster = one_node(&index, 2);
+    let ((admitted, rejected, max_retry), report) = service.serve_cluster(&cluster, |client| {
         let mut admitted = 0u64;
         let mut rejected = 0u64;
         let mut max_retry = Duration::ZERO;
@@ -132,10 +135,11 @@ fn full_queue_rejects_with_busy() {
         for qi in 0..w.len() {
             match client.submit(ServiceQuery::batch(w.query(qi).to_vec())) {
                 Ok(_) => admitted += 1,
-                Err(busy) => {
+                Err(SubmitError::Busy(busy)) => {
                     rejected += 1;
                     max_retry = max_retry.max(busy.retry_after);
                 }
+                Err(e) => panic!("well-formed query refused: {e:?}"),
             }
         }
         assert!(client.in_flight() <= capacity, "bounded queue");
@@ -147,7 +151,10 @@ fn full_queue_rejects_with_busy() {
         "a {capacity}-slot queue cannot absorb a {}-query burst",
         w.len()
     );
-    assert!(admitted >= capacity as u64, "the queue does fill before rejecting");
+    assert!(
+        admitted >= capacity as u64,
+        "the queue does fill before rejecting"
+    );
     assert!(max_retry > Duration::ZERO, "Busy carries a retry hint");
     assert_eq!(report.admitted, admitted);
     assert_eq!(report.rejected, rejected);
@@ -163,13 +170,11 @@ fn deadline_expiry_degrades_not_drops() {
     let (data, index) = build_index(900, 3);
     let w = mixed_workload(&data, 8, 11);
     let service = QueryService::new(
-        ServiceConfig::default()
-            .with_pool_threads(2)
-            // Already expired at claim time, for every query.
-            .with_interactive_deadline(Duration::ZERO),
+        // Already expired at claim time, for every query.
+        ServiceConfig::default().with_interactive_deadline(Duration::ZERO),
     );
-    let exact_service = QueryService::new(ServiceConfig::default().with_pool_threads(2));
-    let (exact, _) = exact_service.serve_index(&index, |client| {
+    let cluster = one_node(&index, 2);
+    let (exact, _) = QueryService::default().serve_cluster(&cluster, |client| {
         (0..w.len())
             .map(|qi| {
                 let qid = client
@@ -179,7 +184,7 @@ fn deadline_expiry_degrades_not_drops() {
             })
             .collect::<Vec<_>>()
     });
-    let (answers, report) = service.serve_index(&index, |client| {
+    let (answers, report) = service.serve_cluster(&cluster, |client| {
         let ids: Vec<u64> = (0..w.len())
             .map(|qi| {
                 client
@@ -187,7 +192,9 @@ fn deadline_expiry_degrades_not_drops() {
                     .expect("under capacity")
             })
             .collect();
-        ids.into_iter().map(|qid| client.wait(qid)).collect::<Vec<_>>()
+        ids.into_iter()
+            .map(|qid| client.wait(qid))
+            .collect::<Vec<_>>()
     });
     assert_eq!(report.completed, w.len() as u64, "no silent drops");
     assert_eq!(report.degraded, w.len() as u64, "every expiry is flagged");
@@ -196,7 +203,10 @@ fn deadline_expiry_degrades_not_drops() {
         let (BatchAnswer::Nn(d), BatchAnswer::Nn(e)) = (&a.answer, &exact[qi].answer) else {
             panic!("kinds diverged")
         };
-        assert!(d.series_id.is_some(), "query {qi}: degraded answers are real series");
+        assert!(
+            d.series_id.is_some(),
+            "query {qi}: degraded answers are real series"
+        );
         assert!(
             d.distance >= e.distance - 1e-12,
             "query {qi}: the approximate seed upper-bounds the exact distance"
@@ -204,11 +214,10 @@ fn deadline_expiry_degrades_not_drops() {
     }
 }
 
-/// The cluster backend behind the same client API: answers match the
+/// A multi-group cluster behind the same client API: answers match the
 /// cluster batch path, and the admission/histogram accounting holds.
 #[test]
 fn cluster_backend_matches_cluster_batch() {
-    use odyssey_cluster::{ClusterConfig, OdysseyCluster, Replication};
     let data = random_walk(1000, 64, 23);
     let w = mixed_workload(&data, 8, 31);
     let cluster = OdysseyCluster::build(
@@ -227,13 +236,17 @@ fn cluster_backend_matches_cluster_batch() {
                     .expect("under capacity")
             })
             .collect();
-        ids.into_iter().map(|qid| client.wait(qid)).collect::<Vec<_>>()
+        ids.into_iter()
+            .map(|qid| client.wait(qid))
+            .collect::<Vec<_>>()
     });
     assert_eq!(report.admitted, w.len() as u64);
     assert_eq!(report.completed, w.len() as u64);
     assert_eq!(report.interactive.count, w.len() as u64);
     for (qi, a) in answers.iter().enumerate() {
-        let BatchAnswer::Nn(s) = &a.answer else { panic!() };
+        let BatchAnswer::Nn(s) = &a.answer else {
+            panic!()
+        };
         assert_eq!(
             s.distance.to_bits(),
             batch.answers[qi].distance.to_bits(),
@@ -250,12 +263,8 @@ fn cluster_backend_matches_cluster_batch() {
 fn interactive_class_claims_before_batch() {
     let (data, index) = build_index(900, 13);
     let w = mixed_workload(&data, 10, 19);
-    let service = QueryService::new(
-        ServiceConfig::default()
-            .with_pool_threads(1)
-            .with_queue_capacity(16),
-    );
-    let (first_done, report) = service.serve_index(&index, |client| {
+    let service = QueryService::new(ServiceConfig::default().with_queue_capacity(16));
+    let (first_done, report) = service.serve_cluster(&one_node(&index, 1), |client| {
         // Enqueue a batch backlog, then one interactive query.
         let batch_ids: Vec<u64> = (0..w.len() - 1)
             .map(|qi| {
@@ -282,19 +291,21 @@ fn interactive_class_claims_before_batch() {
     assert_eq!(report.batch.count, (w.len() - 1) as u64);
 }
 
-/// The single-node backend trains its session predictor on every exact
-/// execution and reports the sample/refit counters; degraded answers
-/// contribute nothing.
+/// Serving trains the cluster's predictor on every exact execution, and
+/// the report carries the session's sample/refit counts; degraded
+/// answers contribute nothing.
 #[test]
 fn exact_executions_train_the_session_predictor() {
     let (data, index) = build_index(900, 41);
     let w = mixed_workload(&data, 10, 43);
-    let service = QueryService::new(
-        ServiceConfig::default()
-            .with_pool_threads(2)
+    let cluster = OdysseyCluster::from_index(
+        Arc::clone(&index),
+        ClusterConfig::new(1)
+            .with_threads_per_node(2)
             .with_feedback_refit_every(4),
     );
-    let (_, report) = service.serve_index(&index, |client| {
+    let service = QueryService::default();
+    let (_, report) = service.serve_cluster(&cluster, |client| {
         let ids: Vec<u64> = (0..w.len())
             .map(|qi| {
                 client
@@ -315,15 +326,64 @@ fn exact_executions_train_the_session_predictor() {
     );
 
     // An all-expired stream answers approximately: nothing trains.
-    let (_, degraded_report) = service.serve_index(&index, |client| {
+    let (_, degraded_report) = service.serve_cluster(&cluster, |client| {
         let qid = client
-            .submit(
-                ServiceQuery::batch(w.query(0).to_vec())
-                    .with_deadline(Duration::from_nanos(1)),
-            )
+            .submit(ServiceQuery::batch(w.query(0).to_vec()).with_deadline(Duration::from_nanos(1)))
             .expect("under capacity");
         client.wait(qid);
     });
     assert_eq!(degraded_report.degraded, 1);
     assert_eq!(degraded_report.predictor_samples, 0);
+}
+
+/// A query of the wrong length or with a non-finite value gets a typed
+/// error before admission — it neither panics a node worker nor comes
+/// back as an answer over a truncated overlap — and the same session
+/// then answers a well-formed query exactly.
+#[test]
+fn malformed_queries_get_typed_errors() {
+    let (data, index) = build_index(900, 47);
+    let w = mixed_workload(&data, 1, 53);
+    let valid = w.query(0).to_vec();
+    let mut nan = valid.clone();
+    nan[7] = f32::NAN;
+    let want = BatchEngine::new(Arc::clone(&index), 2)
+        .exact(&valid, &SearchParams::new(2))
+        .answer;
+    let (answer, report) = QueryService::default().serve_cluster(&one_node(&index, 2), |client| {
+        assert_eq!(
+            client.submit(ServiceQuery::interactive(valid[..40].to_vec())),
+            Err(SubmitError::WrongLength {
+                expected: 64,
+                got: 40
+            })
+        );
+        assert_eq!(
+            client.submit(ServiceQuery::interactive(vec![0.5; 100])),
+            Err(SubmitError::WrongLength {
+                expected: 64,
+                got: 100
+            })
+        );
+        assert_eq!(
+            client.submit(ServiceQuery::batch(nan)),
+            Err(SubmitError::NonFinite { position: 7 })
+        );
+        let qid = client
+            .submit(ServiceQuery::interactive(valid.clone()))
+            .expect("well-formed");
+        client.wait(qid)
+    });
+    assert_eq!(answer.outcome, ServeOutcome::Exact);
+    let BatchAnswer::Nn(got) = answer.answer else {
+        panic!("1-NN query answered as k-NN")
+    };
+    assert_eq!(got.distance.to_bits(), want.distance.to_bits());
+    assert_eq!(got.series_id, want.series_id);
+    assert_eq!(
+        report.admitted, 1,
+        "malformed queries take no admission slot"
+    );
+    assert_eq!(report.rejected, 0, "malformed queries are not backpressure");
+    assert_eq!(report.completed, 1);
 }
