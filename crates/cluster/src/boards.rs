@@ -149,17 +149,12 @@ impl AnswerBoard {
         }
     }
 
-    /// Merges a node's local answer for `query`. Answers carrying a
-    /// series id win ties against id-less bounds of equal distance.
+    /// Merges a node's local answer for `query` by [`Answer::min`]:
+    /// answers carrying a series id win ties against id-less bounds of
+    /// equal distance.
     pub fn merge(&self, query: usize, local: Answer) {
         let mut cur = self.answers[query].lock();
-        if local.distance_sq < cur.distance_sq
-            || (local.distance_sq == cur.distance_sq
-                && cur.series_id.is_none()
-                && local.series_id.is_some())
-        {
-            *cur = local;
-        }
+        *cur = cur.min(local);
     }
 
     /// Final answers, in query order.

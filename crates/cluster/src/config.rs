@@ -37,23 +37,6 @@ impl Replication {
     }
 }
 
-/// What kind of queries a batch contains.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchMode {
-    /// Euclidean 1-NN (the paper's primary setting).
-    Euclidean,
-    /// Euclidean k-NN (Section 4; Figure 18 uses k = 10).
-    Knn {
-        /// Neighbor count.
-        k: usize,
-    },
-    /// DTW 1-NN with a Sakoe-Chiba band (Section 4; Figure 19 uses 5%).
-    Dtw {
-        /// Band half-width in points.
-        window: usize,
-    },
-}
-
 /// Full cluster configuration.
 #[derive(Clone)]
 pub struct ClusterConfig {

@@ -52,10 +52,10 @@ pub mod stealing;
 pub mod topology;
 pub mod units;
 
-pub use config::{BatchMode, ClusterConfig, Replication};
+pub use config::{ClusterConfig, Replication};
 pub use faults::{Fault, FaultPlan};
 pub use odyssey_sched::SchedulerKind;
-pub use runtime::{BatchReport, BuildReport, KnnBatchReport, OdysseyCluster};
+pub use runtime::{BatchReport, BuildReport, OdysseyCluster};
 pub use serve::{ServeHandle, ServeOutcome, ServeQuery, ServeStats, ServedAnswer};
 pub use shard_map::{Coverage, NodeHealth, ShardMap};
 pub use topology::Topology;

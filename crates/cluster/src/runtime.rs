@@ -10,20 +10,24 @@
 //! 4. Nodes answer their queries (per-node Odyssey search) with BSF
 //!    sharing and work-stealing.
 //! 5. Local answers merge into the final per-query results.
+//!
+//! Every batch kind — Euclidean 1-NN, DTW 1-NN and k-NN — runs stages
+//! 3–5 through the one node loop of `answer_batch_inner`; the kind only
+//! picks the kernel, the result set and whether nodes steal.
 
 use crate::boards::{AnswerBoard, BoardBsf, BoardKnn, BsfBoard, CoverageBoard, KnnBoard};
-use crate::config::{BatchMode, ClusterConfig};
+use crate::config::ClusterConfig;
 use crate::faults::{self, NodeFaults};
 use crate::shard_map::{Coverage, ShardMap};
-use crate::stealing::{manager_loop, StealRequest};
+use crate::stealing::{manager_loop, StealRequest, StealResponse};
 use crate::topology::Topology;
 use crate::units;
-use crossbeam::channel::{bounded, unbounded, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use odyssey_core::index::{BuildTimes, Index, IndexConfig};
 use odyssey_core::search::answer::{Answer, KnnAnswer};
-use odyssey_core::search::dtw_search::{approx_dtw, DtwKernel};
 use odyssey_core::search::bsf::ResultSet;
-use odyssey_core::search::engine::{BatchEngine, InflightQuery, StealRegistry};
+use odyssey_core::search::dtw_search::{approx_dtw, DtwKernel};
+use odyssey_core::search::engine::{BatchEngine, InflightQuery, QueryKind, StealRegistry};
 use odyssey_core::search::exact::{SearchParams, SearchStats};
 use odyssey_core::search::kernel::{EdKernel, QueryKernel};
 use odyssey_core::search::knn::seed_from_approx_leaf;
@@ -86,11 +90,13 @@ impl BuildReport {
     }
 }
 
-/// Result of answering a 1-NN (Euclidean or DTW) batch.
+/// Result of answering a batch: 1-NN answers ([`Answer`], Euclidean or
+/// DTW) or k-NN answers ([`KnnAnswer`]), plus the same accounting for
+/// every kind.
 #[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Final per-query answers (global minimum across all nodes).
-    pub answers: Vec<Answer>,
+pub struct BatchReport<A = Answer> {
+    /// Final per-query answers (global merge across all nodes).
+    pub answers: Vec<A>,
     /// Wall-clock duration of the whole batch (host-dependent).
     pub wall: Duration,
     /// Work units spent per node (own queries + stolen work).
@@ -99,13 +105,16 @@ pub struct BatchReport {
     pub per_query_units: Vec<u64>,
     /// Queries answered per node (own assignments, not steals).
     pub per_node_queries: Vec<usize>,
-    /// Best initial BSF (rooted) observed per query across groups.
+    /// Best initial BSF (rooted) observed per query across groups by
+    /// the cost estimation (the approximate 1-NN distance; infinite
+    /// under a policy that needs no predictions).
     pub per_query_initial_bsf: Vec<f64>,
     /// Steal requests sent by idle nodes.
     pub steals_attempted: u64,
     /// Steal requests that returned at least one RS-batch.
     pub steals_successful: u64,
-    /// BSF-channel broadcasts.
+    /// BSF-channel broadcasts (1-NN batches; k-NN shares its k-th
+    /// bound without counting).
     pub bsf_broadcasts: u64,
     /// Per-query answer coverage (the degraded-answer contract):
     /// `Complete` unless some replication group lost all replicas
@@ -120,7 +129,7 @@ pub struct BatchReport {
     pub final_epoch: u64,
 }
 
-impl BatchReport {
+impl<A> BatchReport<A> {
     /// The makespan in work units: max over nodes of their busy units —
     /// the simulated analogue of the paper's max-over-nodes time.
     pub fn makespan_units(&self) -> u64 {
@@ -152,27 +161,6 @@ impl BatchReport {
         }
     }
 }
-
-/// Result of answering a k-NN batch.
-#[derive(Debug, Clone)]
-pub struct KnnBatchReport {
-    /// Final merged k-NN answers.
-    pub answers: Vec<KnnAnswer>,
-    /// Wall-clock duration.
-    pub wall: Duration,
-    /// Work units per node.
-    pub per_node_units: Vec<u64>,
-    /// Per-query answer coverage (see [`BatchReport::coverage`]).
-    pub coverage: Vec<Coverage>,
-}
-
-impl KnnBatchReport {
-    /// Max-over-nodes work units.
-    pub fn makespan_units(&self) -> u64 {
-        self.per_node_units.iter().copied().max().unwrap_or(0)
-    }
-}
-
 /// A built Odyssey cluster, ready to answer query batches.
 pub struct OdysseyCluster {
     config: ClusterConfig,
@@ -417,9 +405,19 @@ impl OdysseyCluster {
         a
     }
 
+    /// The series length of the indexed collection, which every query
+    /// must have.
+    pub(crate) fn series_len(&self) -> usize {
+        self.chunk_index[0].config().series_len
+    }
+
     /// Answers a batch of Euclidean 1-NN queries (stage 3–5 of Figure 3).
+    ///
+    /// # Panics
+    /// Panics when the queries' length differs from the indexed series
+    /// length; the message names both.
     pub fn answer_batch(&self, queries: &DatasetBuffer) -> BatchReport {
-        self.answer_batch_mode(queries, BatchMode::Euclidean)
+        self.answer_batch_inner(queries, QueryKind::Exact, None, ResultBoard::into_nn)
     }
 
     /// Answers a dynamically arriving stream of Euclidean 1-NN queries.
@@ -433,96 +431,52 @@ impl OdysseyCluster {
     /// are identical to [`OdysseyCluster::answer_batch`] (exactness does
     /// not depend on scheduling); load balance degrades gracefully, which
     /// is exactly why the work-stealing mechanism exists.
+    ///
+    /// # Panics
+    /// Panics when `wave_size` is 0, or when the queries' length differs
+    /// from the indexed series length; the message names both lengths.
     pub fn answer_batch_stream(&self, queries: &DatasetBuffer, wave_size: usize) -> BatchReport {
         assert!(wave_size >= 1);
-        self.answer_batch_inner(queries, BatchMode::Euclidean, Some(wave_size))
-    }
-
-    /// Answers a batch *approximately*: each node returns the best real
-    /// distance inside the single most-promising leaf of its index (the
-    /// classic ng-approximate answer of the iSAX literature; DPiSAX's
-    /// native batch mode). Orders of magnitude cheaper than exact search;
-    /// the returned distances upper-bound the exact ones.
-    pub fn answer_batch_approximate(&self, queries: &DatasetBuffer) -> BatchReport {
-        let t0 = std::time::Instant::now();
-        let nq = queries.num_series();
-        let n_groups = self.topology.n_groups();
-        let answer_board = AnswerBoard::new(nq);
-        let per_node_units: Vec<AtomicU64> = (0..self.topology.n_nodes())
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        // One node per group answers (approximate answers are identical
-        // across a replication group, so the extra nodes add nothing).
-        std::thread::scope(|scope| {
-            for g in 0..n_groups {
-                let index = Arc::clone(&self.chunk_index[g]);
-                let answer_board = &answer_board;
-                let per_node_units = &per_node_units;
-                let node = self.topology.group_coordinator(g);
-                scope.spawn(move || {
-                    for qid in 0..nq {
-                        let r = index.approx_search(queries.series(qid));
-                        let a = Answer {
-                            distance: r.distance,
-                            distance_sq: r.distance_sq,
-                            series_id: r.series_id,
-                        };
-                        answer_board.merge(qid, self.globalize(g, a));
-                        // Approx cost: one root-to-leaf walk plus a leaf
-                        // scan — charge the leaf scan.
-                        per_node_units[node].fetch_add(
-                            (r.leaf_size * queries.series_len()) as u64,
-                            Ordering::Relaxed,
-                        );
-                    }
-                });
-            }
-        });
-        BatchReport {
-            answers: answer_board.into_answers(),
-            wall: t0.elapsed(),
-            per_node_units: per_node_units
-                .iter()
-                .map(|u| u.load(Ordering::Relaxed))
-                .collect(),
-            per_query_units: vec![0; nq],
-            per_node_queries: vec![nq; 1],
-            per_query_initial_bsf: Vec::new(),
-            steals_attempted: 0,
-            steals_successful: 0,
-            bsf_broadcasts: 0,
-            // The approximate path ignores fault plans (it is the cheap
-            // estimation primitive, not the failure-tested exact path).
-            coverage: vec![Coverage::Complete; nq],
-            reroutes: 0,
-            dead_nodes: Vec::new(),
-            final_epoch: 0,
-        }
+        self.answer_batch_inner(queries, QueryKind::Exact, Some(wave_size), ResultBoard::into_nn)
     }
 
     /// Answers a batch of DTW 1-NN queries.
-    pub fn answer_batch_dtw(&self, queries: &DatasetBuffer, window: usize) -> BatchReport {
-        self.answer_batch_mode(queries, BatchMode::Dtw { window })
-    }
-
-    /// Answers a 1-NN batch in the given mode.
     ///
     /// # Panics
-    /// Panics when called with [`BatchMode::Knn`]; use
-    /// [`OdysseyCluster::answer_batch_knn`].
-    pub fn answer_batch_mode(&self, queries: &DatasetBuffer, mode: BatchMode) -> BatchReport {
-        self.answer_batch_inner(queries, mode, None)
+    /// Panics when the queries' length differs from the indexed series
+    /// length; the message names both.
+    pub fn answer_batch_dtw(&self, queries: &DatasetBuffer, window: usize) -> BatchReport {
+        self.answer_batch_inner(queries, QueryKind::Dtw(window), None, ResultBoard::into_nn)
     }
 
-    fn answer_batch_inner(
+    /// Answers a k-NN batch (Section 4) through the same node loop as
+    /// the 1-NN batches — estimation, dispatch, lanes, straggler pacing
+    /// and failover — sharing the k-th distance instead of the BSF.
+    /// Inter-node work-stealing is not applied to k-NN batches (local
+    /// result sets are merged at the coordinator instead).
+    ///
+    /// # Panics
+    /// Panics when `k` is 0, or when the queries' length differs from
+    /// the indexed series length; the message names both lengths.
+    pub fn answer_batch_knn(&self, queries: &DatasetBuffer, k: usize) -> BatchReport<KnnAnswer> {
+        self.answer_batch_inner(queries, QueryKind::Knn(k), None, ResultBoard::into_knn)
+    }
+
+    /// Stages 3–5 for every batch kind: the cluster's one batch node
+    /// loop. `answers` reads the kind's final answers off the result
+    /// board once every node has finished.
+    fn answer_batch_inner<A>(
         &self,
         queries: &DatasetBuffer,
-        mode: BatchMode,
+        kind: QueryKind,
         wave_size: Option<usize>,
-    ) -> BatchReport {
+        answers: fn(ResultBoard) -> Vec<A>,
+    ) -> BatchReport<A> {
         assert!(
-            !matches!(mode, BatchMode::Knn { .. }),
-            "use answer_batch_knn for k-NN batches"
+            queries.series_len() == self.series_len(),
+            "query length {} does not match the indexed series length {}",
+            queries.series_len(),
+            self.series_len()
         );
         let t0 = std::time::Instant::now();
         let nq = queries.num_series();
@@ -544,9 +498,11 @@ impl OdysseyCluster {
                 let index = &self.chunk_index[g];
                 (0..nq)
                     .map(|q| {
-                        let est_bsf = match mode {
-                            BatchMode::Euclidean => index.approx_search(queries.series(q)).distance,
-                            BatchMode::Dtw { window } => {
+                        let est_bsf = match kind {
+                            QueryKind::Exact | QueryKind::Knn(_) => {
+                                index.approx_search(queries.series(q)).distance
+                            }
+                            QueryKind::Dtw(window) => {
                                 let kernel = DtwKernel::new(
                                     queries.series(q),
                                     window,
@@ -554,7 +510,6 @@ impl OdysseyCluster {
                                 );
                                 approx_dtw(index, &kernel).0.sqrt()
                             }
-                            BatchMode::Knn { .. } => unreachable!(),
                         };
                         initial_bsf_board[q].fetch_min(est_bsf.to_bits(), Ordering::Relaxed);
                         match &self.config.cost_model {
@@ -569,7 +524,7 @@ impl OdysseyCluster {
             } else {
                 vec![1.0; nq]
             };
-            dispatch.push(GroupDispatch::build_waved(
+            dispatch.push(GroupDispatch::new(
                 self.config.scheduler,
                 &estimates,
                 group_size,
@@ -583,8 +538,7 @@ impl OdysseyCluster {
         }
 
         // --- Stage 4: node execution ------------------------------------
-        let bsf_board = BsfBoard::new(nq);
-        let answer_board = AnswerBoard::new(nq);
+        let board = ResultBoard::new(kind, nq);
         let done: Vec<AtomicBool> = (0..n_nodes).map(|_| AtomicBool::new(false)).collect();
         let group_done: Vec<AtomicUsize> = (0..n_groups).map(|_| AtomicUsize::new(0)).collect();
         // One steal registry per node, shared between the node's engine
@@ -615,7 +569,11 @@ impl OdysseyCluster {
         // `'static`.
         let steals_served = Arc::new(AtomicU64::new(0));
 
-        let stealing_enabled = self.config.work_stealing && group_size > 1;
+        // k-NN batches do not steal: each group's local neighbor list is
+        // merged at the coordinator instead.
+        let stealing_enabled = self.config.work_stealing
+            && group_size > 1
+            && !matches!(kind, QueryKind::Knn(_));
         // Inter-query lanes only need per-query predictions: the
         // engine-resident steal registry serves thieves from any
         // in-flight lane query, so stealing no longer disables lanes.
@@ -640,14 +598,13 @@ impl OdysseyCluster {
         std::thread::scope(|scope| {
             for node in 0..n_nodes {
                 let g = topo.group_of(node);
-                let member_idx = topo
-                    .nodes_in_group(g)
+                let members = topo.nodes_in_group(g);
+                let member_idx = members
                     .iter()
                     .position(|&m| m == node)
                     .expect("node belongs to its group");
                 let dispatch = &dispatch;
-                let bsf_board = &bsf_board;
-                let answer_board = &answer_board;
+                let board = &board;
                 let done = &done;
                 let group_done = &group_done;
                 let registries = &registries;
@@ -664,7 +621,6 @@ impl OdysseyCluster {
                 let reroute_queues = &reroute_queues;
                 let drained = &drained;
                 let reroutes_total = &reroutes_total;
-                let topo2 = topo;
                 let index = Arc::clone(&self.chunk_index[g]);
                 // Node worker thread.
                 let speed = self.config.node_speed(node);
@@ -713,7 +669,12 @@ impl OdysseyCluster {
                             },
                         ));
                     }
-                    let account = |qid: usize, stats: &SearchStats| {
+                    // Unit accounting of every execution, paced by the
+                    // node's speed. A whole query (not a thief's subset)
+                    // is also the node's own answer: it renews the
+                    // node's lease, advances the logical clock, and marks
+                    // the query answered for the node's group.
+                    let account = |qid: usize, stats: &SearchStats, whole: bool| {
                         let u = (units::search_units(
                             stats,
                             queries.series_len(),
@@ -722,14 +683,66 @@ impl OdysseyCluster {
                             / speed) as u64;
                         per_node_units[node].fetch_add(u, Ordering::Relaxed);
                         per_query_units[qid].fetch_add(u, Ordering::Relaxed);
-                        per_node_queries[node].fetch_add(1, Ordering::Relaxed);
-                        // Liveness + coverage book-keeping: a finished
-                        // execution renews the node's lease, advances
-                        // the logical clock, and marks this query
-                        // answered for the node's group.
-                        shard_map.tick();
-                        shard_map.heartbeat(node);
-                        coverage_board.mark(qid, g);
+                        if whole {
+                            per_node_queries[node].fetch_add(1, Ordering::Relaxed);
+                            shard_map.tick();
+                            shard_map.heartbeat(node);
+                            coverage_board.mark(qid, g);
+                        }
+                    };
+                    // One whole query: the node's own, or a re-route.
+                    let run_own = |runner: &mut Runner<'_, '_, '_>, qid: usize| {
+                        let stats = self.execute_query(
+                            runner,
+                            None,
+                            group_costs[g].get(qid).copied(),
+                            queries.series(qid),
+                            qid,
+                            kind,
+                            g,
+                            board,
+                        );
+                        account(qid, &stats, true);
+                    };
+                    // A steal reply: runs its RS-batch subset; `false`
+                    // when the victim had nothing to hand out.
+                    let run_stolen = |runner: &mut Runner<'_, '_, '_>, resp: StealResponse| {
+                        if resp.batch_ids.is_empty() {
+                            return false;
+                        }
+                        steals_successful.fetch_add(1, Ordering::Relaxed);
+                        let qid = resp.query_id.expect("non-empty steal has query");
+                        let stats = self.execute_query(
+                            runner,
+                            Some((&resp.batch_ids, resp.bsf_sq)),
+                            None,
+                            queries.series(qid),
+                            qid,
+                            kind,
+                            g,
+                            board,
+                        );
+                        account(qid, &stats, false);
+                        true
+                    };
+                    // Steal victims: group members still running.
+                    let live_peers = || -> Vec<usize> {
+                        members
+                            .iter()
+                            .copied()
+                            .filter(|&m| m != node && !done[m].load(Ordering::Acquire))
+                            .collect()
+                    };
+                    // Sends one steal request; `None` once the victim's
+                    // request channel is gone.
+                    let request = |victim: usize| -> Option<Receiver<StealResponse>> {
+                        steals_attempted.fetch_add(1, Ordering::Relaxed);
+                        let (rtx, rrx) = bounded(1);
+                        let req = StealRequest {
+                            from: node,
+                            reply: rtx,
+                        };
+                        steal_tx[victim].send(req).ok().map(|()| rrx)
                     };
                     // A dying node's hand-off (the crash notification):
                     // mark `Down` in the shard map, push the torn-down
@@ -759,6 +772,35 @@ impl OdysseyCluster {
                         done[node].store(true, Ordering::Release);
                         group_done[g].fetch_add(1, Ordering::AcqRel);
                     };
+                    // One whole query on the pool under the fault plan —
+                    // an own claim (`attempts` 0) or a re-route claimed
+                    // after `attempts` hand-offs; `false` once the node
+                    // has died. A worker panic poisons the lane barrier,
+                    // unwinds through the engine (pool reset, grant
+                    // deregistered) and lands here: the torn-down query
+                    // re-routes to a surviving replica. An armed panic
+                    // that crossed no service tick still kills the node
+                    // at this query — after completing it, so nothing
+                    // needs re-routing.
+                    let guarded =
+                        |nf: &mut NodeFaults, qid: usize, attempts: usize, rerouted: bool| {
+                            let fatal_now = nf.panic_due();
+                            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                                || run_own(&mut Runner::Pool(&engine), qid),
+                            ));
+                            if run.is_err() {
+                                hand_off(Some((qid, attempts)), rerouted);
+                                return false;
+                            }
+                            nf.record_execution();
+                            if rerouted {
+                                reroute_queues[g].lock().inflight -= 1;
+                            }
+                            if fatal_now {
+                                hand_off(None, false);
+                            }
+                            !fatal_now
+                        };
                     if nf.has_fatal() {
                         // A fault-bearing node runs the sequential pool
                         // surface so its death has a well-defined point
@@ -773,46 +815,8 @@ impl OdysseyCluster {
                             let Some(qid) = dispatch[g].next(member_idx) else {
                                 break;
                             };
-                            let fatal_now = nf.panic_due();
-                            let run = std::panic::catch_unwind(
-                                std::panic::AssertUnwindSafe(|| {
-                                    self.execute_query(
-                                        &mut Runner::Pool(&engine),
-                                        None,
-                                        group_costs[g].get(qid).copied(),
-                                        queries.series(qid),
-                                        qid,
-                                        mode,
-                                        g,
-                                        bsf_board,
-                                        answer_board,
-                                    )
-                                }),
-                            );
-                            match run {
-                                Ok(stats) => {
-                                    account(qid, &stats);
-                                    nf.record_execution();
-                                    if fatal_now {
-                                        // The armed panic crossed no
-                                        // service tick; the node still
-                                        // dies at this query — after
-                                        // completing it, so nothing
-                                        // needs re-routing.
-                                        hand_off(None, false);
-                                        return;
-                                    }
-                                }
-                                Err(_) => {
-                                    // The worker panic poisoned the
-                                    // lane barrier, unwound through the
-                                    // engine (pool reset, grant
-                                    // deregistered), and lands here:
-                                    // the torn-down query re-routes to
-                                    // a surviving replica.
-                                    hand_off(Some((qid, 0)), false);
-                                    return;
-                                }
+                            if !guarded(&mut nf, qid, 0, false) {
+                                return;
                             }
                         }
                     } else if use_lanes {
@@ -827,30 +831,17 @@ impl OdysseyCluster {
                         // lanes finish the node's own (predicted-hard)
                         // tail — the node never dedicates the full pool
                         // to stolen work before its own work is done.
-                        let members = topo2.nodes_in_group(g);
                         let victim_rr = AtomicUsize::new(node);
                         let lane_steal = |ctx: &mut LaneCtx| -> bool {
-                            let candidates: Vec<usize> = members
-                                .iter()
-                                .copied()
-                                .filter(|&m| m != node && !done[m].load(Ordering::Acquire))
-                                .collect();
+                            let candidates = live_peers();
                             if candidates.is_empty() {
                                 return false;
                             }
                             let victim = candidates
                                 [victim_rr.fetch_add(1, Ordering::Relaxed) % candidates.len()];
-                            steals_attempted.fetch_add(1, Ordering::Relaxed);
-                            let (rtx, rrx) = bounded(1);
-                            if steal_tx[victim]
-                                .send(StealRequest {
-                                    from: node,
-                                    reply: rtx,
-                                })
-                                .is_err()
-                            {
+                            let Some(rrx) = request(victim) else {
                                 return false;
-                            }
+                            };
                             // The victim's manager (or one of its
                             // cooperative workers) always replies while
                             // this node is unfinished — group_done
@@ -866,33 +857,11 @@ impl OdysseyCluster {
                                     Err(_) => return false,
                                 }
                             };
-                            if resp.batch_ids.is_empty() {
+                            if !run_stolen(&mut Runner::Lane(ctx), resp) {
                                 // Nothing stealable right now: brief
                                 // back-off before bothering someone else.
                                 std::thread::sleep(Duration::from_micros(100));
-                                return true;
                             }
-                            steals_successful.fetch_add(1, Ordering::Relaxed);
-                            let qid = resp.query_id.expect("non-empty steal has query");
-                            let stats = self.execute_query(
-                                &mut Runner::Lane(ctx),
-                                Some((&resp.batch_ids, resp.bsf_sq)),
-                                None,
-                                queries.series(qid),
-                                qid,
-                                mode,
-                                g,
-                                bsf_board,
-                                answer_board,
-                            );
-                            let u = (units::search_units(
-                                &stats,
-                                queries.series_len(),
-                                index.config().segments,
-                            ) as f64
-                                / speed) as u64;
-                            per_node_units[node].fetch_add(u, Ordering::Relaxed);
-                            per_query_units[qid].fetch_add(u, Ordering::Relaxed);
                             true
                         };
                         self.run_lane_dispatch(
@@ -900,38 +869,14 @@ impl OdysseyCluster {
                             member_idx,
                             &group_costs[g],
                             &engine,
-                            &|ctx, qid| {
-                                let stats = self.execute_query(
-                                    &mut Runner::Lane(ctx),
-                                    None,
-                                    group_costs[g].get(qid).copied(),
-                                    queries.series(qid),
-                                    qid,
-                                    mode,
-                                    g,
-                                    bsf_board,
-                                    answer_board,
-                                );
-                                account(qid, &stats);
-                            },
+                            &|ctx, qid| run_own(&mut Runner::Lane(ctx), qid),
                             stealing_enabled.then_some(
                                 &lane_steal as &(dyn Fn(&mut LaneCtx) -> bool + Sync),
                             ),
                         );
                     } else {
                         while let Some(qid) = dispatch[g].next(member_idx) {
-                            let stats = self.execute_query(
-                                &mut Runner::Pool(&engine),
-                                None,
-                                group_costs[g].get(qid).copied(),
-                                queries.series(qid),
-                                qid,
-                                mode,
-                                g,
-                                bsf_board,
-                                answer_board,
-                            );
-                            account(qid, &stats);
+                            run_own(&mut Runner::Pool(&engine), qid);
                         }
                     }
                     // Phase B (fault plans only): before thieving, a
@@ -942,7 +887,6 @@ impl OdysseyCluster {
                     // behavior is byte-for-byte the pre-failover one.
                     if fault_plan.is_some() {
                         drained[node].store(true, Ordering::Release);
-                        let members = topo2.nodes_in_group(g);
                         let wait_deadline =
                             std::time::Instant::now() + self.config.query_deadline;
                         enum Step {
@@ -990,39 +934,8 @@ impl OdysseyCluster {
                                 }
                                 Step::Claim(qid, attempts) => {
                                     reroutes_total.fetch_add(1, Ordering::Relaxed);
-                                    let fatal_now = nf.panic_due();
-                                    let run = std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(|| {
-                                            self.execute_query(
-                                                &mut Runner::Pool(&engine),
-                                                None,
-                                                group_costs[g].get(qid).copied(),
-                                                queries.series(qid),
-                                                qid,
-                                                mode,
-                                                g,
-                                                bsf_board,
-                                                answer_board,
-                                            )
-                                        }),
-                                    );
-                                    match run {
-                                        Ok(stats) => {
-                                            account(qid, &stats);
-                                            nf.record_execution();
-                                            reroute_queues[g].lock().inflight -= 1;
-                                            if fatal_now {
-                                                hand_off(None, false);
-                                                return;
-                                            }
-                                        }
-                                        Err(_) => {
-                                            // Died mid-re-route: put the
-                                            // query back (bounded by
-                                            // `max_reroutes`) and retire.
-                                            hand_off(Some((qid, attempts)), true);
-                                            return;
-                                        }
+                                    if !guarded(&mut nf, qid, attempts, true) {
+                                        return;
                                     }
                                 }
                             }
@@ -1036,37 +949,9 @@ impl OdysseyCluster {
                     // already marked its batches stolen on the victim, so
                     // dropping it would lose that work forever.
                     if stealing_enabled {
-                        let members = topo2.nodes_in_group(g);
                         let mut rng =
                             StdRng::seed_from_u64(self.config.seed ^ (node as u64) << 32);
-                        let mut pending: Option<crossbeam::channel::Receiver<_>> = None;
-                        let handle = |resp: crate::stealing::StealResponse| {
-                            if resp.batch_ids.is_empty() {
-                                return false;
-                            }
-                            steals_successful.fetch_add(1, Ordering::Relaxed);
-                            let qid = resp.query_id.expect("non-empty steal has query");
-                            let stats = self.execute_query(
-                                &mut Runner::Pool(&engine),
-                                Some((&resp.batch_ids, resp.bsf_sq)),
-                                None,
-                                queries.series(qid),
-                                qid,
-                                mode,
-                                g,
-                                bsf_board,
-                                answer_board,
-                            );
-                            let u = (units::search_units(
-                                &stats,
-                                queries.series_len(),
-                                index.config().segments,
-                            ) as f64
-                                / speed) as u64;
-                            per_node_units[node].fetch_add(u, Ordering::Relaxed);
-                            per_query_units[qid].fetch_add(u, Ordering::Relaxed);
-                            true
-                        };
+                        let mut pending: Option<Receiver<StealResponse>> = None;
                         loop {
                             let all_done =
                                 group_done[g].load(Ordering::Acquire) >= members.len();
@@ -1074,7 +959,7 @@ impl OdysseyCluster {
                                 match rrx.recv_timeout(Duration::from_millis(1)) {
                                     Ok(resp) => {
                                         pending = None;
-                                        if !handle(resp) {
+                                        if !run_stolen(&mut Runner::Pool(&engine), resp) {
                                             // Empty reply: brief back-off
                                             // before bothering someone else.
                                             std::thread::sleep(Duration::from_micros(100));
@@ -1087,7 +972,7 @@ impl OdysseyCluster {
                                             // total; one final poll settles
                                             // the request's fate.
                                             if let Ok(resp) = rrx.try_recv() {
-                                                handle(resp);
+                                                run_stolen(&mut Runner::Pool(&engine), resp);
                                             }
                                             pending = None;
                                         }
@@ -1099,27 +984,15 @@ impl OdysseyCluster {
                             if all_done {
                                 break;
                             }
-                            let candidates: Vec<usize> = members
-                                .iter()
-                                .copied()
-                                .filter(|&m| m != node && !done[m].load(Ordering::Acquire))
-                                .collect();
+                            let candidates = live_peers();
                             if candidates.is_empty() {
                                 break;
                             }
                             let victim = candidates[rng.gen_range(0..candidates.len())];
-                            steals_attempted.fetch_add(1, Ordering::Relaxed);
-                            let (rtx, rrx) = bounded(1);
-                            if steal_tx[victim]
-                                .send(StealRequest {
-                                    from: node,
-                                    reply: rtx,
-                                })
-                                .is_err()
-                            {
-                                break;
+                            match request(victim) {
+                                Some(rrx) => pending = Some(rrx),
+                                None => break,
                             }
-                            pending = Some(rrx);
                         }
                     }
                 });
@@ -1140,7 +1013,8 @@ impl OdysseyCluster {
 
         // --- Stage 5: merge ----------------------------------------------
         BatchReport {
-            answers: answer_board.into_answers(),
+            bsf_broadcasts: board.broadcasts(),
+            answers: answers(board),
             wall: t0.elapsed(),
             per_node_units: per_node_units
                 .iter()
@@ -1160,7 +1034,6 @@ impl OdysseyCluster {
                 .collect(),
             steals_attempted: steals_attempted.into_inner(),
             steals_successful: steals_successful.into_inner(),
-            bsf_broadcasts: bsf_board.broadcasts(),
             coverage: coverage_board.into_coverages(),
             reroutes: reroutes_total.into_inner(),
             dead_nodes: (0..n_nodes).filter(|&n| shard_map.is_down(n)).collect(),
@@ -1168,13 +1041,16 @@ impl OdysseyCluster {
         }
     }
 
-    /// Executes one 1-NN query (or one stolen batch subset of it) on
-    /// either execution surface — a node's resident pool or one of its
-    /// lanes — merging the local answer into the boards. The query is
-    /// registered with the node engine's steal registry for its whole
-    /// run, so the work-stealing manager (and the workers' cooperative
-    /// service hook) can hand out its RS-batches from either surface —
-    /// lanes serve thieves mid-round just like the pool does.
+    /// Executes one query — or one stolen RS-batch subset of it — on
+    /// either execution surface (a node's resident pool or one of its
+    /// lanes), merging the local answer into the batch's result board.
+    /// The board picks the result set: ED and DTW 1-NN run a BSF seeded
+    /// by their approximate search (a thief's by the victim's BSF),
+    /// k-NN a neighbor set seeded from the approximate leaf. The query
+    /// is registered with the node engine's steal registry for its
+    /// whole run, so the work-stealing manager (and the workers'
+    /// cooperative service hook) can hand out its RS-batches from either
+    /// surface — lanes serve thieves mid-round just like the pool does.
     #[allow(clippy::too_many_arguments)]
     fn execute_query(
         &self,
@@ -1183,75 +1059,89 @@ impl OdysseyCluster {
         estimate: Option<f64>,
         query: &[f32],
         qid: usize,
-        mode: BatchMode,
+        kind: QueryKind,
         group: usize,
-        bsf_board: &BsfBoard,
-        answer_board: &AnswerBoard,
+        board: &ResultBoard,
     ) -> SearchStats {
         let index = Arc::clone(runner.index());
-        let stolen_bsf = stolen.map(|(_, bsf_sq)| bsf_sq);
-        let params = SearchParams::new(self.config.threads_per_node)
-            .with_th(self.config.pq_threshold)
-            .with_nsb(self.config.rs_batches);
-        let board_opt = self.config.bsf_sharing.then_some((bsf_board, qid));
-        let mut run = |kernel: &dyn QueryKernel, init_sq: f64, init_id: Option<u32>| {
-            // Per-query TH (Figure 6): the sigmoid model predicts the
-            // queue threshold from this query's initial BSF. The online
-            // wrapper starts at the trained parameters and refits from
-            // this cluster's own `(BSF, median queue size)` samples.
-            let mut params = params;
-            if let Some(th) = &self.th_feedback {
-                params.th = th.predict_th(init_sq.sqrt());
-            }
-            let bsf = BoardBsf::new(init_sq, init_id, board_opt);
-            let grant = runner.admit(
-                qid,
-                Arc::clone(&bsf.local) as Arc<dyn ResultSet + Send + Sync>,
-                estimate,
-            );
-            let stats = runner.run_query(
-                kernel,
-                &params,
-                &bsf,
-                stolen.map(|(ids, _)| ids),
-                &grant,
-            );
-            drop(grant);
-            answer_board.merge(qid, self.globalize(group, bsf.local_answer()));
-            // Close the prediction loop (full executions only: a stolen
-            // subset's time says nothing about a whole query's cost).
-            if stolen.is_none() {
-                self.feedback
-                    .record(init_sq.sqrt(), stats.elapsed.as_secs_f64());
-                if let Some(th) = &self.th_feedback {
-                    th.record(init_sq.sqrt(), stats.pq_size_median as f64);
+        let segments = index.config().segments;
+        let subset = stolen.map(|(ids, _)| ids);
+        let sharing = self.config.bsf_sharing;
+        match board {
+            ResultBoard::Knn(knn_board) => {
+                let set = BoardKnn::new(knn_board.k(), sharing.then_some((knn_board, qid)));
+                let kernel = EdKernel::new(query, segments);
+                seed_from_approx_leaf(&index, &kernel, &set.local);
+                // The k-NN analogue of the initial BSF: the k-th distance
+                // after seeding (infinite when the seed leaf held < k).
+                let seed_sq = set.local.threshold_sq();
+                let grant = runner.admit(qid, Arc::clone(&set.local) as _, estimate);
+                let stats = self.run_admitted(runner, &kernel, &set, grant, seed_sq, subset);
+                let mut local = set.local.snapshot();
+                // Translate chunk-local ids to global ids.
+                for n in local.neighbors.iter_mut() {
+                    n.1 = self.id_maps[group][n.1 as usize];
                 }
+                knn_board.merge(qid, local);
+                stats
             }
-            stats
-        };
-        match mode {
-            BatchMode::Euclidean => {
-                let kernel = EdKernel::new(query, index.config().segments);
-                let (init_sq, init_id) = match stolen_bsf {
-                    Some(bsf_sq) => (bsf_sq, None),
-                    None => {
+            ResultBoard::Nn(bsf_board, answers) => {
+                let mut run = |kernel: &dyn QueryKernel, (seed_sq, seed_id): (f64, Option<u32>)| {
+                    let bsf = BoardBsf::new(seed_sq, seed_id, sharing.then_some((bsf_board, qid)));
+                    let grant = runner.admit(qid, Arc::clone(&bsf.local) as _, estimate);
+                    let stats = self.run_admitted(runner, kernel, &bsf, grant, seed_sq, subset);
+                    answers.merge(qid, self.globalize(group, bsf.local_answer()));
+                    stats
+                };
+                // A thief starts from the victim's BSF, whose id stays
+                // with the victim.
+                let from_victim = stolen.map(|(_, bsf_sq)| (bsf_sq, None));
+                if let QueryKind::Dtw(window) = kind {
+                    let kernel = DtwKernel::new(query, window, segments);
+                    run(&kernel, from_victim.unwrap_or_else(|| approx_dtw(&index, &kernel)))
+                } else {
+                    let kernel = EdKernel::new(query, segments);
+                    let seed = from_victim.unwrap_or_else(|| {
                         let a =
                             index.approx_search_with_table(query, kernel.qpaa(), kernel.table());
                         (a.distance_sq, a.series_id)
-                    }
-                };
-                run(&kernel, init_sq, init_id)
+                    });
+                    run(&kernel, seed)
+                }
             }
-            BatchMode::Dtw { window } => {
-                let kernel = DtwKernel::new(query, window, index.config().segments);
-                let (init_sq, init_id) = match stolen_bsf {
-                    Some(bsf_sq) => (bsf_sq, None),
-                    None => approx_dtw(&index, &kernel),
-                };
-                run(&kernel, init_sq, init_id)
-            }
-            BatchMode::Knn { .. } => unreachable!("guarded by answer_batch_mode"),
         }
+    }
+
+    /// Runs one admitted, seeded query on `runner` — whole, or a thief's
+    /// RS-batch `subset` — and feeds a whole execution back to the
+    /// online predictors ([`record_feedback`]). With a threshold model,
+    /// the query's `TH` (Figure 6) is predicted from its seed bound: the
+    /// online wrapper starts at the trained parameters and refits from
+    /// this cluster's own `(bound, median queue size)` samples.
+    fn run_admitted<R: ResultSet>(
+        &self,
+        runner: &mut Runner<'_, '_, '_>,
+        kernel: &dyn QueryKernel,
+        results: &R,
+        grant: InflightQuery,
+        seed_sq: f64,
+        subset: Option<&[usize]>,
+    ) -> SearchStats {
+        let bound = seed_sq.sqrt();
+        let mut params = SearchParams::new(self.config.threads_per_node)
+            .with_th(self.config.pq_threshold)
+            .with_nsb(self.config.rs_batches);
+        if let Some(th) = self.th_feedback.as_ref().filter(|_| bound.is_finite()) {
+            params.th = th.predict_th(bound);
+        }
+        let mut stats = runner.run_query(kernel, &params, results, subset, &grant);
+        drop(grant);
+        stats.initial_bsf = bound;
+        // A stolen subset's time says nothing about a whole query's cost.
+        if subset.is_none() {
+            record_feedback(&self.feedback, self.th_feedback.as_deref(), &stats);
+        }
+        stats
     }
 
     /// Drains one group member's dispatch queue with **continuous**
@@ -1262,8 +1152,7 @@ impl OdysseyCluster {
     /// immediately pulls the next one while a sibling lane is still
     /// mid-search on a hard one. Wide lanes claim from the front of the
     /// dispatch order (hardest-first under PREDICT-DN), narrow lanes
-    /// from the back, so the tiers meet in the middle. Shared by the
-    /// 1-NN and k-NN batch paths.
+    /// from the back, so the tiers meet in the middle.
     fn run_lane_dispatch(
         &self,
         dispatch: &GroupDispatch,
@@ -1322,276 +1211,6 @@ impl OdysseyCluster {
                 }
             }
         });
-    }
-
-    /// Answers a k-NN batch (Section 4). Uses the same replication,
-    /// scheduling and k-th-bound sharing machinery; inter-node
-    /// work-stealing is not applied to k-NN batches (local result sets
-    /// are merged at the coordinator instead).
-    pub fn answer_batch_knn(&self, queries: &DatasetBuffer, k: usize) -> KnnBatchReport {
-        let t0 = std::time::Instant::now();
-        let nq = queries.num_series();
-        let topo = &self.topology;
-        let n_nodes = topo.n_nodes();
-        let n_groups = topo.n_groups();
-        let group_size = topo.replication_degree();
-
-        let mut dispatch: Vec<GroupDispatch> = Vec::with_capacity(n_groups);
-        let mut group_costs: Vec<Vec<f64>> = Vec::with_capacity(n_groups);
-        for g in 0..n_groups {
-            let estimates = if self.config.scheduler.needs_predictions() {
-                let index = &self.chunk_index[g];
-                (0..nq)
-                    .map(|q| {
-                        let est_bsf = index.approx_search(queries.series(q)).distance;
-                        match &self.config.cost_model {
-                            Some(m) => m.estimate(est_bsf),
-                            None => self.feedback.estimate(est_bsf),
-                        }
-                    })
-                    .collect::<Vec<f64>>()
-            } else {
-                vec![1.0; nq]
-            };
-            dispatch.push(GroupDispatch::build(
-                self.config.scheduler,
-                &estimates,
-                group_size,
-            ));
-            group_costs.push(if self.config.scheduler.needs_predictions() {
-                estimates
-            } else {
-                Vec::new()
-            });
-        }
-
-        // The k-NN path has no inter-node stealing, so lanes only need
-        // predictions to engage.
-        let use_lanes =
-            self.config.inter_query_lanes && self.config.scheduler.needs_predictions();
-        let group_costs = &group_costs;
-        let knn_board = KnnBoard::new(nq, k);
-        let per_node_units: Vec<AtomicU64> = (0..n_nodes).map(|_| AtomicU64::new(0)).collect();
-        // k-NN fault model: any fatal fault is a clean kill at its
-        // trigger point (the worker-panic *path* is exercised by the
-        // 1-NN batches; delays need the 1-NN service hook). Coverage
-        // and re-routing follow the same group-level contract.
-        let fault_plan = self.config.fault_plan.as_deref();
-        let coverage_board = CoverageBoard::new(nq, n_groups);
-        let reroute_queues: Vec<Mutex<RerouteQueue>> = (0..n_groups)
-            .map(|_| Mutex::new(RerouteQueue::default()))
-            .collect();
-        let drained: Vec<AtomicBool> = (0..n_nodes).map(|_| AtomicBool::new(false)).collect();
-        std::thread::scope(|scope| {
-            for node in 0..n_nodes {
-                let g = topo.group_of(node);
-                let member_idx = topo
-                    .nodes_in_group(g)
-                    .iter()
-                    .position(|&m| m == node)
-                    .expect("node in group");
-                let dispatch = &dispatch;
-                let knn_board = &knn_board;
-                let per_node_units = &per_node_units;
-                let coverage_board = &coverage_board;
-                let reroute_queues = &reroute_queues;
-                let drained = &drained;
-                let topo2 = topo;
-                let index = Arc::clone(&self.chunk_index[g]);
-                scope.spawn(move || {
-                    let engine = BatchEngine::new(
-                        Arc::clone(&index),
-                        self.config.threads_per_node,
-                    );
-                    let params = SearchParams::new(self.config.threads_per_node)
-                        .with_th(self.config.pq_threshold)
-                        .with_nsb(self.config.rs_batches);
-                    let fatal_at = fault_plan.and_then(|p| p.fatal_after(node));
-                    let mut executed = 0usize;
-                    let account = |qid: usize, stats: &SearchStats| {
-                        per_node_units[node].fetch_add(
-                            units::search_units(
-                                stats,
-                                queries.series_len(),
-                                index.config().segments,
-                            ),
-                            Ordering::Relaxed,
-                        );
-                        coverage_board.mark(qid, g);
-                    };
-                    if use_lanes && fatal_at.is_none() {
-                        // k-NN batches have no inter-node stealing, so
-                        // lanes never moonlight as thieves here.
-                        self.run_lane_dispatch(
-                            &dispatch[g],
-                            member_idx,
-                            &group_costs[g],
-                            &engine,
-                            &|ctx, qid| {
-                                let stats = self.execute_knn_query(
-                                    &mut Runner::Lane(ctx),
-                                    &index,
-                                    queries.series(qid),
-                                    qid,
-                                    k,
-                                    g,
-                                    params,
-                                    knn_board,
-                                );
-                                account(qid, &stats);
-                            },
-                            None,
-                        );
-                    } else {
-                        loop {
-                            if fatal_at == Some(executed) {
-                                // Dies before its next claim: strand the
-                                // static remainder for the survivors.
-                                if self.config.max_reroutes > 0 {
-                                    let mut rq = reroute_queues[g].lock();
-                                    for qid in dispatch[g].drain_member(member_idx) {
-                                        rq.queue.push_back((qid, 1));
-                                    }
-                                }
-                                drained[node].store(true, Ordering::Release);
-                                return;
-                            }
-                            let Some(qid) = dispatch[g].next(member_idx) else {
-                                break;
-                            };
-                            let stats = self.execute_knn_query(
-                                &mut Runner::Pool(&engine),
-                                &index,
-                                queries.series(qid),
-                                qid,
-                                k,
-                                g,
-                                params,
-                                knn_board,
-                            );
-                            account(qid, &stats);
-                            executed += 1;
-                        }
-                    }
-                    // Re-route phase (fault plans only): survivors pick
-                    // up a dead member's stranded queries. Kills only
-                    // fire between queries here, so a claimed re-route
-                    // always completes and `inflight` never strands.
-                    if fault_plan.is_some() {
-                        drained[node].store(true, Ordering::Release);
-                        let members = topo2.nodes_in_group(g);
-                        let wait_deadline =
-                            std::time::Instant::now() + self.config.query_deadline;
-                        loop {
-                            if fatal_at == Some(executed) {
-                                return; // dies idle; already drained
-                            }
-                            let claim = {
-                                let mut rq = reroute_queues[g].lock();
-                                match rq.queue.pop_front() {
-                                    Some((qid, _)) => {
-                                        rq.inflight += 1;
-                                        Some(qid)
-                                    }
-                                    None if rq.inflight == 0
-                                        && members.iter().all(|&m| {
-                                            m == node
-                                                || drained[m].load(Ordering::Acquire)
-                                        }) =>
-                                    {
-                                        break;
-                                    }
-                                    None => None,
-                                }
-                            };
-                            match claim {
-                                Some(qid) => {
-                                    let stats = self.execute_knn_query(
-                                        &mut Runner::Pool(&engine),
-                                        &index,
-                                        queries.series(qid),
-                                        qid,
-                                        k,
-                                        g,
-                                        params,
-                                        knn_board,
-                                    );
-                                    account(qid, &stats);
-                                    executed += 1;
-                                    reroute_queues[g].lock().inflight -= 1;
-                                }
-                                None => {
-                                    if std::time::Instant::now() > wait_deadline {
-                                        break;
-                                    }
-                                    std::thread::sleep(Duration::from_micros(50));
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        KnnBatchReport {
-            answers: knn_board.into_answers(),
-            wall: t0.elapsed(),
-            per_node_units: per_node_units
-                .iter()
-                .map(|u| u.load(Ordering::Relaxed))
-                .collect(),
-            coverage: coverage_board.into_coverages(),
-        }
-    }
-}
-
-impl OdysseyCluster {
-    /// One k-NN query on either execution surface (the node's full pool
-    /// or one of its lanes): seed from the approximate leaf, run the
-    /// engine with the k-th-bound board, translate ids, merge.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_knn_query(
-        &self,
-        runner: &mut Runner<'_, '_, '_>,
-        index: &Index,
-        q: &[f32],
-        qid: usize,
-        k: usize,
-        group: usize,
-        params: SearchParams,
-        knn_board: &KnnBoard,
-    ) -> SearchStats {
-        let board_opt = self.config.bsf_sharing.then_some((knn_board, qid));
-        let set = BoardKnn::new(k, board_opt);
-        let kernel = EdKernel::new(q, index.config().segments);
-        seed_from_approx_leaf(index, &kernel, &set.local);
-        let mut params = params;
-        // The k-NN analogue of the initial BSF: the k-th distance
-        // after seeding (infinite when the seed leaf held < k).
-        let seed_bound = set.local.threshold_sq();
-        if let Some(th) = &self.th_feedback {
-            if seed_bound.is_finite() {
-                params.th = th.predict_th(seed_bound.sqrt());
-            }
-        }
-        let grant = runner.admit(
-            qid,
-            Arc::clone(&set.local) as Arc<dyn ResultSet + Send + Sync>,
-            None,
-        );
-        let stats = runner.run_query(&kernel, &params, &set, None, &grant);
-        drop(grant);
-        if seed_bound.is_finite() {
-            if let Some(th) = &self.th_feedback {
-                th.record(seed_bound.sqrt(), stats.pq_size_median as f64);
-            }
-        }
-        let mut local = set.local.snapshot();
-        // Translate chunk-local ids to global ids.
-        for n in local.neighbors.iter_mut() {
-            n.1 = self.id_maps[group][n.1 as usize];
-        }
-        knn_board.merge(qid, local);
-        stats
     }
 }
 
@@ -1663,6 +1282,68 @@ struct RerouteQueue {
     inflight: usize,
 }
 
+
+/// The predictor-feedback rule shared by the batch loop and the serving
+/// loop: a whole execution whose seed bound (`stats.initial_bsf`,
+/// rooted) is finite records `(bound, elapsed seconds)` into the cost
+/// model and `(bound, median queue size)` into the threshold model. A
+/// k-NN seed leaf holding fewer than `k` series bounds nothing, so its
+/// infinite bound is skipped.
+pub(crate) fn record_feedback(
+    cost: &OnlineCostModel,
+    th: Option<&OnlineThresholdModel>,
+    stats: &SearchStats,
+) {
+    let bound = stats.initial_bsf;
+    if bound.is_finite() {
+        cost.record(bound, stats.elapsed.as_secs_f64());
+        if let Some(th) = th {
+            th.record(bound, stats.pq_size_median as f64);
+        }
+    }
+}
+
+/// A batch's per-query shared state: the pruning-bound channel the
+/// nodes share and the coordinator's merged answers.
+enum ResultBoard {
+    /// 1-NN (ED or DTW): the BSF channel and the min-merged answers.
+    Nn(BsfBoard, AnswerBoard),
+    /// k-NN: the shared k-th bound and the merged neighbor lists.
+    Knn(KnnBoard),
+}
+
+impl ResultBoard {
+    fn new(kind: QueryKind, n_queries: usize) -> Self {
+        match kind {
+            QueryKind::Knn(k) => ResultBoard::Knn(KnnBoard::new(n_queries, k)),
+            QueryKind::Exact | QueryKind::Dtw(_) => {
+                ResultBoard::Nn(BsfBoard::new(n_queries), AnswerBoard::new(n_queries))
+            }
+        }
+    }
+
+    fn broadcasts(&self) -> u64 {
+        match self {
+            ResultBoard::Nn(bsf, _) => bsf.broadcasts(),
+            ResultBoard::Knn(_) => 0,
+        }
+    }
+
+    fn into_nn(self) -> Vec<Answer> {
+        match self {
+            ResultBoard::Nn(_, answers) => answers.into_answers(),
+            ResultBoard::Knn(_) => unreachable!("a k-NN batch has no 1-NN answers"),
+        }
+    }
+
+    fn into_knn(self) -> Vec<KnnAnswer> {
+        match self {
+            ResultBoard::Knn(board) => board.into_answers(),
+            ResultBoard::Nn(..) => unreachable!("a 1-NN batch has no k-NN answers"),
+        }
+    }
+}
+
 /// The per-group dispatch structure (stage 3's output).
 enum GroupDispatch {
     /// Per-member fixed queues (STATIC / PREDICT-ST*).
@@ -1674,14 +1355,10 @@ enum GroupDispatch {
 }
 
 impl GroupDispatch {
-    fn build(kind: SchedulerKind, estimates: &[f64], group_size: usize) -> Self {
-        Self::build_waved(kind, estimates, group_size, None)
-    }
-
-    /// Like [`GroupDispatch::build`], but when `wave_size` is set,
-    /// dynamic orderings may only sort *within* consecutive waves of that
-    /// size — modelling queries that arrive over time.
-    fn build_waved(
+    /// The group's dispatch under policy `kind`. When `wave_size` is
+    /// set, dynamic orderings may only sort *within* consecutive waves
+    /// of that size — modelling queries that arrive over time.
+    fn new(
         kind: SchedulerKind,
         estimates: &[f64],
         group_size: usize,
@@ -2061,30 +1738,6 @@ mod tests {
     }
 
     #[test]
-    fn approximate_batch_upper_bounds_exact() {
-        let data = random_walk(1200, 64, 29);
-        let w = QueryWorkload::generate(&data, 10, WorkloadKind::Hard, 7);
-        let cluster = OdysseyCluster::build(
-            &data,
-            ClusterConfig::new(4).with_replication(Replication::Partial(2)),
-        );
-        let approx = cluster.answer_batch_approximate(&w.queries);
-        let exact = cluster.answer_batch(&w.queries);
-        for qi in 0..w.len() {
-            assert!(
-                approx.answers[qi].distance >= exact.answers[qi].distance - 1e-9,
-                "query {qi}: approx below exact"
-            );
-            // The approximate answer is a real series at that distance.
-            let id = approx.answers[qi].series_id.expect("approx id") as usize;
-            let d = odyssey_core::distance::euclidean_sq(w.query(qi), data.series(id));
-            assert!((d - approx.answers[qi].distance_sq).abs() < 1e-9);
-        }
-        // Approximate search is much cheaper than exact.
-        assert!(approx.makespan_units() < exact.makespan_units());
-    }
-
-    #[test]
     fn inter_query_lanes_stay_exact_and_match_sequential_nodes() {
         // A PREDICT policy engages the per-node lanes (stealing off
         // here isolates the lane mechanism; the lanes×stealing
@@ -2366,33 +2019,87 @@ mod tests {
         }
     }
 
+    /// k-NN batches fail over through the 1-NN loop: a killed node's
+    /// stranded queries and a worker panic's torn query both re-route
+    /// to the surviving replica, and the report says so.
     #[test]
     fn knn_kill_with_survivor_matches_brute_force() {
         let data = random_walk(700, 64, 93);
         let w = QueryWorkload::generate(&data, 6, WorkloadKind::Hard, 21);
-        let cluster = OdysseyCluster::build(
+        let base = OdysseyCluster::build(
             &data,
             ClusterConfig::new(4)
                 .with_replication(Replication::Partial(2))
-                .with_scheduler(SchedulerKind::Static)
-                .with_fault_plan(FaultPlan::new().kill(0, 1)),
+                .with_scheduler(SchedulerKind::Static),
         );
         let k = 3;
-        let report = cluster.answer_batch_knn(&w.queries, k);
-        assert!(report.coverage.iter().all(|c| c.is_complete()));
-        for qi in 0..w.len() {
-            let q = w.query(qi);
-            let mut all: Vec<f64> = (0..data.num_series())
-                .map(|i| odyssey_core::distance::euclidean_sq(q, data.series(i)))
-                .collect();
-            all.sort_by(|a, b| a.total_cmp(b));
-            for (j, got) in report.answers[qi].neighbors.iter().enumerate() {
-                assert!(
-                    (got.0 - all[j]).abs() < 1e-9,
-                    "query {qi} neighbor {j} after failover"
-                );
+        let victim = 0;
+        for plan in [
+            FaultPlan::new().kill(victim, 1),
+            FaultPlan::new().worker_panic(victim, 1),
+        ] {
+            let label = format!("{plan:?}");
+            let report = base
+                .reconfigured(|c| c.with_fault_plan(plan))
+                .answer_batch_knn(&w.queries, k);
+            assert!(report.fully_covered(), "{label}");
+            assert!(report.reroutes >= 1, "{label}: nothing was re-routed");
+            assert_eq!(report.dead_nodes, vec![victim], "{label}");
+            for qi in 0..w.len() {
+                let q = w.query(qi);
+                let mut all: Vec<f64> = (0..data.num_series())
+                    .map(|i| odyssey_core::distance::euclidean_sq(q, data.series(i)))
+                    .collect();
+                all.sort_by(|a, b| a.total_cmp(b));
+                let got = &report.answers[qi].neighbors;
+                assert_eq!(got.len(), k, "{label}: query {qi}");
+                for (j, got) in got.iter().enumerate() {
+                    assert!(
+                        (got.0 - all[j]).abs() < 1e-9,
+                        "{label}: query {qi} neighbor {j} after failover"
+                    );
+                }
             }
         }
+    }
+
+    /// A straggler's units are charged at `1 / speed` for every batch
+    /// kind: with the node's work pinned (static split, one thread, no
+    /// stealing or bound sharing), halving node 1's speed exactly
+    /// doubles its units.
+    #[test]
+    fn stragglers_are_charged_alike_for_1nn_and_knn() {
+        let data = random_walk(800, 64, 95);
+        let w = QueryWorkload::generate(&data, 6, WorkloadKind::Hard, 23);
+        let base = OdysseyCluster::build(
+            &data,
+            ClusterConfig::new(2)
+                .with_replication(Replication::Full)
+                .with_scheduler(SchedulerKind::Static)
+                .with_threads_per_node(1)
+                .with_work_stealing(false)
+                .with_bsf_sharing(false),
+        );
+        let slow = base.reconfigured(|c| c.with_node_speed(1, 0.5));
+        for kind in [QueryKind::Exact, QueryKind::Knn(4)] {
+            let units = |cluster: &OdysseyCluster| match kind {
+                QueryKind::Knn(k) => cluster.answer_batch_knn(&w.queries, k).per_node_units,
+                _ => cluster.answer_batch(&w.queries).per_node_units,
+            };
+            let (fast, paced) = (units(&base), units(&slow));
+            assert!(fast[1] > 0, "{kind:?}");
+            assert_eq!(paced[1], 2 * fast[1], "{kind:?}: straggler units");
+            assert_eq!(paced[0], fast[0], "{kind:?}: the healthy node");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "query length 40 does not match the indexed series length 64")]
+    fn wrong_length_batch_is_rejected_before_it_runs() {
+        let data = random_walk(300, 64, 96);
+        let cluster = OdysseyCluster::build(&data, ClusterConfig::new(2));
+        let queries = DatasetBuffer::from_vec(vec![0.0; 2 * 40], 40);
+        let _ = cluster.answer_batch(&queries);
     }
 
     #[test]

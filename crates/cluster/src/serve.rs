@@ -28,7 +28,7 @@
 
 use crate::config::ClusterConfig;
 use crate::faults::NodeFaults;
-use crate::runtime::OdysseyCluster;
+use crate::runtime::{record_feedback, OdysseyCluster};
 use crate::shard_map::{Coverage, NodeHealth, ShardMap};
 use odyssey_core::search::answer::{Answer, KnnAnswer};
 use odyssey_core::search::engine::{BatchAnswer, BatchEngine, BatchQuery, QueryKind};
@@ -237,11 +237,25 @@ impl<'c> ServeHandle<'c> {
     ///
     /// # Panics
     /// Panics when called after [`ServeHandle::close`] — the node loops
-    /// may already have drained and exited.
+    /// may already have drained and exited — and when the query's length
+    /// differs from the indexed series length (the message names both)
+    /// or a value is not finite: such a query would be answered over a
+    /// truncated overlap or panic a node worker. [`OdysseyCluster::serve`]
+    /// then closes the stream and re-raises the panic.
     pub fn submit(&self, q: ServeQuery) -> u64 {
         assert!(
             !self.closed.load(Ordering::Acquire),
             "submit after close: the stream is drained"
+        );
+        let expected = self.cluster.series_len();
+        assert!(
+            q.data.len() == expected,
+            "query length {} does not match the indexed series length {expected}",
+            q.data.len()
+        );
+        assert!(
+            q.data.iter().all(|v| v.is_finite()),
+            "query holds a non-finite value"
         );
         let qid = self.next_qid.fetch_add(1, Ordering::Relaxed);
         let n_groups = self.queues.len();
@@ -411,16 +425,8 @@ impl<'c> ServeHandle<'c> {
                     if let Some(local) = a.series_id {
                         a.series_id = Some(self.cluster.chunk_ids(g)[local as usize]);
                     }
-                    // The batch boards' merge rule: strictly smaller
-                    // squared distance wins; on an exact tie an
-                    // identified answer beats an anonymous one.
-                    if a.distance_sq < e.best_nn.distance_sq
-                        || (a.distance_sq == e.best_nn.distance_sq
-                            && e.best_nn.series_id.is_none()
-                            && a.series_id.is_some())
-                    {
-                        e.best_nn = a;
-                    }
+                    // The batch boards' merge rule.
+                    e.best_nn = e.best_nn.min(a);
                 }
                 BatchAnswer::Knn(mut a) => {
                     let QueryKind::Knn(k) = e.kind else {
@@ -494,12 +500,7 @@ impl<'c> ServeHandle<'c> {
             engine
                 .steal_registry()
                 .install_observer(Arc::new(move |_qid, stats| {
-                    if stats.initial_bsf.is_finite() {
-                        feedback.record(stats.initial_bsf, stats.elapsed.as_secs_f64());
-                        if let Some(th) = &th {
-                            th.record(stats.initial_bsf, stats.pq_size_median as f64);
-                        }
-                    }
+                    record_feedback(&feedback, th.as_deref(), stats)
                 }));
         }
         let params = SearchParams::new(cfg.threads_per_node)

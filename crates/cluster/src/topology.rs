@@ -88,13 +88,6 @@ impl Topology {
         assert!(c < self.replication_degree());
         (c * self.n_groups..(c + 1) * self.n_groups).collect()
     }
-
-    /// The group coordinator (the lowest-id node of the group).
-    #[inline]
-    pub fn group_coordinator(&self, g: usize) -> usize {
-        assert!(g < self.n_groups);
-        g
-    }
 }
 
 #[cfg(test)]

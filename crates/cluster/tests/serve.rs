@@ -276,3 +276,29 @@ fn serving_feeds_the_online_predictor() {
         "10 samples at refit_every=4 must have crossed a refit boundary"
     );
 }
+
+/// A wrong-length query panics the submitting session promptly instead
+/// of being answered over a truncated overlap or wedging a node worker:
+/// `serve` closes the stream, re-raises the panic, and delivers nothing.
+#[test]
+fn wrong_length_submit_panics_the_session() {
+    let data = random_walk(600, 64, 63);
+    let cluster = OdysseyCluster::build(&data, ClusterConfig::new(1));
+    let delivered = Mutex::new(0usize);
+    let on_complete = |_: ServedAnswer| *delivered.lock() += 1;
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        cluster.serve(
+            |handle| handle.submit(ServeQuery::interactive(vec![0.5; 40])),
+            &on_complete,
+        )
+    }));
+    let err = run.expect_err("a 40-long query on a 64-long index must panic");
+    let msg = err
+        .downcast_ref::<String>()
+        .expect("formatted panic message");
+    assert!(
+        msg.contains("query length 40") && msg.contains("series length 64"),
+        "{msg}"
+    );
+    assert_eq!(*delivered.lock(), 0, "no answer may be delivered");
+}

@@ -30,10 +30,16 @@ impl Answer {
         }
     }
 
-    /// Keeps the smaller of two answers (merge step of the distributed
-    /// coordinator).
+    /// Keeps the better of two answers (merge step of the distributed
+    /// coordinator): the strictly smaller squared distance wins; on an
+    /// exact tie, an answer with a series id beats one without (a bound
+    /// shared from another node carries no id).
     pub fn min(self, other: Answer) -> Answer {
-        if other.distance_sq < self.distance_sq {
+        if other.distance_sq < self.distance_sq
+            || (other.distance_sq == self.distance_sq
+                && self.series_id.is_none()
+                && other.series_id.is_some())
+        {
             other
         } else {
             self
@@ -88,6 +94,10 @@ mod tests {
         assert_eq!(a.min(b).series_id, Some(2));
         assert_eq!(b.min(a).series_id, Some(2));
         assert_eq!(a.min(Answer::none()).series_id, Some(1));
+        // Exact tie: the identified answer wins from either side.
+        let anonymous = Answer::from_sq(4.0, None);
+        assert_eq!(anonymous.min(a).series_id, Some(1));
+        assert_eq!(a.min(anonymous).series_id, Some(1));
     }
 
     #[test]

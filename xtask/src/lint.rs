@@ -48,6 +48,10 @@
 //! 9. **One execution body.** `ExecShared::new(` may appear only in
 //!    `WorkerGroup::run_query` (`search/engine.rs`), the per-query body
 //!    the engine's pool and lanes share; a second site is a second driver.
+//! 10. **One batch node loop.** In `crates/cluster/src/runtime.rs`,
+//!     `thread::scope(` may appear only in
+//!     `OdysseyCluster::answer_batch_inner`, the node loop every batch
+//!     kind shares; a second site is a second node loop.
 //!
 //! Comments and string literals are stripped before token matching, so
 //! prose about `unsafe` never trips the lint, and the lint can check its
@@ -106,6 +110,10 @@ const FAULT_CLOCK_FILES: &[&str] = &["crates/cluster/src/faults.rs"];
 /// Rule 9's only permitted `ExecShared::new(` site: `(file, impl type, fn)`.
 const EXEC_BODY_SITE: (&str, &str, &str) =
     ("crates/core/src/search/engine.rs", "WorkerGroup", "run_query");
+
+/// Rule 10's only permitted `thread::scope(` site: `(file, impl type, fn)`.
+const NODE_LOOP_SITE: (&str, &str, &str) =
+    ("crates/cluster/src/runtime.rs", "OdysseyCluster", "answer_batch_inner");
 
 /// One lint finding.
 #[derive(Debug)]
@@ -304,7 +312,7 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<Violation> {
         });
     };
 
-    // The innermost `impl` header and `fn` seen so far (rule 9).
+    // The innermost `impl` header and `fn` seen so far (rules 9, 10).
     let mut impl_header = "";
     let mut current_fn = "";
     for (i, code) in stripped.iter().enumerate() {
@@ -322,6 +330,15 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<Violation> {
         {
             let why = format!("second driver: `ExecShared::new(` outside `{site_impl}::{site_fn}`");
             push(&mut out, line, "exec-body", why);
+        }
+        let (site_file, site_impl, site_fn) = NODE_LOOP_SITE;
+        if rel == site_file
+            && code.contains("thread::scope(")
+            && !(has_token(impl_header, site_impl) && current_fn == site_fn)
+        {
+            let why =
+                format!("second node loop: `thread::scope(` outside `{site_impl}::{site_fn}`");
+            push(&mut out, line, "node-loop", why);
         }
         if unsafe_construct(code) {
             if !UNSAFE_WHITELIST.contains(&rel) {
@@ -559,7 +576,7 @@ mod tests {
             vec!["thread-spawn"]
         );
         assert!(rules(
-            "crates/cluster/src/runtime.rs",
+            "crates/cluster/src/serve.rs",
             "std::thread::scope(|s| { s.spawn(|| {}); });\n"
         )
         .is_empty());
@@ -738,6 +755,33 @@ mod tests {
         // Prose and strings about the constructor never trip the rule.
         let prose = "// ExecShared::new( once\nfn f() { let _ = \"ExecShared::new(\"; }\n";
         assert!(rules("crates/core/src/search/exact.rs", prose).is_empty());
+    }
+
+    #[test]
+    fn thread_scope_outside_the_batch_loop_is_flagged() {
+        // Another method of the cluster, or a free fn, is a second loop.
+        let knn = concat!(
+            "impl OdysseyCluster {\n    fn answer_batch_knn(&self) {\n",
+            "        std::thread::scope(|s| {});\n",
+        );
+        assert_eq!(rules("crates/cluster/src/runtime.rs", knn), vec!["node-loop"]);
+        let free = "fn approximate() {\n    thread::scope(|s| {});\n}\n";
+        assert_eq!(rules("crates/cluster/src/runtime.rs", free), vec!["node-loop"]);
+    }
+
+    #[test]
+    fn thread_scope_in_the_batch_loop_passes() {
+        let body = concat!(
+            "impl OdysseyCluster {\n    fn answer_batch_inner<A>(&self) -> R<A> {\n",
+            "        let t = || {};\n        std::thread::scope(|scope| {\n",
+        );
+        assert!(rules("crates/cluster/src/runtime.rs", body).is_empty());
+        // Prose and strings about the call never trip the rule, and
+        // other files keep their own scopes.
+        let prose = "// std::thread::scope( twice\nfn f() { let _ = \"thread::scope(\"; }\n";
+        assert!(rules("crates/cluster/src/runtime.rs", prose).is_empty());
+        let serve = "fn serve() {\n    std::thread::scope(|s| {});\n}\n";
+        assert!(rules("crates/cluster/src/serve.rs", serve).is_empty());
     }
 
     #[test]
