@@ -595,6 +595,10 @@ impl OdysseyCluster {
         // dispatch and is only claiming re-routes from here on.
         let drained: Vec<AtomicBool> = (0..n_nodes).map(|_| AtomicBool::new(false)).collect();
         let reroutes_total = AtomicU64::new(0);
+        // `torn[q]`: a dying node tore query q down mid-execution. Every
+        // later execution of q — the re-route and any thief of it — runs
+        // off the boards (see `execute_query`).
+        let torn: Vec<AtomicBool> = (0..nq).map(|_| AtomicBool::new(false)).collect();
         std::thread::scope(|scope| {
             for node in 0..n_nodes {
                 let g = topo.group_of(node);
@@ -621,6 +625,7 @@ impl OdysseyCluster {
                 let reroute_queues = &reroute_queues;
                 let drained = &drained;
                 let reroutes_total = &reroutes_total;
+                let torn = &torn;
                 let index = Arc::clone(&self.chunk_index[g]);
                 // Node worker thread.
                 let speed = self.config.node_speed(node);
@@ -695,6 +700,7 @@ impl OdysseyCluster {
                         let stats = self.execute_query(
                             runner,
                             None,
+                            torn[qid].load(Ordering::Acquire),
                             group_costs[g].get(qid).copied(),
                             queries.series(qid),
                             qid,
@@ -715,6 +721,7 @@ impl OdysseyCluster {
                         let stats = self.execute_query(
                             runner,
                             Some((&resp.batch_ids, resp.bsf_sq)),
+                            torn[qid].load(Ordering::Acquire),
                             None,
                             queries.series(qid),
                             qid,
@@ -755,6 +762,7 @@ impl OdysseyCluster {
                         shard_map.mark_down(node);
                         let mut rq = reroute_queues[g].lock();
                         if let Some((qid, attempts)) = claimed {
+                            torn[qid].store(true, Ordering::Release);
                             if attempts < self.config.max_reroutes {
                                 rq.queue.push_back((qid, attempts + 1));
                             }
@@ -1051,11 +1059,21 @@ impl OdysseyCluster {
     /// whole run, so the work-stealing manager (and the workers'
     /// cooperative service hook) can hand out its RS-batches from either
     /// surface — lanes serve thieves mid-round just like the pool does.
+    ///
+    /// A `torn` query — one a dead replica tore down mid-execution —
+    /// runs without the boards' shared bounds, whether re-routed whole
+    /// or stolen from its re-route. The dead node may have published a
+    /// bound for this very chunk whose series and id it never merged;
+    /// seeded from it, the survivor would prune the series at that
+    /// distance and merge an answer without an id (or a k-NN list short
+    /// of its k-th neighbor). Off the boards the survivor finds the
+    /// answer itself, paying some pruning on this rare path only.
     #[allow(clippy::too_many_arguments)]
     fn execute_query(
         &self,
         runner: &mut Runner<'_, '_, '_>,
         stolen: Option<(&[usize], f64)>,
+        torn: bool,
         estimate: Option<f64>,
         query: &[f32],
         qid: usize,
@@ -1066,7 +1084,7 @@ impl OdysseyCluster {
         let index = Arc::clone(runner.index());
         let segments = index.config().segments;
         let subset = stolen.map(|(ids, _)| ids);
-        let sharing = self.config.bsf_sharing;
+        let sharing = self.config.bsf_sharing && !torn;
         match board {
             ResultBoard::Knn(knn_board) => {
                 let set = BoardKnn::new(knn_board.k(), sharing.then_some((knn_board, qid)));

@@ -67,10 +67,21 @@ fn assert_contract(
     for qi in 0..w.len() {
         match &faulted.coverage[qi] {
             Coverage::Complete => {
+                let got = faulted.answers[qi];
                 assert_eq!(
-                    faulted.answers[qi].distance.to_bits(),
+                    got.distance.to_bits(),
                     clean.answers[qi].distance.to_bits(),
                     "{label}: query {qi} fully covered but not bit-identical"
+                );
+                // A complete answer names its series, and that series
+                // lies at the reported distance.
+                let id = got
+                    .series_id
+                    .unwrap_or_else(|| panic!("{label}: query {qi} complete but without an id"))
+                    as usize;
+                assert!(
+                    (euclidean_sq(w.query(qi), data.series(id)) - got.distance_sq).abs() < 1e-9,
+                    "{label}: query {qi} id does not realize its distance"
                 );
             }
             Coverage::Partial { missing_groups } => {
@@ -210,6 +221,40 @@ fn worker_panic_with_survivor_is_bit_identical() {
         assert!(faulted.fully_covered(), "{label}");
         assert!(faulted.reroutes >= 1, "{label}: torn query was not re-routed");
         assert_contract(&label, &base, &data, &w, &clean, &faulted);
+    }
+}
+
+/// A torn query's re-route must find its answer itself. A worker panic
+/// tears a query down after the dying node may already have published
+/// its bound to the shared BSF board, without ever merging the series
+/// behind it; a survivor seeded from that bound would prune the very
+/// series at that distance and answer `Complete` without an id. Sweeps
+/// datasets × victims × panic points on 4-node PARTIAL-2; every complete
+/// answer must carry the id that realizes its distance.
+#[test]
+fn rerouted_answers_carry_the_id_they_report() {
+    for seed in 0..8u64 {
+        let data = random_walk(700, 64, 300 + seed);
+        let w = workload(&data, 6, 900 + seed);
+        let base = OdysseyCluster::build(
+            &data,
+            ClusterConfig::new(4)
+                .with_replication(Replication::Partial(2))
+                .with_scheduler(SchedulerKind::Static),
+        );
+        let clean = base.answer_batch(&w.queries);
+        for victim in 0..4 {
+            for during in 0..3 {
+                let label = format!("seed={seed} worker_panic({victim},{during})");
+                let faulted = base
+                    .reconfigured(|c| {
+                        c.with_fault_plan(FaultPlan::new().worker_panic(victim, during))
+                    })
+                    .answer_batch(&w.queries);
+                assert!(faulted.fully_covered(), "{label}: a survivor exists");
+                assert_contract(&label, &base, &data, &w, &clean, &faulted);
+            }
+        }
     }
 }
 

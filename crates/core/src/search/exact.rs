@@ -8,6 +8,15 @@
 //! [`BatchEngine`](super::engine::BatchEngine) worker group: the
 //! engine's full pool or one of its dispatch lanes.
 //!
+//! Phase 3 hands out work at two grains. Queues are *claimed* whole, in
+//! ascending order of their minimum bound, through the steal view's
+//! cursor — the order the Take-Away property and the `TH` model rely
+//! on. Leaves are *popped* one per lock hold, so a worker whose claims
+//! have run out helps drain the queues that are still live instead of
+//! waiting at the barrier: a query's work sits mostly in its one or two
+//! leading queues, and a whole-queue lock would leave every other
+//! member of the group idle behind them.
+//!
 //! The engine publishes progress into a [`StealView`], the object a
 //! node's work-stealing manager (Algorithm 3) inspects when a steal
 //! request arrives: it hands out RS-batch **ids** satisfying the
@@ -22,7 +31,7 @@ use super::answer::Answer;
 use super::batches::RsBatches;
 use super::bsf::{ResultSet, SharedBsf};
 use super::kernel::{EdKernel, QueryKernel};
-use super::pqueue::{BoundedPqSet, LeafPq};
+use super::pqueue::{BoundedPqSet, LeafCandidate, LeafPq};
 use super::scratch::{WorkerScratch, MAX_SPARE_HEAPS, MAX_SPARE_HEAP_CAP};
 use crate::index::Index;
 use crate::layout::LeafLayout;
@@ -37,7 +46,11 @@ use std::sync::{Arc, OnceLock};
 pub const DEFAULT_NSEND: usize = 4;
 
 /// Default priority-queue size threshold when no per-query prediction is
-/// available (the `odyssey-sched` sigmoid model provides one per query).
+/// available (the `odyssey-sched` sigmoid model of Figure 6 provides one
+/// per query). `TH` sets how finely phase 3's sorted queue order ranks
+/// the leaves and how many queues a thief can take by batch id. It does
+/// not spread work over a group's workers: phase 3 shares every live
+/// queue leaf by leaf once the claims run out.
 pub const DEFAULT_TH: usize = 1024;
 
 /// Default bound on how many threads may *help* on one RS-batch.
@@ -536,8 +549,14 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
     /// [`ExecShared::traverse_batch`]), so the phase is lock-free up to
     /// one hand-in per visit. Phase 2 (tid 0) sorts every handed-in
     /// queue by its minimum lower bound and publishes the batch ids to
-    /// the steal view. Phase 3 claims queues in that order and drains
-    /// them.
+    /// the steal view. Phase 3 claims queues in that order through the
+    /// steal view's cursor (calling the service hook once per claim);
+    /// once its claims run out, a worker of a multi-member group makes
+    /// one help pass over the sorted queues and pops from every queue
+    /// that is not yet spent and whose batch was not stolen. Every pop
+    /// holds the queue's lock for one leaf only (see
+    /// [`ExecShared::pop_live`]), so the members drain the leading
+    /// queues together and finish the phase at nearly the same time.
     pub(crate) fn worker(&self, tid: usize, barrier: &PhaseBarrier, scratch: &mut WorkerScratch) {
         let WorkerScratch {
             lb_block,
@@ -612,6 +631,9 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
         barrier.wait();
 
         // --- Phase 3: queue processing ---------------------------------
+        // Claims first, then the help pass (see the method docs); a
+        // one-member group has nobody to help and skips the pass.
+        //
         // Each popped leaf is drained in two passes over its contiguous
         // scan slots: a tight lower-bound sweep over the dense SAX block
         // into a reusable scratch buffer, then real distances for the
@@ -621,29 +643,30 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
         let mut lb_series_local = 0u64;
         let mut real_dist_local = 0u64;
         let sorted_guard = self.sorted.read();
+        let n_queues = sorted_guard.len();
         // Contract: queue claims happen only inside the processing
         // phase (the claim counter doubles as the steal cursor, and
         // `try_steal` assumes it is monotone within this phase).
         debug_assert!(
-            sorted_guard.is_empty() || self.view.is_processing(),
+            n_queues == 0 || self.view.is_processing(),
             "queue claim outside the processing phase"
         );
-        loop {
+        let claims = std::iter::from_fn(|| {
             (self.service)();
             let i = self.view.pq_cnt.fetch_add(1, Ordering::AcqRel);
-            if i >= sorted_guard.len() {
-                break;
-            }
+            (i < n_queues).then_some(i)
+        });
+        let help_pass = if barrier.parties() > 1 {
+            0..n_queues
+        } else {
+            0..0
+        };
+        for i in claims.chain(help_pass) {
             let (bid, q) = &sorted_guard[i];
             if self.view.is_stolen(*bid) {
                 continue; // a helper node took this batch
             }
-            let mut q = q.lock();
-            while let Some(cand) = q.pop() {
-                let thr = self.results.threshold_sq();
-                if cand.lb_sq >= thr {
-                    break; // min-heap: the rest is prunable too
-                }
+            while let Some((cand, thr)) = self.pop_live(q, heaps) {
                 let range = cand.leaf.slice.range();
                 let n_cand = range.len();
                 if n_cand == 0 {
@@ -681,14 +704,37 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
                     }
                 }
             }
-            // This queue is spent (drained, or its minimum can no longer
-            // win): recycle its heap allocation into the worker scratch.
-            if heaps.len() < MAX_SPARE_HEAPS && q.capacity() <= MAX_SPARE_HEAP_CAP {
-                heaps.push(std::mem::take(&mut *q).into_spare());
-            }
         }
         self.lb_series.fetch_add(lb_series_local, Ordering::Relaxed);
         self.real_dist.fetch_add(real_dist_local, Ordering::Relaxed);
+    }
+
+    /// Pops the next leaf of queue `q` under one lock hold, with the
+    /// threshold it was checked against; `None` once the queue is spent
+    /// (empty, or its minimum can no longer win — the rest of a min-heap
+    /// is prunable too). The first worker to find the queue spent takes
+    /// its heap, so later visitors find it empty at once, and recycles
+    /// the allocation into its scratch; the empty zero-capacity heap it
+    /// leaves behind never enters a spare pool.
+    fn pop_live(
+        &self,
+        q: &Mutex<LeafPq<'e>>,
+        heaps: &mut Vec<super::pqueue::SpareHeap>,
+    ) -> Option<(LeafCandidate<'e>, f64)> {
+        let mut q = q.lock();
+        let thr = self.results.threshold_sq();
+        match q.pop() {
+            Some(cand) if cand.lb_sq < thr => Some((cand, thr)),
+            _ => {
+                let spent = std::mem::take(&mut *q);
+                drop(q);
+                let cap = spent.capacity();
+                if cap > 0 && cap <= MAX_SPARE_HEAP_CAP && heaps.len() < MAX_SPARE_HEAPS {
+                    heaps.push(spent.into_spare());
+                }
+                None
+            }
+        }
     }
 
     /// Marks the search finished on the steal view and converts the

@@ -4,11 +4,13 @@
 //! During the tree-traversal phase every worker visiting an RS-batch
 //! fills one *active* priority queue; when its size reaches the
 //! threshold `TH` the queue is sealed and a fresh one is started. This
-//! (i) keeps queue sizes — and hence processing-phase work items —
-//! roughly equal, which is what makes thread-level load balancing work,
-//! and (ii) guarantees a queue never mixes leaves of different
-//! RS-batches, which is what makes *queue-level stealing by batch id*
-//! possible.
+//! (i) bounds each queue, so the processing phase's sorted order of
+//! queue minima orders leaves more finely (the paper's Figure-6
+//! trade-off), and (ii) guarantees a queue never mixes leaves of
+//! different RS-batches, which is what makes *queue-level stealing by
+//! batch id* possible. Spreading work over a group's threads does not
+//! rest on queue sizes: the processing phase shares every live queue
+//! leaf by leaf once a worker's own claims run out.
 
 use crate::tree::Leaf;
 use std::collections::BinaryHeap;

@@ -324,3 +324,85 @@ fn helping_traversal_bit_identical_at_2_4_8_threads() {
         }
     }
 }
+
+/// Phase 3 at one queue per query: a single RS-batch, no traversal
+/// helpers and a `TH` no queue reaches leave each query in one queue,
+/// so the second worker of every width-2 lane reaches it only through
+/// the help pass, popping leaves under the same queue lock as the
+/// queue's claimer. With stealing on, the service hook also takes whole
+/// queries — its own lane's or the other lane's — before their claim,
+/// racing the claim cursor and the help pass's stolen-batch check; a
+/// thief then finishes the stolen batches from the victim's bound.
+/// Answers must stay bit-identical to the per-query reference.
+#[test]
+fn one_queue_help_pass_bit_identical_with_and_without_stealing() {
+    use odyssey_core::search::bsf::{ResultSet, SharedBsf};
+    use odyssey_core::search::dtw_search::DtwKernel;
+    use odyssey_core::search::engine::StolenWork;
+    use odyssey_core::search::kernel::{EdKernel, QueryKernel};
+    use parking_lot::Mutex;
+
+    let index = build(900);
+    let qdata: Vec<Vec<f32>> = (0..8)
+        .map(|i| walk_dataset(1, 64, 5100 + i).series(0).to_vec())
+        .collect();
+    let queries: Vec<BatchQuery> = qdata
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let kind = if i % 2 == 0 { QueryKind::Exact } else { QueryKind::Dtw(4) };
+            BatchQuery::new(q, kind)
+        })
+        .collect();
+    let params = SearchParams::new(1)
+        .with_nsb(1)
+        .with_help_th(0)
+        .with_th(usize::MAX - 1);
+    let reference = per_query_reference(&index, &queries, &params);
+    let segments = index.config().segments;
+    let (pool, width) = (4usize, 2usize);
+
+    for stealing in [false, true] {
+        let engine = BatchEngine::new(Arc::clone(&index), pool);
+        let stolen: Arc<Mutex<Vec<StolenWork>>> = Arc::default();
+        if stealing {
+            let sink = Arc::clone(&stolen);
+            let calls = AtomicUsize::new(0);
+            engine.steal_registry().install_service(Arc::new(move |reg| {
+                // Every other call serves a steal, so some queries are
+                // taken before their claim and the rest are drained by
+                // their own lane.
+                if calls.fetch_add(1, Ordering::Relaxed) % 2 == 1 {
+                    if let Some(w) = reg.serve_steal(4) {
+                        sink.lock().push(w);
+                    }
+                }
+            }));
+        }
+        let mut got = dispatch(&engine, &queries, &uniform_widths(pool, width), &params);
+        engine.steal_registry().clear_service();
+        assert_eq!(engine.steal_registry().in_flight(), 0);
+
+        let thief = BatchEngine::new(Arc::clone(&index), width);
+        for w in stolen.lock().drain(..) {
+            let q = &queries[w.query_id];
+            let kernel: Box<dyn QueryKernel + '_> = match q.kind {
+                QueryKind::Exact => Box::new(EdKernel::new(q.data, segments)),
+                QueryKind::Dtw(window) => Box::new(DtwKernel::new(q.data, window, segments)),
+                QueryKind::Knn(_) => unreachable!("no k-NN queries here"),
+            };
+            let bsf = Arc::new(SharedBsf::new(w.bsf_sq, None));
+            let grant = thief.admit(w.query_id, Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>);
+            thief.run_query(&*kernel, &params, &*bsf, Some(&w.batch_ids), &grant, &|_, _| {});
+            drop(grant);
+            let BatchAnswer::Nn(a) = &mut got[w.query_id].answer else {
+                unreachable!("1-NN kinds only")
+            };
+            *a = a.min(bsf.answer());
+        }
+        for (qi, (want, item)) in reference.iter().zip(&got).enumerate() {
+            assert_eq!(item.stats.pq_count, 1, "stealing={stealing} query={qi}: queues");
+            assert_matches(want, item, &format!("stealing={stealing} query={qi}"));
+        }
+    }
+}

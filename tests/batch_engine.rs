@@ -9,17 +9,23 @@
 mod common;
 
 use common::{assert_bit_identical, per_query_reference};
+use odyssey::core::distance::dtw_banded;
 use odyssey::core::index::{Index, IndexConfig};
+use odyssey::core::search::answer::{Answer, KnnAnswer};
+use odyssey::core::search::bsf::{ResultSet, SharedBsf, SharedKnn};
+use odyssey::core::search::dtw_search::{dtw_brute_force, DtwKernel};
 use odyssey::core::search::engine::{BatchAnswer, BatchEngine, BatchQuery, QueryKind};
-use odyssey::core::search::dtw_search::dtw_brute_force;
+use odyssey::core::search::epsilon::EpsilonRelaxed;
 use odyssey::core::search::exact::SearchParams;
+use odyssey::core::search::kernel::EdKernel;
 use odyssey::core::search::knn::knn_brute_force;
+use odyssey::core::search::multiq::{uniform_widths, LaneCtx};
 use odyssey::workloads::generator::random_walk;
 use odyssey::workloads::queries::{QueryWorkload, WorkloadKind};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 fn setup() -> (Arc<Index>, QueryWorkload, QueryWorkload) {
     let data = random_walk(1500, 64, 0xBEEF);
@@ -296,4 +302,199 @@ fn bad_dispatch_order_panics_before_any_query_runs() {
     // The engine is untouched and answers the batch afterwards.
     let _ = engine.run_batch(&batch, &[2, 0, 1], &params);
     assert_eq!(answered.load(Ordering::Relaxed), 3);
+}
+
+/// Params that leave a query in exactly one phase-3 queue: one RS-batch,
+/// no traversal helpers, and a `TH` no queue reaches. Every worker but
+/// the queue's claimer can then contribute only through the help pass.
+fn one_queue(n_threads: usize) -> SearchParams {
+    SearchParams::new(n_threads)
+        .with_nsb(1)
+        .with_help_th(0)
+        .with_th(usize::MAX - 1)
+}
+
+/// Runs `job(ctx, qi)` for every `qi < n` on dispatch lanes of `width`,
+/// each lane claiming the next index from a shared cursor; results come
+/// back in index order.
+fn on_lanes<T: Send + Sync>(
+    engine: &BatchEngine,
+    width: usize,
+    n: usize,
+    job: &(dyn Fn(&mut LaneCtx, usize) -> T + Sync),
+) -> Vec<T> {
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let widths = uniform_widths(engine.n_threads(), width);
+    engine.run_dispatch(&widths, &|ctx, _lane| loop {
+        let qi = next.fetch_add(1, Ordering::Relaxed);
+        if qi >= n {
+            break;
+        }
+        let _ = slots[qi].set(job(ctx, qi));
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every index answered"))
+        .collect()
+}
+
+/// Exact DTW k-NN by brute force: the `k` smallest banded DTW distances.
+fn dtw_knn_brute_force(index: &Index, q: &[f32], window: usize, k: usize) -> Vec<f64> {
+    let mut all: Vec<f64> = (0..index.num_series())
+        .map(|id| {
+            dtw_banded(q, index.series_by_id(id as u32), window, f64::INFINITY)
+                .expect("an unbounded DTW never abandons")
+        })
+        .collect();
+    all.sort_by(|a, b| a.total_cmp(b));
+    all.truncate(k);
+    all
+}
+
+/// Phase 3's help pass is the only way a second worker reaches a query
+/// held in a single queue (`pq_count == 1`). On pools of 2/4/8 threads
+/// and on lanes of width 2/4, for every search kind, answers must be
+/// bit-identical to one thread and agree with brute force.
+#[test]
+fn one_queue_per_query_is_shared_by_the_help_pass() {
+    let (index, easy, hard) = setup();
+    let queries: Vec<&[f32]> = (0..hard.len())
+        .map(|i| hard.query(i))
+        .chain((0..easy.len()).map(|i| easy.query(i)))
+        .collect();
+    let (k, window, eps) = (4usize, 3usize, 0.5f64);
+    let segments = index.config().segments;
+    let inline = BatchEngine::new(Arc::clone(&index), 1);
+    let p1 = one_queue(1);
+    let exact_ref: Vec<_> = queries
+        .iter()
+        .map(|q| inline.exact(q, &p1).answer)
+        .collect();
+    let knn_ref: Vec<_> = queries.iter().map(|q| inline.knn(q, k, &p1).0).collect();
+    let dtw_ref: Vec<_> = queries
+        .iter()
+        .map(|q| inline.dtw(q, window, &p1).0)
+        .collect();
+    let dtw_knn_ref: Vec<_> = queries
+        .iter()
+        .map(|q| inline.dtw_knn(q, window, k, &p1).0)
+        .collect();
+    for (qi, q) in queries.iter().enumerate() {
+        let bf = index.brute_force(q);
+        assert_eq!(
+            exact_ref[qi].series_id, bf.series_id,
+            "q={qi}: exact vs brute force"
+        );
+        assert!(
+            (exact_ref[qi].distance - bf.distance).abs() < 1e-9,
+            "q={qi}: exact"
+        );
+        let oracle = knn_brute_force(&index, q, k);
+        assert_eq!(knn_ref[qi].neighbors.len(), k, "q={qi}: knn");
+        for (g, b) in knn_ref[qi].neighbors.iter().zip(&oracle.neighbors) {
+            assert!((g.0 - b.0).abs() < 1e-9, "q={qi}: knn vs brute force");
+        }
+        let dtw_bf = dtw_brute_force(&index, q, window).distance;
+        assert!((dtw_ref[qi].distance - dtw_bf).abs() < 1e-9, "q={qi}: dtw");
+        let dtw_knn_bf = dtw_knn_brute_force(&index, q, window, k);
+        let got: Vec<f64> = dtw_knn_ref[qi].neighbors.iter().map(|n| n.0).collect();
+        assert_eq!(got.len(), k, "q={qi}: dtw knn");
+        for (g, b) in got.iter().zip(&dtw_knn_bf) {
+            assert!((g - b).abs() < 1e-9, "q={qi}: dtw knn vs brute force");
+        }
+    }
+    let same_nn = |a: &Answer, b: &Answer, ctx: &str| {
+        assert_eq!(
+            a.distance.to_bits(),
+            b.distance.to_bits(),
+            "{ctx}: distance"
+        );
+        assert_eq!(a.series_id, b.series_id, "{ctx}: id");
+    };
+    let same_knn = |a: &KnnAnswer, b: &KnnAnswer, ctx: &str| {
+        let bits = |x: &KnnAnswer| -> Vec<(u64, u32)> {
+            x.neighbors.iter().map(|n| (n.0.to_bits(), n.1)).collect()
+        };
+        assert_eq!(bits(a), bits(b), "{ctx}: neighbors");
+    };
+
+    // The full pool.
+    for pool in [2usize, 4, 8] {
+        let engine = BatchEngine::new(Arc::clone(&index), pool);
+        let p = one_queue(pool);
+        for (qi, q) in queries.iter().enumerate() {
+            let ctx = format!("pool={pool} q={qi}");
+            let out = engine.exact(q, &p);
+            assert_eq!(out.stats.pq_count, 1, "{ctx}: exact queues");
+            same_nn(&out.answer, &exact_ref[qi], &format!("{ctx} exact"));
+            let (ans, stats) = engine.epsilon(q, 0.0, &p);
+            assert_eq!(stats.pq_count, 1, "{ctx}: epsilon queues");
+            same_nn(&ans, &exact_ref[qi], &format!("{ctx} epsilon 0"));
+            let (ans, stats) = engine.epsilon(q, eps, &p);
+            assert!(stats.pq_count <= 1, "{ctx}: relaxed epsilon queues");
+            assert!(
+                ans.distance <= (1.0 + eps) * exact_ref[qi].distance + 1e-9,
+                "{ctx}: epsilon"
+            );
+            let (ans, stats) = engine.knn(q, k, &p);
+            assert_eq!(stats.pq_count, 1, "{ctx}: knn queues");
+            same_knn(&ans, &knn_ref[qi], &format!("{ctx} knn"));
+            let (ans, stats) = engine.dtw(q, window, &p);
+            assert_eq!(stats.pq_count, 1, "{ctx}: dtw queues");
+            same_nn(&ans, &dtw_ref[qi], &format!("{ctx} dtw"));
+            let (ans, stats) = engine.dtw_knn(q, window, k, &p);
+            assert_eq!(stats.pq_count, 1, "{ctx}: dtw knn queues");
+            same_knn(&ans, &dtw_knn_ref[qi], &format!("{ctx} dtw knn"));
+        }
+    }
+
+    // Lanes of width 2 and 4 on an 8-thread pool. ED, k-NN and DTW go
+    // through a mixed-kind `run_batch` (one lane per query, so 4 and 2
+    // queries per round give widths 2 and 4); ε and DTW k-NN, which have
+    // no batch kind, run unseeded through `LaneCtx::run_query`.
+    let engine = BatchEngine::new(Arc::clone(&index), 8);
+    for width in [2usize, 4] {
+        let p = one_queue(width);
+        let lanes = 8 / width;
+        let kinds = [QueryKind::Exact, QueryKind::Knn(k), QueryKind::Dtw(window)];
+        for round in queries.chunks(lanes) {
+            for shift in 0..kinds.len() {
+                let batch: Vec<BatchQuery> = round
+                    .iter()
+                    .enumerate()
+                    .map(|(i, q)| BatchQuery::new(q, kinds[(i + shift) % kinds.len()]))
+                    .collect();
+                let order: Vec<usize> = (0..batch.len()).collect();
+                let got = engine.run_batch(&batch, &order, &p);
+                let ctx = format!("width={width} shift={shift} run_batch");
+                assert_bit_identical(&per_query_reference(&inline, &batch, &p1), &got, &ctx);
+                for item in &got.items {
+                    assert_eq!(item.stats.pq_count, 1, "{ctx}: queues");
+                }
+            }
+        }
+        let eps0 = on_lanes(&engine, width, queries.len(), &|ctx, qi| {
+            let kernel = EdKernel::new(queries[qi], segments);
+            let bsf = Arc::new(SharedBsf::new(f64::INFINITY, None));
+            let relaxed = EpsilonRelaxed::new(&*bsf, 0.0);
+            let grant = ctx.admit(qi, Arc::clone(&bsf) as Arc<dyn ResultSet + Send + Sync>);
+            let stats = ctx.run_query(&kernel, &p, &relaxed, None, &grant, &|_, _| {});
+            (bsf.answer(), stats.pq_count)
+        });
+        let dtw_knn = on_lanes(&engine, width, queries.len(), &|ctx, qi| {
+            let kernel = DtwKernel::new(queries[qi], window, segments);
+            let set = Arc::new(SharedKnn::new(k));
+            let grant = ctx.admit(qi, Arc::clone(&set) as Arc<dyn ResultSet + Send + Sync>);
+            let stats = ctx.run_query(&kernel, &p, &*set, None, &grant, &|_, _| {});
+            (set.snapshot(), stats.pq_count)
+        });
+        for qi in 0..queries.len() {
+            let ctx = format!("width={width} q={qi}");
+            assert_eq!(eps0[qi].1, 1, "{ctx}: epsilon queues");
+            same_nn(&eps0[qi].0, &exact_ref[qi], &format!("{ctx} epsilon 0"));
+            assert_eq!(dtw_knn[qi].1, 1, "{ctx}: dtw knn queues");
+            same_knn(&dtw_knn[qi].0, &dtw_knn_ref[qi], &format!("{ctx} dtw knn"));
+        }
+    }
 }
