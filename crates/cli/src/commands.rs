@@ -108,11 +108,22 @@ fn cmd_index_info(args: &Args) -> Result<(), String> {
     println!("  leaf capacity: {}", cfg.leaf_capacity);
     println!("  root subtrees: {}", index.forest().len());
     println!("  leaves:        {}", index.leaf_count());
+    let mib = |bytes: usize| bytes as f64 / 1048576.0;
+    let layout = index.layout();
+    let sax = layout.sax_block(0..layout.num_series()).len();
+    let roots = index.root_soa().size_bytes();
     println!(
         "  overhead:      {:.2} MB (+ {:.2} MB raw data)",
-        index.size_bytes() as f64 / 1048576.0,
-        index.layout().data().size_bytes() as f64 / 1048576.0
+        mib(index.size_bytes()),
+        mib(layout.data().size_bytes())
     );
+    println!("    SAX words:   {:.2} MB", mib(sax));
+    println!("    id maps:     {:.2} MB", mib(layout.size_bytes() - sax));
+    println!(
+        "    tree:        {:.2} MB",
+        mib(index.size_bytes() - layout.size_bytes() - roots)
+    );
+    println!("    root planes: {:.2} MB", mib(roots));
     Ok(())
 }
 

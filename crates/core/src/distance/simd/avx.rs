@@ -1,8 +1,7 @@
 //! Explicit AVX2 `core::arch` kernels for the three dominant hot-path
 //! loops: early-abandoning Euclidean distance, early-abandoning
-//! LB_Keogh, and the mindist-table block sweep over the SoA SAX
-//! transpose — plus the vectorizable half of the banded-DTW row
-//! recurrence.
+//! LB_Keogh, and the mindist-table sweep over a leaf's row-major SAX
+//! words — plus the vectorizable half of the banded-DTW row recurrence.
 //!
 //! Every function here is **bit-identical** to its scalar counterpart
 //! (`crates/core/tests/simd_equivalence.rs` pins this with exhaustive
@@ -166,73 +165,105 @@ pub(super) unsafe fn lb_keogh_sq(
     }
 }
 
-/// AVX2 8-way mindist-table sweep over a segment-major (SoA) SAX block:
-/// `out[j] = sum_i table[i * 256 + seg_row_i[j]]`, eight candidates per
-/// iteration via two 4-lane `f64` gathers, accumulating segments in
-/// index order so every candidate's sum has the scalar summation order.
-/// Bit-identical to [`crate::sax::MindistTable::series_lb_sq`] per
-/// candidate.
+/// Candidates per row-major sweep step: one per `f64` lane of a
+/// `__m256d` accumulator.
+const QUAD: usize = 4;
+
+/// Lower bounds of four row-major SAX words, the `q`-th at
+/// `rows + q * segments`. Per 16-segment chunk, an in-register
+/// transpose (two 16-byte loads per 128-bit lane, then
+/// `unpack{lo,hi}_epi64`) puts eight consecutive segments of word `q`
+/// in 64-bit lane `q`; each segment's four symbols are then one mask
+/// (and a shift to the next byte) away from the `vpgatherqpd` that
+/// fetches their table entries. Lane `q` adds its entries in ascending
+/// segment order, like [`crate::sax::MindistTable::series_lb_sq`].
 ///
-/// `soa` is the full transpose, `stride` the number of scan positions
-/// per segment row, `offset` the first candidate's position; segment
-/// `i`'s byte for candidate `j` is `soa[i * stride + offset + j]`.
+/// # Safety
+/// The CPU must support AVX2: the only caller is [`lb_block_sq`],
+/// gated by [`super::avx2_available`] (`is_x86_feature_detected!`).
+/// Also `segments * 256` table entries at `tp`, and `3 * segments + 16 * segments.div_ceil(16)` readable
+/// bytes at `rows`: the last chunk's loads may run up to 15 bytes past
+/// a word, and the bytes read there are never used.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn quad_lb_sq(tp: *const f64, rows: *const u8, segments: usize) -> __m256d {
+    let byte = _mm256_set1_epi64x(0xFF);
+    let mut acc = _mm256_setzero_pd();
+    let mut base = 0;
+    while base < segments {
+        // SAFETY: 16 readable bytes from every row's chunk start (the
+        // caller's precondition).
+        let r0 = _mm_loadu_si128(rows.add(base).cast::<__m128i>());
+        let r1 = _mm_loadu_si128(rows.add(segments + base).cast::<__m128i>());
+        let r2 = _mm_loadu_si128(rows.add(2 * segments + base).cast::<__m128i>());
+        let r3 = _mm_loadu_si128(rows.add(3 * segments + base).cast::<__m128i>());
+        let a = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(r0), r2);
+        let b = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(r1), r3);
+        let end = segments.min(base + 16);
+        let mut i = base;
+        // Lane q of each half holds eight segments of word q, lowest
+        // segment in the lowest byte. The fixed trip count lets the
+        // compiler unroll; a ragged last chunk stops at `end`.
+        'chunk: for mut half in [_mm256_unpacklo_epi64(a, b), _mm256_unpackhi_epi64(a, b)] {
+            for _ in 0..8 {
+                if i == end {
+                    break 'chunk;
+                }
+                let sym = _mm256_and_si256(half, byte);
+                half = _mm256_srli_epi64::<8>(half);
+                // SAFETY: every index is a byte, so it stays inside
+                // segment i's 256-entry row; scale 8 = size_of::<f64>().
+                let g = _mm256_i64gather_pd::<8>(tp.add(i * crate::sax::MAX_CARD), sym);
+                acc = _mm256_add_pd(acc, g);
+                i += 1;
+            }
+        }
+        base += 16;
+    }
+    acc
+}
+
+/// AVX2 mindist-table sweep over a row-major SAX block (`segments`
+/// bytes per candidate): `out[j] = sum_i table[i * 256 + block[j *
+/// segments + i]]`, four candidates per step via [`quad_lb_sq`], each
+/// summing its segments in index order. Bit-identical to
+/// [`crate::sax::MindistTable::series_lb_sq`] per candidate.
+///
+/// Fills only whole quads whose chunk loads stay inside `block` and
+/// returns how many leading candidates it filled; the caller finishes
+/// the rest (fewer than four, plus up to 15 more when a word is
+/// shorter than a chunk) with the scalar loop.
 ///
 /// # Safety
 /// The CPU must support AVX2; callers must be gated by the runtime
 /// detection in [`super::avx2_available`] (`is_x86_feature_detected!`).
-/// Additionally `table.len() >= segments * 256` and
-/// `(segments - 1) * stride + offset + out.len() <= soa.len()` must
-/// hold (asserted by the safe wrapper).
+/// Additionally `segments >= 1`, `table.len() >= segments * 256` and
+/// `block.len() == segments * out.len()` must hold (asserted by the
+/// safe wrapper).
 #[target_feature(enable = "avx2")]
-// The tail loop indexes `out` and the raw planes by the same `j`; an
-// iterator form would split the bound the SAFETY comments reason about.
-#[allow(clippy::needless_range_loop)]
-pub(super) unsafe fn lb_block_sq_soa(
+pub(super) unsafe fn lb_block_sq(
     table: &[f64],
-    soa: &[u8],
-    stride: usize,
-    offset: usize,
+    block: &[u8],
     segments: usize,
     out: &mut [f64],
-) {
-    const MAX_CARD: usize = crate::sax::MAX_CARD;
-    debug_assert!(table.len() >= segments * MAX_CARD);
+) -> usize {
+    debug_assert!(segments >= 1);
+    debug_assert!(table.len() >= segments * crate::sax::MAX_CARD);
     let n = out.len();
-    debug_assert!(segments == 0 || (segments - 1) * stride + offset + n <= soa.len());
-    let tp = table.as_ptr();
-    let sp = soa.as_ptr();
+    debug_assert_eq!(block.len(), n * segments);
+    // Bytes the last chunk's load reads past a word's end, and so the
+    // number of trailing words whose loads would leave the block.
+    let over = 16 * segments.div_ceil(16) - segments;
+    let direct = n.saturating_sub(over.div_ceil(segments));
     let mut c = 0;
-    while c + 8 <= n {
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        for i in 0..segments {
-            // SAFETY: i * stride + offset + c + 8 <= (segments - 1) *
-            // stride + offset + n <= soa.len() (wrapper precondition).
-            let bytes = _mm_loadl_epi64(sp.add(i * stride + offset + c).cast::<__m128i>());
-            let idx = _mm256_cvtepu8_epi32(bytes);
-            let idx = _mm256_add_epi32(idx, _mm256_set1_epi32((i * MAX_CARD) as i32));
-            // SAFETY: every index is i * 256 + byte < segments * 256 <=
-            // table.len(); scale 8 = size_of::<f64>().
-            let g0 = _mm256_i32gather_pd::<8>(tp, _mm256_castsi256_si128(idx));
-            let g1 = _mm256_i32gather_pd::<8>(tp, _mm256_extracti128_si256::<1>(idx));
-            acc0 = _mm256_add_pd(acc0, g0);
-            acc1 = _mm256_add_pd(acc1, g1);
-        }
-        // SAFETY: c + 8 <= n == out.len().
-        _mm256_storeu_pd(out.as_mut_ptr().add(c), acc0);
-        _mm256_storeu_pd(out.as_mut_ptr().add(c + 4), acc1);
-        c += 8;
+    while c + QUAD <= direct {
+        // SAFETY: word c + 3 < direct, so every chunk load of the quad
+        // ends inside the block; c + 4 <= n == out.len().
+        let acc = quad_lb_sq(table.as_ptr(), block.as_ptr().add(c * segments), segments);
+        _mm256_storeu_pd(out.as_mut_ptr().add(c), acc);
+        c += QUAD;
     }
-    // Tail candidates: scalar, same per-candidate segment order.
-    for j in c..n {
-        let mut sum = 0.0f64;
-        for i in 0..segments {
-            // SAFETY: same bound as the vector body with +1 <= +8.
-            let sym = *sp.add(i * stride + offset + j) as usize;
-            sum += *tp.add(i * MAX_CARD + sym);
-        }
-        out[j] = sum;
-    }
+    c
 }
 
 /// AVX2 8-way mindist-table sweep over segment-major **symbol

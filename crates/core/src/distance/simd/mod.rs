@@ -136,42 +136,36 @@ pub(crate) fn lb_keogh_sq(
     crate::distance::dtw::lb_keogh_sq_scalar(upper, lower, candidate, threshold_sq)
 }
 
-/// Dispatched mindist-table sweep over a segment-major (SoA) SAX block:
-/// `out[j] = sum over segments i of table[i * MAX_CARD + soa[i * stride
-/// + offset + j]]`, summed in ascending segment order — the exact
+/// Dispatched mindist-table sweep over a row-major SAX block
+/// (`segments` bytes per candidate, `out.len()` candidates):
+/// `out[j] = sum over segments i of table[i * MAX_CARD + block[j *
+/// segments + i]]`, summed in ascending segment order — the exact
 /// per-candidate arithmetic of
 /// [`crate::sax::MindistTable::series_lb_sq`].
 ///
 /// # Panics
-/// Panics if the table is shorter than `segments * MAX_CARD` or the SoA
-/// slice cannot hold `out.len()` candidates at the given
-/// stride/offset.
-pub(crate) fn lb_block_sq_soa(
-    table: &[f64],
-    soa: &[u8],
-    stride: usize,
-    offset: usize,
-    segments: usize,
-    out: &mut [f64],
-) {
-    assert!(table.len() >= segments * crate::sax::MAX_CARD, "short table");
+/// Panics if the table is shorter than `segments * MAX_CARD` or
+/// `block.len() != segments * out.len()`.
+pub(crate) fn lb_block_sq(table: &[f64], block: &[u8], segments: usize, out: &mut [f64]) {
     assert!(
-        segments == 0 || (segments - 1) * stride + offset + out.len() <= soa.len(),
-        "SoA block out of bounds"
+        table.len() >= segments * crate::sax::MAX_CARD,
+        "short table"
     );
+    assert_eq!(block.len(), segments * out.len(), "ragged SAX block");
+    let mut done = 0;
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if avx2_available() && segments > 0 {
         // SAFETY: gated by `avx2_available()`, i.e. a cached
         // `is_x86_feature_detected!("avx2")` probe; the shape
-        // preconditions of the callee are the assertions right above.
-        unsafe { avx::lb_block_sq_soa(table, soa, stride, offset, segments, out) };
-        return;
+        // preconditions of the callee are the checks right above.
+        done = unsafe { avx::lb_block_sq(table, block, segments, out) };
     }
-    for (j, slot) in out.iter_mut().enumerate() {
+    // The scalar loop: the whole block, or the candidates the AVX2
+    // kernel leaves (a partial quad, words near the block's end).
+    for (j, slot) in out.iter_mut().enumerate().skip(done) {
         let mut sum = 0.0f64;
-        for i in 0..segments {
-            let sym = soa[i * stride + offset + j] as usize;
-            sum += table[i * crate::sax::MAX_CARD + sym];
+        for (i, &sym) in block[j * segments..(j + 1) * segments].iter().enumerate() {
+            sum += table[i * crate::sax::MAX_CARD + sym as usize];
         }
         *slot = sum;
     }

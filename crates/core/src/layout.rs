@@ -11,6 +11,10 @@
 //! lower-bound pass (`QueryKernel::lb_block_sq`) runs over one dense
 //! byte block.
 //!
+//! The SAX words are held once, row-major (`segments` bytes per
+//! position). The SIMD mindist sweep transposes eight segments of four
+//! words in registers as it goes, so no segment-major copy is kept.
+//!
 //! # The permutation / id-mapping contract
 //!
 //! * A **scan position** `p ∈ [0, num_series)` is a slot in this
@@ -32,61 +36,21 @@ use crate::buffers::Summaries;
 use crate::series::DatasetBuffer;
 use std::sync::Arc;
 
-/// Scan-ordered storage of one indexed collection: raw series, SAX
-/// words, and the position/id mappings (see module docs for the
-/// contract).
+/// Scan-ordered storage of one indexed collection: raw series, one
+/// row-major copy of the SAX words, and the position/id mappings (see
+/// module docs for the contract).
 #[derive(Debug, Clone)]
 pub struct LeafLayout {
     /// Raw series, one per scan position (leaf-contiguous order).
     data: DatasetBuffer,
-    /// Full-cardinality SAX words, `segments` bytes per scan position.
+    /// Full-cardinality SAX words, `segments` bytes per scan position:
+    /// the only summary copy, read by the leaf sweep and persisted as is.
     sax: Arc<[u8]>,
-    /// Segment-major (SoA) transpose of `sax`: byte
-    /// `sax_soa[i * num_series + p]` is segment `i` of position `p`, so
-    /// any leaf's position range is `segments` *contiguous* byte runs —
-    /// the shape the 8-way SIMD mindist sweep consumes. Built once at
-    /// assembly (both the build and the ODY2 load path go through
-    /// [`LeafLayout::from_scan_parts`]); never persisted.
-    sax_soa: Arc<[u8]>,
     /// `scan_to_id[p]` = original id of the series at position `p`.
     scan_to_id: Arc<[u32]>,
     /// `id_to_scan[id]` = scan position of original id `id`.
     id_to_scan: Arc<[u32]>,
     segments: usize,
-}
-
-/// A borrowed window of the segment-major SAX transpose covering one
-/// contiguous scan-position range: candidate `j`'s segment-`i` byte is
-/// `soa[i * stride + offset + j]`. Produced by
-/// [`LeafLayout::sax_soa_view`], consumed by
-/// [`crate::sax::MindistTable::block_lb_sq_soa`].
-#[derive(Debug, Clone, Copy)]
-pub struct SaxSoaView<'a> {
-    pub(crate) soa: &'a [u8],
-    pub(crate) stride: usize,
-    pub(crate) offset: usize,
-    pub(crate) len: usize,
-    pub(crate) segments: usize,
-}
-
-impl SaxSoaView<'_> {
-    /// Number of candidates (scan positions) in the window.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the window is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of segments per SAX word.
-    #[inline]
-    pub fn segments(&self) -> usize {
-        self.segments
-    }
 }
 
 impl LeafLayout {
@@ -137,16 +101,9 @@ impl LeafLayout {
             );
             id_to_scan[id as usize] = p as u32;
         }
-        let mut sax_soa = vec![0u8; n * segments];
-        for (p, word) in scan_sax.chunks_exact(segments).enumerate() {
-            for (i, &sym) in word.iter().enumerate() {
-                sax_soa[i * n + p] = sym;
-            }
-        }
         LeafLayout {
             data: scan_data,
             sax: scan_sax.into(),
-            sax_soa: sax_soa.into(),
             scan_to_id: scan_to_id.into(),
             id_to_scan: id_to_scan.into(),
             segments,
@@ -184,34 +141,6 @@ impl LeafLayout {
         &self.sax[range.start * self.segments..range.end * self.segments]
     }
 
-    /// The segment-major (SoA) window of a contiguous position range —
-    /// the layout the SIMD mindist sweep gathers from.
-    #[inline]
-    pub fn sax_soa_view(&self, range: std::ops::Range<usize>) -> SaxSoaView<'_> {
-        debug_assert!(range.end <= self.num_series());
-        SaxSoaView {
-            soa: &self.sax_soa,
-            stride: self.num_series(),
-            offset: range.start,
-            len: range.len(),
-            segments: self.segments,
-        }
-    }
-
-    /// Segment `seg`'s symbols of a contiguous position range: one
-    /// contiguous run of the segment-major transpose.
-    #[inline]
-    pub(crate) fn segment_symbols(&self, seg: usize, range: std::ops::Range<usize>) -> &[u8] {
-        let base = seg * self.num_series();
-        &self.sax_soa[base + range.start..base + range.end]
-    }
-
-    /// The full segment-major transpose (test-only diagnostics).
-    #[cfg(test)]
-    pub(crate) fn sax_soa_bytes(&self) -> &[u8] {
-        &self.sax_soa
-    }
-
     /// Original id of the series at scan position `p`.
     #[inline]
     pub fn original_id(&self, p: usize) -> u32 {
@@ -242,12 +171,11 @@ impl LeafLayout {
         self.data.num_series()
     }
 
-    /// Index-overhead bytes of the layout: the scan-ordered SAX copy,
-    /// its segment-major transpose, plus both id mappings (the raw
-    /// values are the collection itself, not overhead — they exist in
-    /// exactly one copy).
+    /// Index-overhead bytes of the layout: the scan-ordered SAX words
+    /// plus both id mappings (the raw values are the collection itself,
+    /// not overhead — they exist in exactly one copy).
     pub fn size_bytes(&self) -> usize {
-        self.sax.len() + self.sax_soa.len() + (self.scan_to_id.len() + self.id_to_scan.len()) * 4
+        self.sax.len() + (self.scan_to_id.len() + self.id_to_scan.len()) * 4
     }
 }
 
@@ -287,24 +215,6 @@ mod tests {
             "block spans two positions"
         );
         assert!(layout.size_bytes() > 0);
-    }
-
-    #[test]
-    fn soa_transpose_matches_aos_words() {
-        let (data, summaries) = tiny();
-        let layout = LeafLayout::build(&data, &summaries, vec![2, 0, 3, 1]);
-        let n = layout.num_series();
-        let soa = layout.sax_soa_bytes();
-        assert_eq!(soa.len(), n * layout.segments());
-        for p in 0..n {
-            for (i, &sym) in layout.sax(p).iter().enumerate() {
-                assert_eq!(soa[i * n + p], sym, "p={p} seg={i}");
-            }
-        }
-        let view = layout.sax_soa_view(1..3);
-        assert_eq!(view.len(), 2);
-        assert!(!view.is_empty());
-        assert_eq!(view.segments(), layout.segments());
     }
 
     #[test]

@@ -15,12 +15,11 @@
 //! space, so a loaded index satisfies the same layout contract as a
 //! freshly built one.
 //!
-//! The segment-major SAX transpose the SIMD mindist sweep reads
-//! (`LeafLayout::sax_soa_view`) is **not** persisted: it is a pure
-//! function of the persisted AoS block, and both the build and the load
-//! path assemble through `LeafLayout::from_scan_parts`, which rebuilds
-//! it — so ODY2 files written before vectorization load unchanged, and
-//! the format needs no version bump.
+//! The in-memory layout holds exactly what the file holds: the SIMD
+//! mindist sweep reads the persisted row-major SAX block directly, and
+//! the root planes (`RootSoa`) are rebuilt from it on load. The bytes of
+//! a save are pinned by a golden test, so ODY2 files written by earlier
+//! builds load unchanged.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -465,21 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn load_rebuilds_segment_major_transpose() {
-        // The SoA transpose is not in the file; `from_scan_parts` must
-        // reconstruct it byte-identically on load.
-        let index = build(300);
-        let mut bytes = Vec::new();
-        save_index(&index, &mut bytes).expect("save");
-        let loaded = load_index(&mut bytes.as_slice()).expect("load");
-        assert_eq!(
-            index.layout().sax_soa_bytes(),
-            loaded.layout().sax_soa_bytes(),
-            "SoA transpose survives a save/load roundtrip"
-        );
-    }
-
-    #[test]
     fn rejects_bad_magic() {
         let mut bytes = b"NOPE".to_vec();
         bytes.extend_from_slice(&[0u8; 64]);
@@ -617,6 +601,60 @@ mod tests {
                 assert!(m.contains("dataset order"), "unexpected message: {m}")
             }
             other => panic!("expected corruption error, got {other:?}"),
+        }
+    }
+
+    /// FNV-1a, 64-bit, over a byte string.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn ody2_bytes_are_pinned() {
+        // Golden hashes of two seeded saves. Any change to the file
+        // format, the scan permutation, the SAX summaries or the forest
+        // shows up here; a file written by an older build loads into the
+        // same bytes, so it loads unchanged.
+        for (segments, seed, want) in [
+            (8usize, 31u64, 0xBC70_A853_4D1C_A1E0),
+            (16, 47, 0x7CF2_97AE_69C4_B1C4),
+        ] {
+            let index = Index::build(
+                walk_dataset(600, 64, seed),
+                IndexConfig::new(64)
+                    .with_segments(segments)
+                    .with_leaf_capacity(20),
+                2,
+            );
+            assert!(index.leaf_count() > 30, "many leaves");
+            let mut bytes = Vec::new();
+            save_index(&index, &mut bytes).expect("save");
+            assert_eq!(
+                fnv1a64(&bytes),
+                want,
+                "ODY2 bytes moved at {segments} segments ({} bytes)",
+                bytes.len()
+            );
+            let loaded = load_index(&mut bytes.as_slice()).expect("load");
+            let mut again = Vec::new();
+            save_index(&loaded, &mut again).expect("resave");
+            assert!(again == bytes, "load -> save reproduces the file");
+        }
+    }
+
+    #[test]
+    fn layout_holds_one_sax_copy() {
+        // The layout's overhead is the SAX words once plus two u32 id
+        // maps, built or loaded: a second summary copy would show here.
+        let index = build(500);
+        let mut bytes = Vec::new();
+        save_index(&index, &mut bytes).expect("save");
+        let loaded = load_index(&mut bytes.as_slice()).expect("load");
+        for layout in [index.layout(), loaded.layout()] {
+            let (n, segments) = (layout.num_series(), layout.segments());
+            assert_eq!(layout.size_bytes(), n * segments + 8 * n);
         }
     }
 

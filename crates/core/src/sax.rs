@@ -392,45 +392,16 @@ impl MindistTable {
     /// Per-series lower bounds for a contiguous block of
     /// full-cardinality SAX words (`segments` bytes per candidate,
     /// `out.len()` candidates) — the batched pruning pass over a leaf's
-    /// scan-contiguous summary block. One tight loop over table-resident
-    /// data: no branches, no breakpoint math.
+    /// scan-contiguous summary block. Every `out[j]` is bit-identical to
+    /// [`MindistTable::series_lb_sq`] of the `j`-th word: each candidate
+    /// sums its table entries in ascending segment order. Dispatches to
+    /// the AVX2 transpose-and-gather kernel when
+    /// [`crate::distance::simd::avx2_available`] says so.
     ///
     /// # Panics
     /// Panics if `sax_block.len() != out.len() * segments`.
     pub fn block_lb_sq(&self, sax_block: &[u8], out: &mut [f64]) {
-        let w = self.segments;
-        assert_eq!(sax_block.len(), out.len() * w, "ragged SAX block");
-        for (slot, word) in out.iter_mut().zip(sax_block.chunks_exact(w)) {
-            let mut sum = 0.0f64;
-            for (i, &sym) in word.iter().enumerate() {
-                sum += self.table[i * MAX_CARD + sym as usize];
-            }
-            *slot = sum;
-        }
-    }
-
-    /// [`MindistTable::block_lb_sq`] over the segment-major (SoA)
-    /// transpose of the block ([`crate::layout::SaxSoaView`]): eight
-    /// candidates advance together through the segments, each summing
-    /// its table entries in the same ascending-segment order as
-    /// [`MindistTable::series_lb_sq`] — so every `out[j]` is
-    /// bit-identical to the AoS path. Dispatches to the AVX2 gather
-    /// kernel when [`crate::distance::simd::avx2_available`] says so.
-    ///
-    /// # Panics
-    /// Panics if the view's segment count differs from the table's or
-    /// `out.len() != view.len()`.
-    pub fn block_lb_sq_soa(&self, view: &crate::layout::SaxSoaView<'_>, out: &mut [f64]) {
-        assert_eq!(view.segments, self.segments, "segment count mismatch");
-        assert_eq!(view.len, out.len(), "ragged SoA block");
-        crate::distance::simd::lb_block_sq_soa(
-            &self.table,
-            view.soa,
-            view.stride,
-            view.offset,
-            self.segments,
-            out,
-        );
+        crate::distance::simd::lb_block_sq(&self.table, sax_block, self.segments, out);
     }
 
     /// Node-level lower bounds for a contiguous range of forest roots,
@@ -689,50 +660,6 @@ mod tests {
         table.block_lb_sq(&block, &mut got);
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
-        }
-    }
-
-    #[test]
-    fn soa_block_matches_aos_block_bitwise() {
-        // 37 candidates: exercises the 8-wide SIMD body and its tail.
-        let len = 64;
-        let segs = 8;
-        let n = 37usize;
-        let q = pseudo_series(29, len);
-        let table = MindistTable::from_paa(&paa(&q, segs), len);
-        let mut aos = Vec::new();
-        for sb in 0..n as u64 {
-            let s = pseudo_series(sb + 700, len);
-            let mut sax = vec![0u8; segs];
-            sax_word_into(&paa(&s, segs), &mut sax);
-            aos.extend_from_slice(&sax);
-        }
-        let mut soa = vec![0u8; n * segs];
-        for p in 0..n {
-            for i in 0..segs {
-                soa[i * n + p] = aos[p * segs + i];
-            }
-        }
-        let mut want = vec![0.0f64; n];
-        table.block_lb_sq(&aos, &mut want);
-        // Offset windows: the view need not start at position 0.
-        for (off, cnt) in [(0usize, n), (3, 17), (5, 8), (30, 7), (36, 1), (7, 0)] {
-            let view = crate::layout::SaxSoaView {
-                soa: &soa,
-                stride: n,
-                offset: off,
-                len: cnt,
-                segments: segs,
-            };
-            let mut got = vec![0.0f64; cnt];
-            table.block_lb_sq_soa(&view, &mut got);
-            for (j, g) in got.iter().enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    want[off + j].to_bits(),
-                    "off={off} cnt={cnt} j={j}"
-                );
-            }
         }
     }
 

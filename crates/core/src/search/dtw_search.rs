@@ -105,16 +105,6 @@ impl QueryKernel for DtwKernel<'_> {
     }
 
     #[inline]
-    fn lb_block_at(
-        &self,
-        layout: &crate::layout::LeafLayout,
-        range: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) {
-        self.table.block_lb_sq_soa(&layout.sax_soa_view(range), out);
-    }
-
-    #[inline]
     fn root_lb_block(
         &self,
         _forest: &[crate::tree::RootSubtree],

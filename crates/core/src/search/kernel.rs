@@ -37,7 +37,8 @@ pub trait QueryKernel: Sync {
     /// batched pruning pass over a leaf's scan-contiguous summary block.
     /// Each `out[j]` must equal `series_lb_sq` of the `j`-th word; the
     /// default implementation delegates, table-backed kernels override
-    /// with a branch-free loop.
+    /// with [`MindistTable::block_lb_sq`], whose SIMD kernel transposes
+    /// the row-major words in registers.
     fn lb_block_sq(&self, sax_block: &[u8], segments: usize, out: &mut [f64]) {
         debug_assert_eq!(sax_block.len(), out.len() * segments);
         for (slot, word) in out.iter_mut().zip(sax_block.chunks_exact(segments)) {
@@ -47,11 +48,9 @@ pub trait QueryKernel: Sync {
 
     /// [`QueryKernel::lb_block_sq`] addressed by layout position: lower
     /// bounds for the contiguous scan-position `range` (one leaf),
-    /// `out.len() == range.len()`. The default reads the interleaved
-    /// (AoS) SAX block; table-backed kernels override with the
-    /// segment-major SoA sweep so the SIMD gather kernel applies. Every
-    /// `out[j]` must stay bit-identical to `series_lb_sq` of position
-    /// `range.start + j`.
+    /// `out.len() == range.len()`, over the leaf's row-major SAX block.
+    /// Every `out[j]` must stay bit-identical to `series_lb_sq` of
+    /// position `range.start + j`.
     fn lb_block_at(&self, layout: &LeafLayout, range: std::ops::Range<usize>, out: &mut [f64]) {
         self.lb_block_sq(layout.sax_block(range), layout.segments(), out);
     }
@@ -136,11 +135,6 @@ impl QueryKernel for EdKernel<'_> {
     fn lb_block_sq(&self, sax_block: &[u8], segments: usize, out: &mut [f64]) {
         debug_assert_eq!(segments, self.table.segments());
         self.table.block_lb_sq(sax_block, out);
-    }
-
-    #[inline]
-    fn lb_block_at(&self, layout: &LeafLayout, range: std::ops::Range<usize>, out: &mut [f64]) {
-        self.table.block_lb_sq_soa(&layout.sax_soa_view(range), out);
     }
 
     #[inline]

@@ -186,8 +186,8 @@ pub struct RootSubtree {
 /// the same order never gives a larger bound).
 ///
 /// Built once at index assembly (both the build and the ODY2 load path)
-/// from the scan layout's segment-major SAX planes; never persisted — it
-/// is a pure function of the forest and the layout.
+/// by folding each leaf's row-major SAX words into its root's min/max;
+/// never persisted — it is a pure function of the forest and the layout.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RootSoa {
     /// Lower symbol bounds, segment-major, stride = root count.
@@ -211,30 +211,25 @@ impl RootSoa {
     /// slice lies outside the layout.
     pub fn build(forest: &[RootSubtree], layout: &LeafLayout) -> Self {
         let mut soa = Self::from_words(forest.iter().map(|t| t.node.word()));
-        let len = soa.len;
-        let mut leaves: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        let (len, segments) = (soa.len, soa.segments);
+        let mut lo_w = vec![u8::MAX; segments];
+        let mut hi_w = vec![u8::MIN; segments];
         for (r, tree) in forest.iter().enumerate() {
+            lo_w.fill(u8::MAX);
+            hi_w.fill(u8::MIN);
+            let mut stored = false;
             tree.node.for_each_leaf(&mut |leaf| {
-                if !leaf.slice.is_empty() {
-                    leaves.push((r, leaf.slice.range()));
+                stored |= !leaf.slice.is_empty();
+                for word in layout.sax_block(leaf.slice.range()).chunks_exact(segments) {
+                    for ((l, h), &s) in lo_w.iter_mut().zip(hi_w.iter_mut()).zip(word) {
+                        (*l, *h) = ((*l).min(s), (*h).max(s));
+                    }
                 }
             });
-        }
-        // Segment-major, so each pass reads one row of the layout's
-        // transpose front to back and writes one row of each plane.
-        for i in 0..soa.segments {
-            let lo = &mut soa.lo[i * len..(i + 1) * len];
-            let hi = &mut soa.hi[i * len..(i + 1) * len];
-            for (r, _) in &leaves {
-                (lo[*r], hi[*r]) = (u8::MAX, u8::MIN);
-            }
-            for (r, range) in &leaves {
-                let syms = layout.segment_symbols(i, range.clone());
-                let (l, h) = syms
-                    .iter()
-                    .fold((u8::MAX, u8::MIN), |(l, h), &s| (l.min(s), h.max(s)));
-                lo[*r] = lo[*r].min(l);
-                hi[*r] = hi[*r].max(h);
+            if stored {
+                for i in 0..segments {
+                    (soa.lo[i * len + r], soa.hi[i * len + r]) = (lo_w[i], hi_w[i]);
+                }
             }
         }
         soa

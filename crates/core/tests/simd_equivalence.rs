@@ -13,7 +13,8 @@
 //! The shapes stressed here, per the kernels' dispatch seams:
 //! * lengths that are not multiples of the 4-lane width, the 8-wide
 //!   gather, or the 32-element abandon block (tail handling);
-//! * every segment count 1..=16 plus ragged view offsets (SoA sweep);
+//! * every segment count 1..=64 plus ragged starts and lengths 0..=40
+//!   (row-major leaf sweep);
 //! * arbitrary `lo <= hi` symbol intervals under point (ED) and
 //!   envelope (DTW) tables (root sweep);
 //! * early-abandon thresholds placed exactly at block-boundary partial
@@ -314,38 +315,61 @@ fn root_sweep_matches_scalar_on_arbitrary_intervals() {
 }
 
 #[test]
-fn soa_block_sweep_matches_aos_for_all_segment_counts() {
+fn row_major_block_sweep_matches_per_word_for_all_segment_counts() {
     use odyssey_core::buffers::Summaries;
     use odyssey_core::layout::LeafLayout;
     use odyssey_core::sax::MindistTable;
+    use odyssey_core::search::kernel::{EdKernel, QueryKernel};
     use odyssey_core::series::DatasetBuffer;
 
-    let series_len = 32;
-    let n = 41; // odd: 8-wide body + 1-wide tail
+    // 1..=64 segments: the kernel works in 16-byte chunks, so 17..=64
+    // add chunk seams and every count not a multiple of 16 a ragged
+    // last chunk. Ranges start off any multiple of 4 or 8 and run
+    // 0..=40 words, so they end anywhere in a quad — including on the
+    // layout's last word, where chunk loads must not leave the block.
+    let series_len = 64;
+    let n = 53;
     let mut raw = Vec::with_capacity(n * series_len);
     for s in 0..n as u64 {
         raw.extend_from_slice(&pseudo_series(s + 9000, series_len));
     }
     let data = DatasetBuffer::from_vec(raw, series_len);
-    for segments in 1..=16usize {
+    let q = pseudo_series(1234, series_len);
+    for segments in 1..=64usize {
         let summaries = Summaries::compute(&data, segments, 1);
-        // A non-identity permutation, so view offsets matter.
+        // A non-identity permutation, so positions and ids differ.
         let perm: Vec<u32> = (0..n as u32).map(|p| (p * 7 + 3) % n as u32).collect();
         let layout = LeafLayout::build(&data, &summaries, perm);
-        let q = pseudo_series(1234, series_len);
-        let qpaa = odyssey_core::paa::paa(&q, segments);
-        let table = MindistTable::from_paa(&qpaa, series_len);
-        for range in [0..n, 0..8, 3..20, 5..6, 33..41, 40..41, 17..17] {
-            let mut want = vec![0.0f64; range.len()];
-            table.block_lb_sq(layout.sax_block(range.clone()), &mut want);
-            let mut got = vec![0.0f64; range.len()];
-            table.block_lb_sq_soa(&layout.sax_soa_view(range.clone()), &mut got);
-            for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+        let kernel = EdKernel::new(&q, segments);
+        let table = MindistTable::from_paa(&odyssey_core::paa::paa(&q, segments), series_len);
+        for start in [0, 1, 3, 5, 8, 13] {
+            for len in 0..=40.min(n - start) {
+                let range = start..start + len;
+                let mut got = vec![f64::NAN; len];
+                table.block_lb_sq(layout.sax_block(range.clone()), &mut got);
+                let mut via_kernel = vec![f64::NAN; len];
+                kernel.lb_block_at(&layout, range.clone(), &mut via_kernel);
+                for (j, (g, k)) in got.iter().zip(&via_kernel).enumerate() {
+                    let want = table.series_lb_sq(layout.sax(start + j));
+                    assert_eq!(
+                        (g.to_bits(), k.to_bits()),
+                        (want.to_bits(), want.to_bits()),
+                        "segments={segments} range={range:?} j={j} under dispatch {}",
+                        dispatch_name()
+                    );
+                }
+            }
+        }
+        // The layout's tail: ranges ending on the last word.
+        for start in n - 9..n {
+            let mut got = vec![f64::NAN; n - start];
+            table.block_lb_sq(layout.sax_block(start..n), &mut got);
+            for (j, g) in got.iter().enumerate() {
+                let want = table.series_lb_sq(layout.sax(start + j));
                 assert_eq!(
                     g.to_bits(),
-                    w.to_bits(),
-                    "segments={segments} range={range:?} j={j} under dispatch {}",
-                    dispatch_name()
+                    want.to_bits(),
+                    "segments={segments} tail from {start}"
                 );
             }
         }
