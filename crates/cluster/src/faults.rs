@@ -16,7 +16,11 @@
 //!   fault is a *kill through the panic path*. The panic itself fires
 //!   from the registry's cooperative service hook, so whether it lands
 //!   mid-phase depends on the engine's claim cadence; the node's death
-//!   at that query is deterministic either way.
+//!   at that query is deterministic either way. A serving session
+//!   ([`crate::OdysseyCluster::serve`]) counts exact executions the
+//!   same way, but retires the node only while its group has another
+//!   live member; otherwise the torn query is answered degraded and the
+//!   node keeps serving. Kill faults apply to the batch paths only.
 //! * [`Fault::Delay`] — node `n`'s responses are delayed: every service
 //!   tick sleeps `micros` behind the fault clock, modelling a slow or
 //!   flaky link. Delays never kill; they exercise the `Suspect` lease

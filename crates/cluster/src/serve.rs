@@ -12,13 +12,18 @@
 //! the last group contributes. There is no batch barrier anywhere: the
 //! only join is at session close, when the queues drain.
 //!
-//! Two serving-specific behaviors ride the existing failure machinery:
+//! Three serving-specific behaviors ride the existing failure machinery:
 //!
 //! * **deadline honesty** — a query claimed after its deadline expired
 //!   is answered from the index's approximate search (the same seed the
 //!   exact search starts from) and flagged [`ServeOutcome::Degraded`]
 //!   with a [`Coverage::Partial`]-style report naming the degraded
 //!   groups, never silently dropped;
+//! * **torn executions** — a worker panic mid-query (an injected
+//!   [`crate::FaultPlan::worker_panic`] or a real fault) is caught on
+//!   its lane: the node retires and a live group member re-executes the
+//!   query, or, on the group's last member, the query is answered
+//!   approximately (flagged degraded) and the node re-arms its lanes;
 //! * **suspect hedging** — a healthy group member that runs out of
 //!   queued work re-executes a query whose claim has been sitting with
 //!   a [`NodeHealth::Suspect`] peer for
@@ -27,11 +32,13 @@
 //!   answer wins; the late twin is discarded on arrival.
 
 use crate::config::ClusterConfig;
-use crate::faults::NodeFaults;
+use crate::faults::{service_tick, NodeFaults};
 use crate::runtime::{record_feedback, OdysseyCluster};
 use crate::shard_map::{Coverage, NodeHealth, ShardMap};
 use odyssey_core::search::answer::{Answer, KnnAnswer};
-use odyssey_core::search::engine::{BatchAnswer, BatchEngine, BatchQuery, QueryKind};
+use odyssey_core::search::engine::{
+    BatchAnswer, BatchEngine, BatchQuery, QueryKind, StealRegistry,
+};
 use odyssey_core::search::exact::SearchParams;
 use odyssey_core::search::multiq::uniform_widths;
 use parking_lot::Mutex;
@@ -96,8 +103,9 @@ impl ServeQuery {
 pub enum ServeOutcome {
     /// Every group ran the full exact search.
     Exact,
-    /// At least one group answered from the approximate seed because
-    /// the query's deadline had expired when the group claimed it.
+    /// At least one group answered from the approximate seed: the
+    /// query's deadline had expired when the group claimed it, or a
+    /// worker panic tore the group's execution on its last live member.
     Degraded,
 }
 
@@ -111,7 +119,7 @@ pub struct ServedAnswer {
     /// Exact everywhere, or degraded in the named groups.
     pub outcome: ServeOutcome,
     /// [`Coverage::Partial`] names the groups that answered
-    /// approximately past the deadline (`Complete` = exact everywhere).
+    /// approximately (`Complete` = exact everywhere).
     pub coverage: Coverage,
     /// Whether a suspect-hedge re-execution was spent on this query.
     pub hedged: bool,
@@ -148,7 +156,7 @@ struct ServeEntry {
     /// Groups still owed; the entry completes when this hits zero.
     remaining: usize,
     groups_done: Vec<bool>,
-    /// Groups that answered approximately past the deadline.
+    /// Groups that answered approximately.
     degraded_groups: Vec<usize>,
     /// Outstanding claim per group: `(node, shard-map tick at claim)`.
     /// Read by the hedge scan to spot work stuck on a suspect peer.
@@ -190,8 +198,14 @@ pub struct ServeHandle<'c> {
     shard_map: ShardMap,
     entries: Mutex<HashMap<u64, ServeEntry>>,
     queues: Vec<Mutex<GroupQueues>>,
-    /// Outstanding claims per group — the group-exit condition.
+    /// Outstanding claims per group — the group-exit condition. A
+    /// claim is counted under its group's queue lock, and a torn claim
+    /// goes back to the queue under that lock before it is uncounted,
+    /// so a member that sees the queue empty and nothing in flight
+    /// cannot miss a query.
     inflight: Vec<AtomicUsize>,
+    /// Members per group that have not retired after a worker panic.
+    live: Vec<AtomicUsize>,
     closed: AtomicBool,
     next_qid: AtomicU64,
     completed: AtomicU64,
@@ -222,6 +236,9 @@ impl<'c> ServeHandle<'c> {
                 })
                 .collect(),
             inflight: (0..n_groups).map(|_| AtomicUsize::new(0)).collect(),
+            live: (0..n_groups)
+                .map(|_| AtomicUsize::new(topo.replication_degree()))
+                .collect(),
             closed: AtomicBool::new(false),
             next_qid: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -327,16 +344,20 @@ impl<'c> ServeHandle<'c> {
         // Own queue first: interactive (EDF) before batch.
         let popped = {
             let mut gq = self.queues[g].lock();
-            gq.interactive
+            let popped = gq
+                .interactive
                 .pop_front()
                 .map(|(_, qid)| qid)
-                .or_else(|| gq.batch.pop_front())
+                .or_else(|| gq.batch.pop_front());
+            if popped.is_some() {
+                self.inflight[g].fetch_add(1, Ordering::AcqRel);
+            }
+            popped
         };
         if let Some(qid) = popped {
             let mut entries = self.entries.lock();
             let e = entries.get_mut(&qid).expect("queued query has an entry");
             e.claims[g] = Some((node, self.shard_map.now()));
-            self.inflight[g].fetch_add(1, Ordering::AcqRel);
             return Claim::Run {
                 qid,
                 data: Arc::clone(&e.data),
@@ -384,16 +405,55 @@ impl<'c> ServeHandle<'c> {
         }
         let drained = {
             let gq = self.queues[g].lock();
-            gq.interactive.is_empty() && gq.batch.is_empty()
+            gq.interactive.is_empty()
+                && gq.batch.is_empty()
+                && self.inflight[g].load(Ordering::Acquire) == 0
         };
-        if self.closed.load(Ordering::Acquire)
-            && drained
-            && self.inflight[g].load(Ordering::Acquire) == 0
-        {
+        if self.closed.load(Ordering::Acquire) && drained {
             Claim::Exit
         } else {
             Claim::Idle
         }
+    }
+
+    /// Settles group `g`'s share of `qid` after a worker panic tore its
+    /// execution on `node`, so the query is still answered exactly
+    /// once. While `g` has another live member, `node` retires (marked
+    /// `Down`) and the query goes back to the head of its class queue
+    /// for a replica to re-execute; the group's last member instead
+    /// answers it from the approximate seed, flagged degraded, and
+    /// keeps serving. Returns whether `node` retired.
+    fn tear(
+        &self,
+        node: usize,
+        g: usize,
+        qid: u64,
+        engine: &BatchEngine,
+        query: &BatchQuery,
+    ) -> bool {
+        let retire = self.live[g]
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n > 1).then(|| n - 1)
+            })
+            .is_ok();
+        if !retire {
+            self.complete(node, g, qid, engine.approximate(query), true);
+            return false;
+        }
+        self.shard_map.mark_down(node);
+        let mut entries = self.entries.lock();
+        let mut gq = self.queues[g].lock();
+        // A hedge twin may already have answered the group's share.
+        if let Some(e) = entries.get_mut(&qid).filter(|e| !e.groups_done[g]) {
+            e.claims[g] = None;
+            if e.interactive {
+                gq.interactive.push_front((e.expire_at, qid));
+            } else {
+                gq.batch.push_front(qid);
+            }
+        }
+        self.inflight[g].fetch_sub(1, Ordering::AcqRel);
+        true
     }
 
     /// Merges group `g`'s answer for `qid`; delivers the completed
@@ -508,37 +568,89 @@ impl<'c> ServeHandle<'c> {
             .with_nsb(cfg.rs_batches);
         // Delay faults pace the node between claim and execution (a
         // slow replica whose peers out-tick its lease — the suspect the
-        // hedge path exists for). Fatal faults stay a batch-path
-        // concern: the serving loop models overload, not crash-failover
-        // (that machinery is exercised by `answer_batch`).
-        let delay = NodeFaults::new(cfg.fault_plan.as_deref(), node).delay();
+        // hedge path exists for). A worker panic fires from the
+        // engine's service hook, as in the batch paths, and tears one
+        // execution (see `tear`). Kill faults stay a batch-path
+        // concern: the serving loop models overload and torn
+        // executions, not crash-failover.
+        let faults = NodeFaults::new(cfg.fault_plan.as_deref(), node);
+        let delay = faults.delay();
+        if cfg
+            .fault_plan
+            .as_deref()
+            .is_some_and(|p| p.dies_by_panic(node))
+        {
+            let panic_armed = faults.panic_flag();
+            engine
+                .steal_registry()
+                .install_service(Arc::new(move |_: &StealRegistry| {
+                    service_tick(&panic_armed, None)
+                }));
+        }
+        let faults = Mutex::new(faults);
         let widths = uniform_widths(cfg.threads_per_node, cfg.service_lane_width);
-        engine.run_dispatch(&widths, &|ctx, _lane| loop {
-            match self.claim(node, g) {
-                Claim::Run {
-                    qid,
-                    data,
-                    kind,
-                    degraded,
-                } => {
-                    if let Some(d) = delay {
-                        std::thread::sleep(d);
+        // Set once a lane tears an execution: every lane leaves the
+        // round, whose pool join drains the panicked workers, and the
+        // node re-arms its lanes in a fresh round unless it retired.
+        let torn = AtomicBool::new(false);
+        let retired = AtomicBool::new(false);
+        loop {
+            let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.run_dispatch(&widths, &|ctx, _lane| {
+                    while !torn.load(Ordering::Acquire) {
+                        match self.claim(node, g) {
+                            Claim::Run {
+                                qid,
+                                data,
+                                kind,
+                                degraded,
+                            } => {
+                                if let Some(d) = delay {
+                                    std::thread::sleep(d);
+                                }
+                                let query = BatchQuery::new(&data, kind);
+                                if degraded {
+                                    self.complete(node, g, qid, engine.approximate(&query), true);
+                                    continue;
+                                }
+                                {
+                                    let mut nf = faults.lock();
+                                    nf.panic_due();
+                                    nf.record_execution();
+                                }
+                                let run =
+                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                        ctx.execute(qid as usize, &query, &params).answer
+                                    }));
+                                match run {
+                                    Ok(answer) => self.complete(node, g, qid, answer, false),
+                                    Err(_) => {
+                                        if self.tear(node, g, qid, &engine, &query) {
+                                            retired.store(true, Ordering::Release);
+                                        }
+                                        torn.store(true, Ordering::Release);
+                                    }
+                                }
+                            }
+                            Claim::Idle => {
+                                self.shard_map.expire_leases();
+                                std::thread::sleep(Duration::from_micros(50));
+                            }
+                            Claim::Exit => return,
+                        }
                     }
-                    let query = BatchQuery::new(&data, kind);
-                    let answer = if degraded {
-                        engine.approximate(&query)
-                    } else {
-                        ctx.execute(qid as usize, &query, &params).answer
-                    };
-                    self.complete(node, g, qid, answer, degraded);
+                })
+            }));
+            if !torn.swap(false, Ordering::AcqRel) {
+                if let Err(payload) = round {
+                    std::panic::resume_unwind(payload);
                 }
-                Claim::Idle => {
-                    self.shard_map.expire_leases();
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-                Claim::Exit => break,
+                return;
             }
-        });
+            if retired.load(Ordering::Acquire) {
+                return;
+            }
+        }
     }
 }
 
@@ -552,8 +664,8 @@ impl OdysseyCluster {
     ///
     /// Answers are bit-identical to [`OdysseyCluster::answer_batch`] /
     /// [`OdysseyCluster::answer_batch_knn`] over the same queries, as
-    /// long as no deadline expires (deadlines trade exactness for
-    /// bounded latency, honestly flagged per answer).
+    /// long as no deadline expires and no worker panics (both trade
+    /// exactness for a bounded answer, honestly flagged per answer).
     pub fn serve<R, S>(
         &self,
         session: S,

@@ -6,6 +6,7 @@ use odyssey_cluster::{
     ClusterConfig, Coverage, FaultPlan, OdysseyCluster, Replication, ServeOutcome, ServeQuery,
     ServedAnswer,
 };
+use odyssey_core::distance::{dtw_banded, euclidean_sq};
 use odyssey_core::search::engine::{BatchAnswer, QueryKind};
 use odyssey_core::series::DatasetBuffer;
 use odyssey_workloads::generator::random_walk;
@@ -301,4 +302,140 @@ fn wrong_length_submit_panics_the_session() {
         "{msg}"
     );
     assert_eq!(*delivered.lock(), 0, "no answer may be delivered");
+}
+
+/// Brute-force neighbours of `q` over the whole collection, ascending
+/// by `(squared distance, id)`.
+fn brute_force(data: &DatasetBuffer, q: &[f32], kind: QueryKind) -> Vec<(f64, u32)> {
+    let mut all: Vec<(f64, u32)> = (0..data.num_series())
+        .map(|id| {
+            let s = data.series(id);
+            let d = match kind {
+                QueryKind::Dtw(window) => dtw_banded(q, s, window, f64::INFINITY)
+                    .expect("an unbounded DTW never abandons"),
+                QueryKind::Exact | QueryKind::Knn(_) => euclidean_sq(q, s),
+            };
+            (d, id as u32)
+        })
+        .collect();
+    all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    all
+}
+
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// A worker panic while serving tears one execution, and the session
+/// still answers every query exactly once and returns. Where the torn
+/// node's group has no other member (1 node; 2-node PARTIAL-2) the
+/// query is answered approximately and flagged degraded, and the node
+/// re-arms its lanes; on 2-node FULL the node retires and its replica
+/// re-executes the query, so every answer stays exact. Exact answers
+/// are checked against brute force; degraded ones must name series
+/// that lie at the reported distances.
+#[test]
+fn worker_panic_while_serving_answers_every_query_once() {
+    let data = random_walk(1000, 64, 71);
+    let w = workload(&data, 10, 83);
+    let k = 3;
+    let kinds = [QueryKind::Exact, QueryKind::Dtw(4), QueryKind::Knn(k)];
+    let stream = || -> Vec<ServeQuery> {
+        (0..w.len())
+            .flat_map(|qi| {
+                kinds.map(|kind| ServeQuery::interactive(w.query(qi).to_vec()).with_kind(kind))
+            })
+            .collect()
+    };
+    let truth: Vec<Vec<(f64, u32)>> = (0..w.len())
+        .flat_map(|qi| kinds.map(|kind| brute_force(&data, w.query(qi), kind)))
+        .collect();
+    for (nodes, replication) in [
+        (1usize, Replication::Full),
+        (2, Replication::Partial(2)),
+        (2, Replication::Full),
+    ] {
+        for lane_width in [1usize, 2] {
+            let base = OdysseyCluster::build(
+                &data,
+                ClusterConfig::new(nodes)
+                    .with_replication(replication)
+                    .with_threads_per_node(2)
+                    .with_service_lane_width(lane_width),
+            );
+            let has_replica = base.topology().replication_degree() > 1;
+            for during in 0..3 {
+                let label =
+                    format!("{nodes} nodes {replication:?} lane {lane_width} panic@{during}");
+                let cluster = base
+                    .reconfigured(|c| c.with_fault_plan(FaultPlan::new().worker_panic(0, during)));
+                let deliveries: Vec<Mutex<Vec<ServedAnswer>>> =
+                    truth.iter().map(|_| Mutex::new(Vec::new())).collect();
+                let on_complete = |a: ServedAnswer| deliveries[a.qid as usize].lock().push(a);
+                let (_, stats) = cluster.serve(
+                    |handle| {
+                        for q in stream() {
+                            handle.submit(q);
+                        }
+                    },
+                    &on_complete,
+                );
+                assert_eq!(stats.completed, truth.len() as u64, "{label}");
+                // One torn execution: degraded only without a replica.
+                let expected_degraded = if has_replica { 0 } else { 1 };
+                assert_eq!(stats.degraded, expected_degraded, "{label}");
+                for (i, slot) in deliveries.iter().enumerate() {
+                    let got = slot.lock();
+                    assert_eq!(
+                        got.len(),
+                        1,
+                        "{label}: query {i} answered {} times",
+                        got.len()
+                    );
+                    let r = &got[0];
+                    let neighbors = match &r.answer {
+                        BatchAnswer::Nn(a) => vec![(a.distance_sq, a.series_id.expect("an id"))],
+                        BatchAnswer::Knn(a) => a.neighbors.clone(),
+                    };
+                    let kind = kinds[i % kinds.len()];
+                    let exact = &truth[i];
+                    match r.outcome {
+                        ServeOutcome::Exact => {
+                            assert!(r.coverage.is_complete(), "{label}: query {i}");
+                            let want = if let QueryKind::Knn(k) = kind { k } else { 1 };
+                            assert_eq!(neighbors.len(), want, "{label}: query {i}");
+                            for (rank, (&(d, _), &(bd, _))) in
+                                neighbors.iter().zip(exact).enumerate()
+                            {
+                                assert!(
+                                    close(d, bd),
+                                    "{label}: query {i} rank {rank}: {d} vs {bd}"
+                                );
+                            }
+                        }
+                        ServeOutcome::Degraded => {
+                            assert!(!has_replica, "{label}: a replica re-executes torn queries");
+                            assert!(!r.coverage.is_complete(), "{label}: query {i}");
+                            assert!(d_upper_bounds(&neighbors, exact), "{label}: query {i}");
+                        }
+                    }
+                    // Every reported id lies at its reported distance.
+                    for &(d, id) in &neighbors {
+                        let real = exact.iter().find(|&&(_, j)| j == id).expect("a real id").0;
+                        assert!(close(d, real), "{label}: query {i} id {id}: {d} vs {real}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Whether each reported neighbour's distance is no better than the
+/// exact neighbour of the same rank: an approximate answer can only
+/// overstate.
+fn d_upper_bounds(reported: &[(f64, u32)], exact: &[(f64, u32)]) -> bool {
+    reported
+        .iter()
+        .zip(exact)
+        .all(|(&(d, _), &(e, _))| d >= e || close(d, e))
 }

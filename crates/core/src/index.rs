@@ -318,12 +318,15 @@ impl Index {
         };
         // Leaf-contiguous scan: sequential raw values; slice positions
         // ascend in original-id order, so ties resolve exactly as a
-        // dataset-order scan would.
+        // dataset-order scan would. Each distance abandons once it
+        // exceeds the best so far: a series that ties the best still
+        // completes (and loses the tie), so the answer is a full
+        // scan's with the same kernel, bit for bit.
         let mut best = f64::INFINITY;
         let mut best_id = None;
         for p in leaf.slice.range() {
-            let d = crate::distance::euclidean_sq(query, self.layout.series(p));
-            if d < best {
+            let d = crate::distance::euclidean_sq_early_abandon(query, self.layout.series(p), best);
+            if let Some(d) = d.filter(|&d| d < best) {
                 best = d;
                 best_id = Some(self.layout.original_id(p));
             }

@@ -33,6 +33,7 @@ use super::bsf::{ResultSet, SharedBsf};
 use super::kernel::{EdKernel, QueryKernel};
 use super::pqueue::{BoundedPqSet, LeafCandidate, LeafPq};
 use super::scratch::{WorkerScratch, MAX_SPARE_HEAPS, MAX_SPARE_HEAP_CAP};
+use crate::distance::simd::prefetch_series;
 use crate::index::Index;
 use crate::layout::LeafLayout;
 use crate::sync::PhaseBarrier;
@@ -139,6 +140,13 @@ pub struct SearchOutcome {
     /// Execution statistics.
     pub stats: SearchStats,
 }
+
+/// Survivors whose raw series phase 3 prefetches ahead of the one it
+/// is computing. A popped leaf's survivors are sparse (about one scan
+/// slot in ten on pruned queries), so consecutive reads land pages
+/// apart and the hardware prefetcher cannot follow them; a window this
+/// wide covers a DRAM miss with the distances in between.
+const AHEAD: usize = 8;
 
 const PHASE_TRAVERSAL: u8 = 0;
 const PHASE_PROCESSING: u8 = 1;
@@ -673,7 +681,7 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
                     continue;
                 }
                 // Pass 1: batched lower bounds over the leaf's
-                // contiguous (segment-major) SAX block. The scratch
+                // contiguous row-major SAX block. The scratch
                 // buffer only grows — the sweep overwrites exactly the
                 // prefix it uses, so no per-leaf re-zeroing.
                 if lb_block.len() < n_cand {
@@ -682,11 +690,12 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
                 let lb = &mut lb_block[..n_cand];
                 self.kernel.lb_block_at(self.layout, range.clone(), lb);
                 lb_series_local += n_cand as u64;
-                // Pass 2: real distances for survivors, reading
-                // sequentially from the leaf's raw-series run. The
-                // survivor positions are gathered first (reusing one
-                // index buffer across leaves) so the distance loop runs
-                // branch-free over exactly the work it will do.
+                // Pass 2: real distances for survivors. The survivor
+                // positions are gathered first (reusing one index
+                // buffer across leaves), so the distance loop runs
+                // branch-free over exactly the work it will do and
+                // knows which raw series it reads next: it keeps the
+                // series `AHEAD` survivors on in flight to the cache.
                 survivors.clear();
                 survivors.extend(
                     lb.iter()
@@ -695,7 +704,13 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
                         .map(|(_, p)| p),
                 );
                 real_dist_local += survivors.len() as u64;
-                for &p in survivors.iter() {
+                for &p in survivors.iter().take(AHEAD) {
+                    prefetch_series(self.layout.series(p));
+                }
+                for (i, &p) in survivors.iter().enumerate() {
+                    if let Some(&next) = survivors.get(i + AHEAD) {
+                        prefetch_series(self.layout.series(next));
+                    }
                     if let Some(d) = self.kernel.distance_sq(self.layout.series(p), thr) {
                         let id = self.layout.original_id(p);
                         if self.results.offer(d, id) {
@@ -842,6 +857,104 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Phase 3's prefetch window at both ends: leaves whose survivors
+    /// number fewer than, exactly and more than `AHEAD` answer ED, k-NN
+    /// and DTW exactly at width 1 and 2. White noise is so far from the
+    /// walks that the lower bounds sweep every leaf and prune (almost)
+    /// no series: when each size class (below, at and above `AHEAD`) has
+    /// more leaves than there are pruned series, some leaf of each class
+    /// keeps all its series as survivors. Graded queries (a series plus
+    /// noise) leave a few survivors per leaf.
+    #[test]
+    fn prefetch_window_edges_answer_exactly() {
+        let idx = build(1500, 2 * AHEAD);
+        let mut sizes = Vec::new();
+        for t in idx.forest() {
+            t.node
+                .for_each_leaf(&mut |leaf| sizes.push(leaf.slice.len()));
+        }
+        let leaves_where = |f: &dyn Fn(usize) -> bool| sizes.iter().filter(|&&n| f(n)).count();
+        let classes = [
+            leaves_where(&|n| n > 0 && n < AHEAD),
+            leaves_where(&|n| n == AHEAD),
+            leaves_where(&|n| n > AHEAD),
+        ];
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut noise = |n: usize| -> Vec<f32> {
+            (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x % 2000) as f32 / 1000.0 - 1.0
+                })
+                .collect()
+        };
+        let mut queries: Vec<(Vec<f32>, bool)> = Vec::new();
+        // Loud white noise (not z-normalised): every real distance is
+        // about 64 × 10², while a segment mean averages the noise down,
+        // so no lower bound comes near the best-so-far.
+        for _ in 0..2 {
+            let q: Vec<f32> = noise(64).into_iter().map(|v| 10.0 * v).collect();
+            queries.push((q, true));
+        }
+        for (id, amp) in [(17u32, 0.05f32), (700, 0.3), (1200, 1.0)] {
+            let mut q: Vec<f32> = idx.series_by_id(id).to_vec();
+            for (v, n) in q.iter_mut().zip(noise(64)) {
+                *v += amp * n;
+            }
+            crate::series::znormalize(&mut q);
+            queries.push((q, false));
+        }
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
+        for threads in [1usize, 2] {
+            let engine = BatchEngine::new(Arc::clone(&idx), threads);
+            let params = SearchParams::new(threads);
+            for (qi, (q, white)) in queries.iter().enumerate() {
+                let got = engine.exact(q, &params);
+                let want = idx.brute_force(q);
+                assert!(
+                    close(got.answer.distance, want.distance),
+                    "threads={threads} q={qi}"
+                );
+                assert_eq!(
+                    got.answer.series_id, want.series_id,
+                    "threads={threads} q={qi}"
+                );
+                if *white {
+                    let n = idx.num_series() as u64;
+                    assert_eq!(
+                        got.stats.lb_series_computations, n,
+                        "q={qi}: every leaf swept"
+                    );
+                    let pruned = (n - got.stats.real_distance_computations) as usize;
+                    assert!(
+                        classes.iter().all(|&c| c > pruned),
+                        "threads={threads} q={qi}: {pruned} pruned, leaf classes {classes:?}"
+                    );
+                }
+                let (knn, _) = engine.knn(q, 5, &params);
+                let want = crate::search::knn::knn_brute_force(&idx, q, 5);
+                for (g, w) in knn.neighbors.iter().zip(&want.neighbors) {
+                    assert!(
+                        close(g.0, w.0) && g.1 == w.1,
+                        "threads={threads} q={qi} k-NN"
+                    );
+                }
+                let (dtw, _) = engine.dtw(q, 4, &params);
+                let want = crate::search::dtw_search::dtw_brute_force(&idx, q, 4);
+                assert!(
+                    close(dtw.distance, want.distance),
+                    "threads={threads} q={qi} DTW"
+                );
+                assert_eq!(
+                    dtw.series_id, want.series_id,
+                    "threads={threads} q={qi} DTW"
+                );
             }
         }
     }

@@ -13,15 +13,22 @@ use crate::index::Index;
 
 /// Seeds a k-NN result set from the leaf the approximate search lands in
 /// (`Index::seed_leaf` under the kernel's table — the k-NN analogue of
-/// the initial-BSF computation).
+/// the initial-BSF computation). Each distance abandons once it exceeds
+/// the current k-th (infinite until `k` series are held); a series that
+/// ties it still completes and is offered, so the seed set is a full
+/// scan's with the same kernel, ids included.
 pub fn seed_from_approx_leaf(index: &Index, kernel: &EdKernel, knn: &SharedKnn) {
     let Some(leaf) = index.seed_leaf(kernel.table(), Some(kernel.qpaa())) else {
         return;
     };
     let layout = index.layout();
     for p in leaf.slice.range() {
-        let d = crate::distance::euclidean_sq(kernel.query(), layout.series(p));
-        knn.offer(d, layout.original_id(p));
+        let bound = knn.threshold_sq();
+        if let Some(d) =
+            crate::distance::euclidean_sq_early_abandon(kernel.query(), layout.series(p), bound)
+        {
+            knn.offer(d, layout.original_id(p));
+        }
     }
 }
 
@@ -179,6 +186,81 @@ mod tests {
         let mut got: Vec<u32> = seeded.iter().map(|&(_, id)| id).collect();
         got.sort_unstable();
         assert_eq!(got, want, "k-NN seeds from the approximate search's leaf");
+    }
+
+    /// Both seed scans abandon a distance only once it exceeds the
+    /// bound, so they return the full scan's answer, ties included:
+    /// planted duplicates tie at one distance, the lowest id among them
+    /// wins the 1-NN seed, and the k-NN seed keeps the tied ids in id
+    /// order when the tie straddles the k-th slot.
+    #[test]
+    fn seed_scans_match_the_full_scan_with_planted_duplicates() {
+        let mut values = walk_dataset(600, 64, 91).raw().to_vec();
+        let planted = [40usize, 170, 333, 512];
+        let original = values[planted[0] * 64..(planted[0] + 1) * 64].to_vec();
+        for &id in &planted[1..] {
+            values[id * 64..(id + 1) * 64].copy_from_slice(&original);
+        }
+        let idx = crate::index::Index::build(
+            DatasetBuffer::from_vec(values, 64),
+            IndexConfig::new(64).with_segments(8).with_leaf_capacity(16),
+            2,
+        );
+        let q: Vec<f32> = original
+            .iter()
+            .enumerate()
+            .map(|(j, &v)| v + 0.01 * (j % 5) as f32)
+            .collect();
+        let kernel = EdKernel::new(&q, idx.config().segments);
+        let leaf = idx
+            .seed_leaf(kernel.table(), Some(kernel.qpaa()))
+            .expect("a non-empty forest");
+        // The full scan: every distance to completion, in scan order.
+        let layout = idx.layout();
+        let full: Vec<(f64, u32)> = leaf
+            .slice
+            .range()
+            .map(|p| {
+                let d = crate::distance::euclidean_sq_early_abandon(
+                    &q,
+                    layout.series(p),
+                    f64::INFINITY,
+                );
+                (
+                    d.expect("an infinite bound never abandons"),
+                    layout.original_id(p),
+                )
+            })
+            .collect();
+        let mut sorted = full.clone();
+        sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let tied: Vec<u32> = sorted
+            .iter()
+            .take_while(|&&(d, _)| d == sorted[0].0)
+            .map(|&(_, id)| id)
+            .collect();
+        assert_eq!(
+            tied,
+            planted.map(|id| id as u32),
+            "the duplicates tie in the seed leaf"
+        );
+
+        let approx = idx.approx_search(&q);
+        assert_eq!(approx.distance_sq.to_bits(), sorted[0].0.to_bits());
+        assert_eq!(
+            approx.series_id,
+            Some(planted[0] as u32),
+            "the lowest tied id wins"
+        );
+        for k in [1usize, 2, planted.len(), planted.len() + 3, full.len() + 1] {
+            let (_, knn, _) = seed_knn(&idx, &q, k);
+            let want: Vec<(f64, u32)> = sorted.iter().copied().take(k).collect();
+            let got = knn.snapshot().neighbors;
+            assert_eq!(got.len(), want.len(), "k={k}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!((g.0.to_bits(), g.1), (w.0.to_bits(), w.1), "k={k}");
+            }
+        }
     }
 
     #[test]

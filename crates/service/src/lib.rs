@@ -146,7 +146,7 @@ pub struct ServiceAnswer {
     pub answer: BatchAnswer,
     /// The query's admission class.
     pub class: LatencyClass,
-    /// Exact, or degraded by a deadline expiry.
+    /// Exact, or degraded by a deadline expiry or a torn execution.
     pub outcome: ServeOutcome,
     /// Whether a suspect hedge was spent on this query.
     pub hedged: bool,
@@ -216,7 +216,7 @@ pub struct ServiceReport {
     pub rejected: u64,
     /// Queries completed (equals `admitted` once the session closes).
     pub completed: u64,
-    /// Completions degraded by deadline expiry.
+    /// Completions degraded by deadline expiry or a torn execution.
     pub degraded: u64,
     /// Completions that spent a suspect hedge.
     pub hedged: u64,

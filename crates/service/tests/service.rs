@@ -3,7 +3,8 @@
 //! malformed queries, and honest deadline-expiry degradation. A single
 //! index is served as a 1-node cluster (`OdysseyCluster::from_index`).
 
-use odyssey_cluster::{ClusterConfig, OdysseyCluster, Replication};
+use odyssey_cluster::{ClusterConfig, FaultPlan, OdysseyCluster, Replication};
+use odyssey_core::distance::{dtw_banded, euclidean_sq};
 use odyssey_core::index::{Index, IndexConfig};
 use odyssey_core::search::engine::{BatchAnswer, BatchEngine, QueryKind};
 use odyssey_core::search::exact::SearchParams;
@@ -386,4 +387,95 @@ fn malformed_queries_get_typed_errors() {
     );
     assert_eq!(report.rejected, 0, "malformed queries are not backpressure");
     assert_eq!(report.completed, 1);
+}
+
+/// A worker panic on the served node tears one execution; the session
+/// still answers every admitted query exactly once and returns. The
+/// node has no replica, so the torn query comes back flagged degraded
+/// (an approximate answer naming a real series) and the node keeps
+/// serving: every other answer is exact, checked against brute force.
+#[test]
+fn worker_panic_degrades_one_answer_and_keeps_serving() {
+    let (data, index) = build_index(900, 41);
+    let w = mixed_workload(&data, 12, 43);
+    let kinds = |qi: usize| match qi % 3 {
+        0 => QueryKind::Exact,
+        1 => QueryKind::Dtw(4),
+        _ => QueryKind::Knn(3),
+    };
+    // Brute-force `(squared distance, id)` pairs, ascending.
+    let truth = |qi: usize| {
+        let q = w.query(qi);
+        let mut all: Vec<(f64, u32)> = (0..data.num_series())
+            .map(|id| {
+                let s = data.series(id);
+                let d = match kinds(qi) {
+                    QueryKind::Dtw(win) => dtw_banded(q, s, win, f64::INFINITY).expect("unbounded"),
+                    _ => euclidean_sq(q, s),
+                };
+                (d, id as u32)
+            })
+            .collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        all
+    };
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+    for during in 0..3 {
+        let cluster = OdysseyCluster::from_index(
+            Arc::clone(&index),
+            ClusterConfig::new(1)
+                .with_threads_per_node(2)
+                .with_fault_plan(FaultPlan::new().worker_panic(0, during)),
+        );
+        let service = QueryService::new(ServiceConfig::default().with_queue_capacity(64));
+        let ((answers, leftovers), report) = service.serve_cluster(&cluster, |client| {
+            let ids: Vec<u64> = (0..w.len())
+                .map(|qi| {
+                    client
+                        .submit(ServiceQuery {
+                            data: w.query(qi).to_vec(),
+                            kind: kinds(qi),
+                            class: LatencyClass::Interactive,
+                            deadline: None,
+                        })
+                        .expect("under capacity")
+                })
+                .collect();
+            let answers: Vec<_> = ids.into_iter().map(|qid| client.wait(qid)).collect();
+            (answers, client.drain())
+        });
+        assert_eq!(report.admitted, w.len() as u64, "panic@{during}");
+        assert_eq!(report.completed, w.len() as u64, "panic@{during}");
+        assert!(
+            leftovers.is_empty(),
+            "panic@{during}: an answer was delivered twice"
+        );
+        assert_eq!(
+            report.degraded, 1,
+            "panic@{during}: exactly one execution is torn"
+        );
+        for (qi, a) in answers.iter().enumerate() {
+            assert_eq!(a.qid, qi as u64);
+            let exact = truth(qi);
+            let got = match &a.answer {
+                BatchAnswer::Nn(n) => vec![(n.distance_sq, n.series_id.expect("an id"))],
+                BatchAnswer::Knn(k) => k.neighbors.clone(),
+            };
+            for &(d, id) in &got {
+                let real = exact.iter().find(|&&(_, j)| j == id).expect("a real id").0;
+                assert!(
+                    close(d, real),
+                    "panic@{during} query {qi}: id {id} is not at {d}"
+                );
+            }
+            if a.outcome == ServeOutcome::Exact {
+                for (&(d, _), &(e, _)) in got.iter().zip(&exact) {
+                    assert!(
+                        close(d, e),
+                        "panic@{during} query {qi}: {d} is not exact ({e})"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -52,6 +52,12 @@
 //!     `thread::scope(` may appear only in
 //!     `OdysseyCluster::answer_batch_inner`, the node loop every batch
 //!     kind shares; a second site is a second node loop.
+//! 11. **Intrinsics stay behind the SIMD boundary.** `std::arch::` and
+//!     `core::arch::` may appear only under
+//!     `crates/core/src/distance/simd/`, the module that gates every
+//!     intrinsic behind runtime detection (or, for hints that change no
+//!     value, behind the target architecture); anywhere else they would
+//!     bypass that gate and the forced-scalar tier.
 //!
 //! Comments and string literals are stripped before token matching, so
 //! prose about `unsafe` never trips the lint, and the lint can check its
@@ -114,6 +120,9 @@ const EXEC_BODY_SITE: (&str, &str, &str) =
 /// Rule 10's only permitted `thread::scope(` site: `(file, impl type, fn)`.
 const NODE_LOOP_SITE: (&str, &str, &str) =
     ("crates/cluster/src/runtime.rs", "OdysseyCluster", "answer_batch_inner");
+
+/// Rule 11's only directory allowed to name `std::arch::` / `core::arch::`.
+const ARCH_PATH: &str = "crates/core/src/distance/simd/";
 
 /// One lint finding.
 #[derive(Debug)]
@@ -374,6 +383,18 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<Violation> {
                  its runtime-detection guard (`avx2_available` / \
                  `is_x86_feature_detected!`)"
                     .to_string(),
+            );
+        }
+        if (has_token(code, "std::arch") || has_token(code, "core::arch"))
+            && !rel.starts_with(ARCH_PATH)
+        {
+            push(
+                &mut out,
+                line,
+                "arch-boundary",
+                format!(
+                    "`std::arch` / `core::arch` outside `{ARCH_PATH}`; add a gated kernel there"
+                ),
             );
         }
         if has_token(code, "transmute") && !TRANSMUTE_WHITELIST.contains(&rel) {
@@ -782,6 +803,34 @@ mod tests {
         assert!(rules("crates/cluster/src/runtime.rs", prose).is_empty());
         let serve = "fn serve() {\n    std::thread::scope(|s| {});\n}\n";
         assert!(rules("crates/cluster/src/serve.rs", serve).is_empty());
+    }
+
+    #[test]
+    fn arch_intrinsics_outside_the_simd_module_are_flagged() {
+        for bad in [
+            "use std::arch::x86_64::_mm_prefetch;\n",
+            "let ok = std::arch::is_x86_feature_detected!(\"avx2\");\n",
+            "unsafe { core::arch::x86_64::_mm_pause() }\n",
+        ] {
+            for rel in [
+                "crates/core/src/search/exact.rs",
+                "crates/core/src/distance/ed.rs",
+            ] {
+                assert!(rules(rel, bad).contains(&"arch-boundary"), "{rel}: {bad}");
+            }
+        }
+    }
+
+    #[test]
+    fn arch_intrinsics_inside_the_simd_module_pass() {
+        let src = "use std::arch::x86_64::*;\nlet _ = core::arch::x86_64::_MM_HINT_T0;\n";
+        assert!(rules("crates/core/src/distance/simd/mod.rs", src).is_empty());
+        assert!(rules("crates/core/src/distance/simd/avx.rs", src).is_empty());
+        // Prose, strings and longer paths ending in `core` never trip it.
+        let prose = "// std::arch::x86_64 lives in simd\nfn f() { let _ = \"core::arch::\"; }\n";
+        assert!(rules("crates/core/src/search/exact.rs", prose).is_empty());
+        let other = "use odyssey_core::arch::Layout;\n";
+        assert!(rules("crates/cluster/src/runtime.rs", other).is_empty());
     }
 
     #[test]
