@@ -100,7 +100,7 @@ pub fn dpisax_partition(
         let sax = summaries.sax(id);
         let r = regions
             .iter()
-            .position(|r| r.word.contains(sax))
+            .position(|r| r.word.view().contains(sax))
             .expect("regions cover iSAX space");
         chunks[r.min(n_chunks - 1)].push(id);
     }

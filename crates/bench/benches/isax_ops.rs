@@ -45,7 +45,7 @@ fn bench_isax(c: &mut Criterion) {
         b.iter(|| black_box(&table).series_lb_sq(black_box(&sax)))
     });
     group.bench_function("table_word_lb", |b| {
-        b.iter(|| black_box(&table).word_lb_sq(black_box(&word)))
+        b.iter(|| black_box(&table).word_lb_sq(black_box(word.view())))
     });
     // A leaf-sized contiguous SAX block (128 candidates), as drained by
     // the batched pruning pass.

@@ -111,19 +111,27 @@ fn cmd_index_info(args: &Args) -> Result<(), String> {
     let mib = |bytes: usize| bytes as f64 / 1048576.0;
     let layout = index.layout();
     let sax = layout.sax_block(0..layout.num_series()).len();
-    let roots = index.root_soa().size_bytes();
+    let forest = index.forest();
     println!(
         "  overhead:      {:.2} MB (+ {:.2} MB raw data)",
         mib(index.size_bytes()),
         mib(layout.data().size_bytes())
     );
-    println!("    SAX words:   {:.2} MB", mib(sax));
-    println!("    id maps:     {:.2} MB", mib(layout.size_bytes() - sax));
+    println!("    SAX words:        {:.2} MB", mib(sax));
     println!(
-        "    tree:        {:.2} MB",
-        mib(index.size_bytes() - layout.size_bytes() - roots)
+        "    scan permutation: {:.2} MB",
+        mib(layout.size_bytes() - sax)
     );
-    println!("    root planes: {:.2} MB", mib(roots));
+    println!(
+        "    tree:             {:.2} MB ({} bytes: {} nodes)",
+        mib(forest.size_bytes()),
+        forest.size_bytes(),
+        forest.node_count()
+    );
+    println!(
+        "    root planes:      {:.2} MB",
+        mib(index.root_soa().size_bytes())
+    );
     Ok(())
 }
 

@@ -30,18 +30,23 @@ pub fn buffer_units(n_series: usize, series_len: usize) -> u64 {
 /// per tree level it passes through, so the cost is the sum over leaves of
 /// `series × depth`.
 pub fn tree_units(index: &odyssey_core::Index) -> u64 {
+    let forest = index.forest();
     let mut total = 0u64;
-    for st in index.forest() {
-        // Depth-weighted series counts via explicit traversal.
-        let mut stack = vec![(&st.node, 1u64)];
-        while let Some((node, depth)) = stack.pop() {
-            match node {
-                odyssey_core::tree::Node::Inner { children, .. } => {
-                    stack.push((&children[0], depth + 1));
-                    stack.push((&children[1], depth + 1));
-                }
-                odyssey_core::tree::Node::Leaf(l) => {
-                    total += l.slice.len() as u64 * depth;
+    let mut depth = Vec::new();
+    for root in forest {
+        // One forward pass over the subtree's pre-order range: both
+        // children of a node come after it.
+        let nodes = root.node.nodes();
+        let at = |node: u32| (node - nodes.start) as usize;
+        depth.clear();
+        depth.resize(nodes.len(), 1u64);
+        for node in nodes.clone() {
+            let d = depth[at(node)];
+            match forest.children(node) {
+                Some(children) => children.iter().for_each(|&c| depth[at(c)] = d + 1),
+                None => {
+                    let leaf = forest.leaf_id(node).expect("a leaf");
+                    total += forest.leaf(leaf).len() as u64 * d;
                 }
             }
         }

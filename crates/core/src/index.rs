@@ -13,7 +13,7 @@ use crate::sax::{sax_word_into, MindistTable};
 use crate::search::answer::Answer;
 use crate::search::batches::RsBatches;
 use crate::series::DatasetBuffer;
-use crate::tree::{build_forest, Leaf, Node, RootSoa, RootSubtree};
+use crate::tree::{build_forest, Forest, LeafSlice, RootSoa};
 use parking_lot::RwLock;
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,12 +88,12 @@ impl BuildTimes {
 /// The raw series and SAX words are stored **leaf-contiguously** in a
 /// [`LeafLayout`]: tree leaves hold slot ranges, not id lists, so
 /// draining a leaf during search reads sequential memory. All public
-/// ids (answers, [`Index::sax_by_id`]) remain *original* dataset ids;
-/// the layout keeps the position/id mapping.
+/// ids (answers) remain *original* dataset ids; the layout keeps the
+/// position-to-id permutation.
 pub struct Index {
     config: IndexConfig,
     layout: LeafLayout,
-    forest: Vec<RootSubtree>,
+    forest: Forest,
     /// Segment-major planes of each root's data-tight SAX envelope (the
     /// shape the SIMD root-mindist sweep consumes); a pure function of
     /// `forest` and `layout`, rebuilt on load, never persisted.
@@ -137,8 +137,8 @@ impl Index {
         let t1 = std::time::Instant::now();
         let (forest, scan_to_id) = build_forest(&buffers, &summaries, config.leaf_capacity, n_threads);
         // Materialize the leaf-contiguous scan layout; the dataset-ordered
-        // buffer is dropped — the permuted copy plus the id mapping is the
-        // single copy of the raw values.
+        // buffer is dropped — the permuted copy plus the permutation is
+        // the single copy of the raw values.
         let layout = LeafLayout::build(&data, &summaries, scan_to_id);
         let root_soa = RootSoa::build(&forest, &layout);
         let tree_time = t1.elapsed();
@@ -164,7 +164,7 @@ impl Index {
         scan_data: DatasetBuffer,
         scan_sax: Vec<u8>,
         scan_to_id: Vec<u32>,
-        forest: Vec<crate::tree::RootSubtree>,
+        forest: Forest,
     ) -> Self {
         assert_eq!(scan_data.series_len(), config.series_len);
         let layout =
@@ -187,29 +187,24 @@ impl Index {
     }
 
     /// The leaf-contiguous scan layout (position-indexed raw data and
-    /// SAX words plus the position/id mappings).
+    /// SAX words plus the position-to-id permutation).
     #[inline]
     pub fn layout(&self) -> &LeafLayout {
         &self.layout
     }
 
-    /// Raw values of the series with original dataset id `id`.
-    #[inline]
-    pub fn series_by_id(&self, id: u32) -> &[f32] {
-        self.layout.series_by_id(id)
+    /// Raw values of the series with original dataset id `id`, found
+    /// by a linear search of the permutation (tests only: no search
+    /// path maps ids back to positions).
+    #[cfg(test)]
+    pub(crate) fn series_by_id(&self, id: u32) -> &[f32] {
+        let p = self.layout.scan_to_id().iter().position(|&x| x == id);
+        self.layout.series(p.expect("id out of range"))
     }
 
-    /// Full-cardinality SAX word of the series with original dataset id
-    /// `id` (looked up through the scan layout — the SAX bytes are
-    /// stored exactly once, in scan order).
+    /// The root subtrees, sorted by root key, in one pre-order arena.
     #[inline]
-    pub fn sax_by_id(&self, id: u32) -> &[u8] {
-        self.layout.sax(self.layout.scan_pos(id))
-    }
-
-    /// The root subtrees, sorted by root key.
-    #[inline]
-    pub fn forest(&self) -> &[RootSubtree] {
+    pub fn forest(&self) -> &Forest {
         &self.forest
     }
 
@@ -264,20 +259,14 @@ impl Index {
 
     /// Total leaves in the forest.
     pub fn leaf_count(&self) -> usize {
-        self.forest.iter().map(|t| t.node.leaf_count()).sum()
+        self.forest.leaf_count()
     }
 
-    /// Index overhead in bytes: the scan layout (SAX words + id
-    /// mappings) and the tree structure, excluding the raw data (the
-    /// quantity plotted in Figure 14).
+    /// Index overhead in bytes, exactly: the scan layout (SAX words +
+    /// permutation), the root planes and the forest arena, excluding the
+    /// raw data (the quantity plotted in Figure 14).
     pub fn size_bytes(&self) -> usize {
-        self.layout.size_bytes()
-            + self.root_soa.size_bytes()
-            + self
-                .forest
-                .iter()
-                .map(|t| t.node.size_bytes() + std::mem::size_of::<RootSubtree>())
-                .sum::<usize>()
+        self.layout.size_bytes() + self.root_soa.size_bytes() + self.forest.size_bytes()
     }
 
     /// PAA of a query under this index's configuration.
@@ -324,7 +313,7 @@ impl Index {
         // scan's with the same kernel, bit for bit.
         let mut best = f64::INFINITY;
         let mut best_id = None;
-        for p in leaf.slice.range() {
+        for p in leaf.range() {
             let d = crate::distance::euclidean_sq_early_abandon(query, self.layout.series(p), best);
             if let Some(d) = d.filter(|&d| d < best) {
                 best = d;
@@ -335,7 +324,7 @@ impl Index {
             distance: best.sqrt(),
             distance_sq: best,
             series_id: best_id,
-            leaf_size: leaf.slice.len(),
+            leaf_size: leaf.len(),
         }
     }
 
@@ -349,7 +338,11 @@ impl Index {
     /// `table` (first minimum on ties), from the batched sweep over the
     /// data-tight root planes. From there the descent is greedy by the
     /// children's word bounds (the left child on ties).
-    pub(crate) fn seed_leaf(&self, table: &MindistTable, qpaa: Option<&[f64]>) -> Option<&Leaf> {
+    pub(crate) fn seed_leaf(
+        &self,
+        table: &MindistTable,
+        qpaa: Option<&[f64]>,
+    ) -> Option<LeafSlice> {
         if self.forest.is_empty() {
             return None;
         }
@@ -357,7 +350,7 @@ impl Index {
             let mut qsax = vec![0u8; self.config.segments];
             sax_word_into(qpaa, &mut qsax);
             let qkey = root_key_of_sax(&qsax);
-            self.forest.binary_search_by_key(&qkey, |t| t.key).ok()
+            self.forest.keys().binary_search(&qkey).ok()
         });
         let root = home.unwrap_or_else(|| {
             let mut best = f64::INFINITY;
@@ -376,30 +369,28 @@ impl Index {
             }
             best_root
         });
-        let mut node = &self.forest[root].node;
-        loop {
-            match node {
-                Node::Inner { children, .. } => {
-                    let d0 = table.word_lb_sq(children[0].word());
-                    let d1 = table.word_lb_sq(children[1].word());
-                    node = if d0 <= d1 { &children[0] } else { &children[1] };
-                }
-                Node::Leaf(leaf) => return Some(leaf),
-            }
+        let forest = &self.forest;
+        let mut node = forest.root_node(root);
+        while let Some([left, right]) = forest.children(node) {
+            let d0 = table.word_lb_sq(forest.word(left));
+            let d1 = table.word_lb_sq(forest.word(right));
+            node = if d0 <= d1 { left } else { right };
         }
+        forest.leaf_id(node).map(|leaf| forest.leaf(leaf))
     }
 
     /// Brute-force 1-NN scan; the test oracle for every search algorithm.
-    /// Scans in original-id order (via the layout's id mapping) so tie
-    /// resolution matches the pre-layout oracle exactly.
+    /// Scans in scan order and keeps the smallest `(distance, original
+    /// id)`, so ties resolve to the lowest id, as a scan in id order would.
     pub fn brute_force(&self, query: &[f32]) -> Answer {
         let mut best = f64::INFINITY;
         let mut best_id = None;
-        for id in 0..self.num_series() {
-            let d = crate::distance::euclidean_sq(query, self.layout.series_by_id(id as u32));
-            if d < best {
+        for p in 0..self.num_series() {
+            let d = crate::distance::euclidean_sq(query, self.layout.series(p));
+            let id = self.layout.original_id(p);
+            if beats(d, id, best, best_id) {
                 best = d;
-                best_id = Some(id as u32);
+                best_id = Some(id);
             }
         }
         Answer {
@@ -408,6 +399,13 @@ impl Index {
             series_id: best_id,
         }
     }
+}
+
+/// Whether `(d, id)` orders before the best `(best, best_id)` so far —
+/// the brute-force oracles' tie rule: a smaller distance, or an equal one
+/// with a lower original id. Nothing ties the empty best.
+pub(crate) fn beats(d: f64, id: u32, best: f64, best_id: Option<u32>) -> bool {
+    d < best || (d == best && best_id.is_some_and(|b| id < b))
 }
 
 impl std::fmt::Debug for Index {

@@ -15,7 +15,7 @@
 //! position). The SIMD mindist sweep transposes eight segments of four
 //! words in registers as it goes, so no segment-major copy is kept.
 //!
-//! # The permutation / id-mapping contract
+//! # The permutation contract
 //!
 //! * A **scan position** `p ∈ [0, num_series)` is a slot in this
 //!   layout; each tree leaf owns one contiguous range of positions
@@ -25,7 +25,9 @@
 //!   **original id** (its row in the dataset the index was built from).
 //!   Everything user-visible — answers, `Summaries::sax(id)`, cluster
 //!   id-maps — speaks original ids; scan positions never escape the
-//!   index internals.
+//!   index internals. No inverse map is kept: every search reads by
+//!   position, and the brute-force oracles scan positions too, breaking
+//!   distance ties by original id.
 //! * The permutation is **deterministic**: it depends only on the data
 //!   (buffer order, then left-to-right leaf order, then dataset order
 //!   within each leaf). Replication-group nodes building the same chunk
@@ -37,8 +39,8 @@ use crate::series::DatasetBuffer;
 use std::sync::Arc;
 
 /// Scan-ordered storage of one indexed collection: raw series, one
-/// row-major copy of the SAX words, and the position/id mappings (see
-/// module docs for the contract).
+/// row-major copy of the SAX words, and the position-to-id permutation
+/// (see module docs for the contract).
 #[derive(Debug, Clone)]
 pub struct LeafLayout {
     /// Raw series, one per scan position (leaf-contiguous order).
@@ -48,8 +50,6 @@ pub struct LeafLayout {
     sax: Arc<[u8]>,
     /// `scan_to_id[p]` = original id of the series at position `p`.
     scan_to_id: Arc<[u32]>,
-    /// `id_to_scan[id]` = scan position of original id `id`.
-    id_to_scan: Arc<[u32]>,
     segments: usize,
 }
 
@@ -91,21 +91,11 @@ impl LeafLayout {
         let n = scan_data.num_series();
         assert_eq!(scan_to_id.len(), n, "permutation length mismatch");
         assert_eq!(scan_sax.len(), n * segments, "SAX block length mismatch");
-        let mut id_to_scan = vec![u32::MAX; n];
-        for (p, &id) in scan_to_id.iter().enumerate() {
-            assert!((id as usize) < n, "id {id} out of range");
-            assert_eq!(
-                id_to_scan[id as usize],
-                u32::MAX,
-                "id {id} appears twice in the scan permutation"
-            );
-            id_to_scan[id as usize] = p as u32;
-        }
+        check_permutation(&scan_to_id).unwrap_or_else(|e| panic!("{e}"));
         LeafLayout {
             data: scan_data,
             sax: scan_sax.into(),
             scan_to_id: scan_to_id.into(),
-            id_to_scan: id_to_scan.into(),
             segments,
         }
     }
@@ -120,12 +110,6 @@ impl LeafLayout {
     #[inline]
     pub fn series(&self, p: usize) -> &[f32] {
         self.data.series(p)
-    }
-
-    /// Raw values of the series with original id `id`.
-    #[inline]
-    pub fn series_by_id(&self, id: u32) -> &[f32] {
-        self.data.series(self.id_to_scan[id as usize] as usize)
     }
 
     /// SAX word of the series at scan position `p`.
@@ -147,12 +131,6 @@ impl LeafLayout {
         self.scan_to_id[p]
     }
 
-    /// Scan position of the series with original id `id`.
-    #[inline]
-    pub fn scan_pos(&self, id: u32) -> usize {
-        self.id_to_scan[id as usize] as usize
-    }
-
     /// The full position-to-id permutation.
     #[inline]
     pub fn scan_to_id(&self) -> &[u32] {
@@ -172,11 +150,24 @@ impl LeafLayout {
     }
 
     /// Index-overhead bytes of the layout: the scan-ordered SAX words
-    /// plus both id mappings (the raw values are the collection itself,
+    /// plus the permutation (the raw values are the collection itself,
     /// not overhead — they exist in exactly one copy).
     pub fn size_bytes(&self) -> usize {
-        self.sax.len() + (self.scan_to_id.len() + self.id_to_scan.len()) * 4
+        self.sax.len() + self.scan_to_id.len() * 4
     }
+}
+
+/// Checks that `scan_to_id` is a permutation of `0..scan_to_id.len()`.
+pub(crate) fn check_permutation(scan_to_id: &[u32]) -> Result<(), String> {
+    let mut seen = vec![false; scan_to_id.len()];
+    for &id in scan_to_id {
+        let out_of_range = || format!("id {id} out of range");
+        let slot = seen.get_mut(id as usize).ok_or_else(out_of_range)?;
+        if std::mem::replace(slot, true) {
+            return Err(format!("id {id} appears twice in the scan permutation"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -206,8 +197,6 @@ mod tests {
             let id = layout.original_id(p);
             assert_eq!(layout.series(p), data.series(id as usize));
             assert_eq!(layout.sax(p), summaries.sax(id));
-            assert_eq!(layout.scan_pos(id), p);
-            assert_eq!(layout.series_by_id(id), data.series(id as usize));
         }
         assert_eq!(
             layout.sax_block(1..3).len(),

@@ -9,11 +9,23 @@
 //! or truncated file produces an error, never a wrong index.
 //!
 //! Version 2 ("ODY2") persists the leaf-contiguous scan layout: raw
-//! values in **scan order**, the scan permutation, and per-leaf slot
-//! ranges instead of id lists. Loading validates that the permutation
-//! is a bijection and that the leaf slices partition the position
-//! space, so a loaded index satisfies the same layout contract as a
-//! freshly built one.
+//! values in **scan order**, the scan permutation, and the forest as
+//! each root's nodes in pre-order — the order of the in-memory arena
+//! ([`crate::tree::Forest`]), so writing and reading are one loop over
+//! the nodes. Loading checks, in one pass each:
+//!
+//! * the permutation is a bijection onto `[0, n)`;
+//! * each root's word is the 1-bit word of its key, keys ascend, and
+//!   each child's word is its parent's refined on the split segment
+//!   with bit 0 (left) or 1 (right);
+//! * the leaf slices tile the scan positions in leaf order, within each
+//!   leaf the original ids ascend, and each leaf's word contains the
+//!   SAX word of every series in its slice.
+//!
+//! So a loaded index satisfies the same contracts as a freshly built
+//! one, and every node bound the search computes lower-bounds the
+//! series below the node. (Whether the SAX block matches the raw values
+//! is not checked.)
 //!
 //! The in-memory layout holds exactly what the file holds: the SIMD
 //! mindist sweep reads the persisted row-major SAX block directly, and
@@ -28,17 +40,17 @@
 //! u64 num_series | raw f32 data (scan order)
 //! per-series SAX bytes (scan order)
 //! scan permutation: u32 original id per scan position
-//! u64 n_subtrees | per subtree: u64 key, node tree (pre-order)
+//! u64 n_subtrees | per subtree: u64 key, its nodes (pre-order)
 //! node: u8 tag (0=leaf, 1=inner)
 //!   leaf : word, u32 slice offset, u32 slice len
-//!   inner: word, u32 split_seg, then both children
+//!   inner: word, u32 split_seg (its children follow, left first)
 //! word : per segment u8 symbol, then per segment u8 card_bits
 //! ```
 
 use crate::index::{Index, IndexConfig};
-use crate::sax::IsaxWord;
+use crate::sax::{IsaxWord, WordRef, MAX_CARD_BITS};
 use crate::series::DatasetBuffer;
-use crate::tree::{Leaf, LeafSlice, Node, RootSubtree};
+use crate::tree::{Forest, LeafSlice};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"ODY2";
@@ -96,37 +108,10 @@ impl<W: Write> Writer<'_, W> {
     fn bytes(&mut self, v: &[u8]) -> io::Result<()> {
         self.out.write_all(v)
     }
-    fn word(&mut self, w: &IsaxWord) -> io::Result<()> {
-        self.bytes(&w.symbols)?;
-        self.bytes(&w.card_bits)
-    }
-    fn node(&mut self, n: &Node) -> io::Result<()> {
-        match n {
-            Node::Leaf(l) => {
-                self.u8(0)?;
-                self.word(&l.word)?;
-                self.u32(l.slice.offset)?;
-                self.u32(l.slice.len)?;
-            }
-            Node::Inner {
-                word,
-                split_seg,
-                children,
-            } => {
-                self.u8(1)?;
-                self.word(word)?;
-                self.u32(*split_seg as u32)?;
-                self.node(&children[0])?;
-                self.node(&children[1])?;
-            }
-        }
-        Ok(())
-    }
 }
 
 struct Reader<'r, R: Read> {
     inp: &'r mut R,
-    segments: usize,
 }
 
 impl<R: Read> Reader<'_, R> {
@@ -144,69 +129,6 @@ impl<R: Read> Reader<'_, R> {
         let mut b = [0u8; 8];
         self.inp.read_exact(&mut b)?;
         Ok(u64::from_le_bytes(b))
-    }
-    fn word(&mut self) -> Result<IsaxWord, PersistError> {
-        let mut symbols = vec![0u8; self.segments];
-        self.inp.read_exact(&mut symbols)?;
-        let mut card_bits = vec![0u8; self.segments];
-        self.inp.read_exact(&mut card_bits)?;
-        if card_bits.iter().any(|&b| b > crate::sax::MAX_CARD_BITS) {
-            return Err(corrupt("cardinality exceeds maximum"));
-        }
-        Ok(IsaxWord { symbols, card_bits })
-    }
-    /// Reads a node, marking each leaf's slice positions in `covered`
-    /// (the caller validates the slices partition the position space).
-    fn node(
-        &mut self,
-        num_series: u64,
-        depth: usize,
-        covered: &mut [bool],
-    ) -> Result<Node, PersistError> {
-        if depth > 16 * crate::sax::MAX_CARD_BITS as usize + 64 {
-            return Err(corrupt("tree deeper than any valid iSAX tree"));
-        }
-        match self.u8()? {
-            0 => {
-                let word = self.word()?;
-                let offset = self.u32()?;
-                let len = self.u32()?;
-                let end = u64::from(offset) + u64::from(len);
-                if end > num_series {
-                    return Err(corrupt("leaf slice out of range"));
-                }
-                for (p, slot) in covered
-                    .iter_mut()
-                    .enumerate()
-                    .take(end as usize)
-                    .skip(offset as usize)
-                {
-                    if *slot {
-                        return Err(corrupt(format!("scan position {p} covered twice")));
-                    }
-                    *slot = true;
-                }
-                Ok(Node::Leaf(Leaf {
-                    word,
-                    slice: LeafSlice { offset, len },
-                }))
-            }
-            1 => {
-                let word = self.word()?;
-                let split_seg = self.u32()? as usize;
-                if split_seg >= self.segments {
-                    return Err(corrupt("split segment out of range"));
-                }
-                let c0 = self.node(num_series, depth + 1, covered)?;
-                let c1 = self.node(num_series, depth + 1, covered)?;
-                Ok(Node::Inner {
-                    word,
-                    split_seg,
-                    children: [Box::new(c0), Box::new(c1)],
-                })
-            }
-            t => Err(corrupt(format!("unknown node tag {t}"))),
-        }
     }
 }
 
@@ -264,10 +186,24 @@ pub fn save_index<W: Write>(index: &Index, out: &mut W) -> io::Result<()> {
     for &id in index.layout().scan_to_id() {
         w.u32(id)?;
     }
-    w.u64(index.forest().len() as u64)?;
-    for st in index.forest() {
-        w.u64(st.key)?;
-        w.node(&st.node)?;
+    let forest = index.forest();
+    w.u64(forest.len() as u64)?;
+    for root in forest {
+        w.u64(root.key)?;
+        for node in root.node.nodes() {
+            let (word, leaf) = (forest.word(node), forest.leaf_id(node));
+            w.u8(u8::from(leaf.is_none()))?; // tag: 0 = leaf, 1 = inner
+            w.bytes(word.symbols)?;
+            w.bytes(word.card_bits)?;
+            match leaf {
+                Some(leaf) => {
+                    let slice = forest.leaf(leaf);
+                    w.u32(slice.offset)?;
+                    w.u32(slice.len)?;
+                }
+                None => w.u32(forest.split_seg(node).expect("an inner node") as u32)?,
+            }
+        }
     }
     Ok(())
 }
@@ -279,7 +215,7 @@ pub fn load_index<R: Read>(inp: &mut R) -> Result<Index, PersistError> {
     if &magic != MAGIC {
         return Err(corrupt("bad magic (not an Odyssey index file)"));
     }
-    let mut hdr = Reader { inp, segments: 0 };
+    let mut hdr = Reader { inp };
     let series_len = hdr.u32()? as usize;
     let segments = hdr.u32()? as usize;
     let leaf_capacity = hdr.u32()? as usize;
@@ -302,70 +238,12 @@ pub fn load_index<R: Read>(inp: &mut R) -> Result<Index, PersistError> {
     let scan_to_id = read_section(hdr.inp, n, u32::from_le_bytes)?;
     // The scan permutation must be a bijection onto [0, n). Every
     // allocation from here on is bounded by the bytes already read.
-    {
-        let mut seen = vec![false; n];
-        for &id in &scan_to_id {
-            let id = id as usize;
-            if id >= n {
-                return Err(corrupt("scan permutation id out of range"));
-            }
-            if seen[id] {
-                return Err(corrupt(format!("id {id} appears twice in permutation")));
-            }
-            seen[id] = true;
-        }
-    }
+    crate::layout::check_permutation(&scan_to_id).map_err(corrupt)?;
     let n_subtrees = hdr.u64()? as usize;
     if n_subtrees > n.max(1) {
         return Err(corrupt("more subtrees than series"));
     }
-    let mut reader = Reader {
-        inp: hdr.inp,
-        segments,
-    };
-    let mut forest = Vec::new();
-    let mut prev_key: Option<u64> = None;
-    let mut total = 0usize;
-    // Leaf slices must partition the scan positions (no overlap, full
-    // coverage) — the layout contract every search path relies on.
-    let mut covered = vec![false; n];
-    for _ in 0..n_subtrees {
-        let key = reader.u64()?;
-        if let Some(p) = prev_key {
-            if key <= p {
-                return Err(corrupt("subtree keys not strictly ascending"));
-            }
-        }
-        prev_key = Some(key);
-        let node = reader.node(n as u64, 0, &mut covered)?;
-        let size = node.series_count();
-        total += size;
-        forest.push(RootSubtree { key, node, size });
-    }
-    if total != n {
-        return Err(corrupt(format!(
-            "forest stores {total} series, header says {n}"
-        )));
-    }
-    if !covered.iter().all(|&c| c) {
-        return Err(corrupt("leaf slices do not cover every scan position"));
-    }
-    // The determinism contract documented on `LeafSlice`: within each
-    // leaf, positions ascend in original-id order. A file violating it
-    // would load into an index whose tie resolution diverges from a
-    // freshly built one.
-    for st in &forest {
-        let mut ordered = true;
-        st.node.for_each_leaf(&mut |leaf| {
-            let ids = &scan_to_id[leaf.slice.range()];
-            if ids.windows(2).any(|w| w[0] >= w[1]) {
-                ordered = false;
-            }
-        });
-        if !ordered {
-            return Err(corrupt("leaf ids not in dataset order"));
-        }
-    }
+    let forest = read_forest(&mut hdr, n_subtrees, segments, &sax, &scan_to_id)?;
     let data = DatasetBuffer::from_vec(raw, series_len);
     let cfg = IndexConfig {
         series_len,
@@ -373,6 +251,106 @@ pub fn load_index<R: Read>(inp: &mut R) -> Result<Index, PersistError> {
         leaf_capacity,
     };
     Ok(Index::from_parts(cfg, data, sax, scan_to_id, forest))
+}
+
+/// Reads `n_subtrees` roots, each a pre-order node stream, into a
+/// forest, validating it against the already-read SAX block and
+/// permutation (see the module docs for what is checked).
+fn read_forest<R: Read>(
+    rd: &mut Reader<'_, R>,
+    n_subtrees: usize,
+    segments: usize,
+    sax: &[u8],
+    scan_to_id: &[u32],
+) -> Result<Forest, PersistError> {
+    let n = scan_to_id.len();
+    let mut forest = Forest::new(segments);
+    let mut word = vec![0u8; 2 * segments];
+    // Inner nodes of the current root whose right child has not started,
+    // with that child's expected word: in pre-order, the node read right
+    // after a leaf is the right child of the deepest of them.
+    let mut awaiting_right: Vec<(u32, IsaxWord)> = Vec::new();
+    // The next leaf's slice must start here: slices tile the positions.
+    let mut next_slot = 0usize;
+    for _ in 0..n_subtrees {
+        let key = rd.u64()?;
+        if forest.keys().last().is_some_and(|&prev| key <= prev) {
+            return Err(corrupt("subtree keys not strictly ascending"));
+        }
+        if segments < 64 && key >> segments != 0 {
+            return Err(corrupt("root key wider than the word"));
+        }
+        forest.push_root(key);
+        // The word the next node must have, and whose right child it is.
+        let mut expect = IsaxWord::from_root_key(key, segments);
+        let mut right_of = None;
+        loop {
+            let tag = rd.u8()?;
+            rd.inp.read_exact(&mut word)?;
+            let (symbols, card_bits) = word.split_at(segments);
+            let w = WordRef { symbols, card_bits };
+            if w != expect.view() {
+                return Err(corrupt("node word does not refine its parent's"));
+            }
+            match tag {
+                0 => {
+                    let slice = LeafSlice {
+                        offset: rd.u32()?,
+                        len: rd.u32()?,
+                    };
+                    if slice.offset as usize != next_slot || next_slot + slice.len() > n {
+                        return Err(corrupt("leaf slices do not tile the scan positions"));
+                    }
+                    next_slot += slice.len();
+                    check_leaf(w, slice, sax, scan_to_id, segments)?;
+                    forest.push_leaf(w, right_of.take(), slice);
+                    let Some((p, right)) = awaiting_right.pop() else {
+                        break; // the root's subtree is complete
+                    };
+                    (right_of, expect) = (Some(p), right);
+                }
+                1 => {
+                    let seg = rd.u32()? as usize;
+                    if seg >= segments || card_bits[seg] >= MAX_CARD_BITS {
+                        return Err(corrupt("split segment out of range"));
+                    }
+                    let node = forest.push_inner(w, right_of.take(), seg);
+                    awaiting_right.push((node, expect.refine(seg, 1)));
+                    expect = expect.refine(seg, 0);
+                }
+                t => return Err(corrupt(format!("unknown node tag {t}"))),
+            }
+        }
+    }
+    if next_slot != n {
+        return Err(corrupt(format!(
+            "forest stores {next_slot} series, header says {n}"
+        )));
+    }
+    forest.shrink_to_fit();
+    Ok(forest)
+}
+
+/// Checks one leaf against the layout: its original ids ascend (the
+/// determinism contract documented on `LeafSlice`, which keeps tie
+/// resolution that of a built index), and its word contains every
+/// stored series' SAX word.
+fn check_leaf(
+    word: WordRef<'_>,
+    slice: LeafSlice,
+    sax: &[u8],
+    scan_to_id: &[u32],
+    segments: usize,
+) -> Result<(), PersistError> {
+    let range = slice.range();
+    if scan_to_id[range.clone()].windows(2).any(|w| w[0] >= w[1]) {
+        return Err(corrupt("leaf ids not in dataset order"));
+    }
+    let block = &sax[range.start * segments..range.end * segments];
+    if !block.chunks_exact(segments).all(|s| word.contains(s)) {
+        return Err(corrupt("leaf word does not contain its series"));
+    }
+    Ok(())
 }
 
 /// Saves an index to a file path.
@@ -443,24 +421,12 @@ mod tests {
         let mut bytes = Vec::new();
         save_index(&index, &mut bytes).expect("save");
         let loaded = load_index(&mut bytes.as_slice()).expect("load");
-        assert_eq!(
-            index.layout().scan_to_id(),
-            loaded.layout().scan_to_id(),
-            "scan permutation survives"
-        );
-        for (a, b) in index.forest().iter().zip(loaded.forest()) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.size, b.size);
-            let mut la = Vec::new();
-            let mut lb = Vec::new();
-            a.node.for_each_leaf(&mut |l| la.push((l.word.clone(), l.slice)));
-            b.node.for_each_leaf(&mut |l| lb.push((l.word.clone(), l.slice)));
-            assert_eq!(la, lb);
-        }
-        for id in 0..400u32 {
-            assert_eq!(index.sax_by_id(id), loaded.sax_by_id(id));
-            assert_eq!(index.series_by_id(id), loaded.series_by_id(id));
-        }
+        assert!(index.forest() == loaded.forest(), "forest survives");
+        let (a, b) = (index.layout(), loaded.layout());
+        assert_eq!(a.scan_to_id(), b.scan_to_id(), "scan permutation survives");
+        assert_eq!(a.sax_block(0..400), b.sax_block(0..400));
+        assert_eq!(a.data().raw(), b.data().raw());
+        assert_eq!(index.size_bytes(), loaded.size_bytes());
     }
 
     #[test]
@@ -646,15 +612,126 @@ mod tests {
 
     #[test]
     fn layout_holds_one_sax_copy() {
-        // The layout's overhead is the SAX words once plus two u32 id
-        // maps, built or loaded: a second summary copy would show here.
+        // The layout's overhead is the SAX words once plus the u32 scan
+        // permutation, built or loaded: a second summary copy (or an
+        // inverse id map) would show here.
         let index = build(500);
         let mut bytes = Vec::new();
         save_index(&index, &mut bytes).expect("save");
         let loaded = load_index(&mut bytes.as_slice()).expect("load");
         for layout in [index.layout(), loaded.layout()] {
             let (n, segments) = (layout.num_series(), layout.segments());
-            assert_eq!(layout.size_bytes(), n * segments + 8 * n);
+            assert_eq!(layout.size_bytes(), n * segments + 4 * n);
+        }
+    }
+
+    /// File offsets of every node's word in a save of `index`, in file
+    /// order, with the node id: each root's key, then its nodes in
+    /// pre-order (tag, word, then a slice or a split segment).
+    fn word_offsets(index: &Index) -> Vec<(usize, u32)> {
+        let cfg = index.config();
+        let n = index.num_series();
+        let forest = index.forest();
+        let mut at = 4 + 12 + 8 + n * cfg.series_len * 4 + n * cfg.segments + n * 4 + 8;
+        let mut out = Vec::new();
+        for root in forest {
+            at += 8;
+            for node in root.node.nodes() {
+                out.push((at + 1, node));
+                at += 1 + 2 * cfg.segments + if forest.leaf_id(node).is_some() { 8 } else { 4 };
+            }
+        }
+        out
+    }
+
+    /// Flips the low bit of segment 0's symbol in the word of the first
+    /// node `pick` selects and asserts the load fails as corrupt.
+    fn flipped_word_is_rejected(pick: impl Fn(&Index, u32) -> bool) {
+        let index = build(2000);
+        let (at, _) = *word_offsets(&index)
+            .iter()
+            .find(|&&(_, node)| pick(&index, node))
+            .expect("such a node exists");
+        let mut bytes = Vec::new();
+        save_index(&index, &mut bytes).expect("save");
+        bytes[at] ^= 1;
+        match load_index(&mut bytes.as_slice()) {
+            Err(PersistError::Corrupt(m)) => assert!(m.contains("word"), "unexpected message: {m}"),
+            other => panic!("expected corruption error, got {other:?}"),
+        }
+    }
+
+    fn is_root(index: &Index, node: u32) -> bool {
+        (0..index.forest().len()).any(|r| index.forest().root_node(r) == node)
+    }
+
+    #[test]
+    fn rejects_corrupt_root_word() {
+        flipped_word_is_rejected(|index, node| {
+            is_root(index, node) && index.forest().children(node).is_some()
+        });
+    }
+
+    #[test]
+    fn rejects_corrupt_inner_word() {
+        flipped_word_is_rejected(|index, node| {
+            !is_root(index, node) && index.forest().children(node).is_some()
+        });
+    }
+
+    #[test]
+    fn rejects_corrupt_leaf_word() {
+        flipped_word_is_rejected(|index, node| {
+            !is_root(index, node) && index.forest().leaf_id(node).is_some()
+        });
+    }
+
+    #[test]
+    fn rejects_sax_word_outside_its_leaf() {
+        // Flip the top bit of one series' first symbol: its leaf's word
+        // (at least 1 bit on every segment) no longer contains it.
+        let index = build(200);
+        let cfg = *index.config();
+        let n = index.num_series();
+        let mut bytes = Vec::new();
+        save_index(&index, &mut bytes).expect("save");
+        let sax_off = 4 + 12 + 8 + n * cfg.series_len * 4;
+        bytes[sax_off + 17 * cfg.segments] ^= 0x80;
+        match load_index(&mut bytes.as_slice()) {
+            Err(PersistError::Corrupt(m)) => {
+                assert!(m.contains("contain"), "unexpected message: {m}")
+            }
+            other => panic!("expected corruption error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn roundtrip_gives_equal_forest_and_bit_identical_answers() {
+        let index = build(1500);
+        let mut bytes = Vec::new();
+        save_index(&index, &mut bytes).expect("save");
+        let loaded = load_index(&mut bytes.as_slice()).expect("load");
+        assert!(index.forest() == loaded.forest());
+        let (a, b) = (
+            BatchEngine::new(Arc::new(index), 1),
+            BatchEngine::new(Arc::new(loaded), 1),
+        );
+        let params = SearchParams::new(1);
+        for seed in [3u64, 8, 21] {
+            let q = walk_dataset(1, 64, seed).series(0).to_vec();
+            let (x, y) = (a.exact(&q, &params), b.exact(&q, &params));
+            assert_eq!(x.answer.distance.to_bits(), y.answer.distance.to_bits());
+            assert_eq!(x.answer.series_id, y.answer.series_id);
+            assert_eq!(x.stats.lb_node_computations, y.stats.lb_node_computations);
+            assert_eq!(x.stats.leaves_collected, y.stats.leaves_collected);
+            let (x, y) = (a.knn(&q, 7, &params).0, b.knn(&q, 7, &params).0);
+            assert_eq!(x.neighbors.len(), y.neighbors.len());
+            for (g, w) in x.neighbors.iter().zip(&y.neighbors) {
+                assert_eq!((g.0.to_bits(), g.1), (w.0.to_bits(), w.1));
+            }
+            let (x, y) = (a.dtw(&q, 4, &params).0, b.dtw(&q, 4, &params).0);
+            assert_eq!(x.distance.to_bits(), y.distance.to_bits());
+            assert_eq!(x.series_id, y.series_id);
         }
     }
 

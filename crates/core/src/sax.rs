@@ -127,21 +127,30 @@ impl IsaxWord {
         }
     }
 
+    /// The 1-bit word of a root key (segment 0 is the key's most
+    /// significant bit; see [`crate::buffers::root_key_of_sax`]).
+    pub fn from_root_key(key: u64, segments: usize) -> Self {
+        IsaxWord {
+            symbols: (0..segments)
+                .map(|i| ((key >> (segments - 1 - i)) & 1) as u8)
+                .collect(),
+            card_bits: vec![1; segments],
+        }
+    }
+
+    /// The word as a borrowed [`WordRef`].
+    #[inline]
+    pub fn view(&self) -> WordRef<'_> {
+        WordRef {
+            symbols: &self.symbols,
+            card_bits: &self.card_bits,
+        }
+    }
+
     /// Number of segments.
     #[inline]
     pub fn segments(&self) -> usize {
         self.symbols.len()
-    }
-
-    /// Whether the full-cardinality SAX word `sax` falls inside the region
-    /// this word describes (i.e. every segment's top bits match).
-    pub fn contains(&self, sax: &[u8]) -> bool {
-        debug_assert_eq!(sax.len(), self.symbols.len());
-        self.symbols
-            .iter()
-            .zip(&self.card_bits)
-            .zip(sax)
-            .all(|((&sym, &bits), &full)| bits == 0 || (full >> (MAX_CARD_BITS - bits)) == sym)
     }
 
     /// Child word obtained by refining segment `seg` with next bit `bit`
@@ -160,9 +169,32 @@ impl IsaxWord {
         w.card_bits[seg] += 1;
         w
     }
+}
+
+/// A borrowed iSAX word: the two per-segment arrays of [`IsaxWord`],
+/// read in place (as the index forest stores node words).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WordRef<'a> {
+    /// Right-aligned symbol prefixes, one per segment.
+    pub symbols: &'a [u8],
+    /// Bits of cardinality per segment.
+    pub card_bits: &'a [u8],
+}
+
+impl WordRef<'_> {
+    /// Whether the full-cardinality SAX word `sax` falls inside the
+    /// region (i.e. every segment's top bits match).
+    pub fn contains(&self, sax: &[u8]) -> bool {
+        debug_assert_eq!(sax.len(), self.symbols.len());
+        self.symbols
+            .iter()
+            .zip(self.card_bits)
+            .zip(sax)
+            .all(|((&sym, &bits), &full)| bits == 0 || (full >> (MAX_CARD_BITS - bits)) == sym)
+    }
 
     /// The `[lo, hi]` symbol range (at full cardinality) covered by
-    /// segment `seg` of this word.
+    /// segment `seg`.
     #[inline]
     pub fn full_range(&self, seg: usize) -> (usize, usize) {
         let bits = self.card_bits[seg];
@@ -192,7 +224,7 @@ pub fn mindist_paa_isax_sq(paa: &[f64], word: &IsaxWord, series_len: usize) -> f
     let w = paa.len();
     let mut sum = 0.0f64;
     for (i, &v) in paa.iter().enumerate() {
-        let (lo_sym, hi_sym) = word.full_range(i);
+        let (lo_sym, hi_sym) = word.view().full_range(i);
         let lo = if lo_sym == 0 {
             f64::NEG_INFINITY
         } else {
@@ -378,8 +410,8 @@ impl MindistTable {
     ///
     /// All three cases collapse to clamping the envelope's reference
     /// symbol into `[lo_sym, hi_sym]`.
-    pub fn word_lb_sq(&self, word: &IsaxWord) -> f64 {
-        debug_assert_eq!(word.segments(), self.segments);
+    pub fn word_lb_sq(&self, word: WordRef<'_>) -> f64 {
+        debug_assert_eq!(word.symbols.len(), self.segments);
         let mut sum = 0.0f64;
         for i in 0..self.segments {
             let (lo_sym, hi_sym) = word.full_range(i);
@@ -498,7 +530,7 @@ mod tests {
                     symbols: vec![sym],
                     card_bits: vec![bits],
                 };
-                let (lo_sym, hi_sym) = word.full_range(0);
+                let (lo_sym, hi_sym) = word.view().full_range(0);
                 assert!(lo_sym <= full as usize && full as usize <= hi_sym);
             }
         }
@@ -509,11 +541,11 @@ mod tests {
         let sax = [0b1011_0010u8, 0b0100_1111];
         let w1 = IsaxWord::from_sax(&sax, 1);
         assert_eq!(w1.symbols, vec![1, 0]);
-        assert!(w1.contains(&sax));
+        assert!(w1.view().contains(&sax));
         let w2 = w1.refine(0, 0); // sax[0] top bits are 10 -> matches
-        assert!(w2.contains(&sax));
+        assert!(w2.view().contains(&sax));
         let w2b = w1.refine(0, 1); // 11 -> does not match
-        assert!(!w2b.contains(&sax));
+        assert!(!w2b.view().contains(&sax));
         assert_eq!(w2.card_bits, vec![2, 1]);
     }
 
@@ -523,8 +555,8 @@ mod tests {
             symbols: vec![0b101, 0],
             card_bits: vec![3, 0],
         };
-        assert_eq!(w.full_range(0), (0b101 << 5, (0b101 << 5) + 31));
-        assert_eq!(w.full_range(1), (0, 255));
+        assert_eq!(w.view().full_range(0), (0b101 << 5, (0b101 << 5) + 31));
+        assert_eq!(w.view().full_range(1), (0, 255));
     }
 
     fn pseudo_series(seed: u64, len: usize) -> Vec<f32> {
@@ -634,7 +666,7 @@ mod tests {
                         IsaxWord::from_sax(&sax, bits)
                     };
                     let want = mindist_paa_isax_sq(&qp, &word, len);
-                    let got = table.word_lb_sq(&word);
+                    let got = table.word_lb_sq(word.view());
                     assert_eq!(got.to_bits(), want.to_bits(), "qa={qa} sb={sb} bits={bits}");
                 }
             }
@@ -688,10 +720,10 @@ mod tests {
                 IsaxWord { symbols, card_bits }
             })
             .collect();
-        let roots = crate::tree::RootSoa::from_words(words.iter());
+        let roots = crate::tree::RootSoa::from_words(words.iter().map(IsaxWord::view));
         assert_eq!(roots.len(), n);
         assert_eq!(roots.segments(), segs);
-        let want: Vec<f64> = words.iter().map(|w| table.word_lb_sq(w)).collect();
+        let want: Vec<f64> = words.iter().map(|w| table.word_lb_sq(w.view())).collect();
         for range in [0..n, 0..8, 3..20, 30..43, 42..43, 7..7] {
             let mut got = vec![0.0f64; range.len()];
             table.root_lb_block(&roots, range.clone(), &mut got);
@@ -725,7 +757,7 @@ mod tests {
                 let word = IsaxWord::from_sax(&sax, bits);
                 let mut want = 0.0f64;
                 for i in 0..segs {
-                    let (a, b) = word.full_range(i);
+                    let (a, b) = word.view().full_range(i);
                     let rlo = if a == 0 { f64::NEG_INFINITY } else { bp[a - 1] };
                     let rhi = if b == MAX_CARD - 1 {
                         f64::INFINITY
@@ -742,7 +774,7 @@ mod tests {
                     let (s0, e0) = crate::paa::segment_bounds(len, segs, i);
                     want += d * d * (e0 - s0) as f64;
                 }
-                let got = table.word_lb_sq(&word);
+                let got = table.word_lb_sq(word.view());
                 assert_eq!(got.to_bits(), want.to_bits(), "sb={sb} bits={bits}");
             }
         }

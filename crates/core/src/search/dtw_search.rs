@@ -20,7 +20,7 @@ use super::kernel::QueryKernel;
 use crate::distance::{dtw_banded, keogh_envelope_reusing, lb_keogh_sq, LbKeoghEnvelope};
 use crate::index::Index;
 use crate::paa::segment_bounds;
-use crate::sax::{IsaxWord, MindistTable};
+use crate::sax::{MindistTable, WordRef};
 
 /// The DTW query kernel: envelope, per-segment envelope hull, window.
 ///
@@ -89,7 +89,7 @@ impl<'q> DtwKernel<'q> {
 
 impl QueryKernel for DtwKernel<'_> {
     #[inline]
-    fn node_lb_sq(&self, word: &IsaxWord) -> f64 {
+    fn node_lb_sq(&self, word: WordRef<'_>) -> f64 {
         self.table.word_lb_sq(word)
     }
 
@@ -107,7 +107,7 @@ impl QueryKernel for DtwKernel<'_> {
     #[inline]
     fn root_lb_block(
         &self,
-        _forest: &[crate::tree::RootSubtree],
+        _forest: &crate::tree::Forest,
         roots: &crate::tree::RootSoa,
         range: std::ops::Range<usize>,
         out: &mut [f64],
@@ -132,7 +132,7 @@ pub fn approx_dtw(index: &Index, kernel: &DtwKernel) -> (f64, Option<u32>) {
     let layout = index.layout();
     let mut best = f64::INFINITY;
     let mut best_id = None;
-    for p in leaf.slice.range() {
+    for p in leaf.range() {
         if let Some(d) = dtw_banded(kernel.query, layout.series(p), kernel.window, best) {
             if d < best {
                 best = d;
@@ -170,7 +170,7 @@ pub(crate) fn seed_dtw_knn<'q>(
     let knn = SharedKnn::new(k);
     if let Some(leaf) = index.seed_leaf(&kernel.table, None) {
         let layout = index.layout();
-        for p in leaf.slice.range() {
+        for p in leaf.range() {
             if let Some(d) = dtw_banded(query, layout.series(p), window, knn.threshold_sq()) {
                 knn.offer(d, layout.original_id(p));
             }
@@ -180,16 +180,20 @@ pub(crate) fn seed_dtw_knn<'q>(
     (kernel, knn, initial)
 }
 
-/// Brute-force DTW 1-NN oracle. Scans in original-id order so tie
-/// resolution matches the pre-layout oracle exactly.
+/// Brute-force DTW 1-NN oracle. Scans in scan order and keeps the
+/// smallest `(distance, original id)`, so ties resolve to the lowest id
+/// as a scan in id order would; `dtw_banded` abandons only strictly
+/// above `best`, so a tie with a lower id still completes.
 pub fn dtw_brute_force(index: &Index, query: &[f32], window: usize) -> Answer {
+    let layout = index.layout();
     let mut best = f64::INFINITY;
     let mut best_id = None;
-    for id in 0..index.num_series() {
-        if let Some(d) = dtw_banded(query, index.series_by_id(id as u32), window, best) {
-            if d < best {
+    for p in 0..index.num_series() {
+        if let Some(d) = dtw_banded(query, layout.series(p), window, best) {
+            let id = layout.original_id(p);
+            if crate::index::beats(d, id, best, best_id) {
                 best = d;
-                best_id = Some(id as u32);
+                best_id = Some(id);
             }
         }
     }
@@ -200,6 +204,7 @@ pub fn dtw_brute_force(index: &Index, query: &[f32], window: usize) -> Answer {
 mod tests {
     use super::*;
     use crate::index::IndexConfig;
+    use crate::sax::IsaxWord;
     use crate::search::engine::BatchEngine;
     use crate::search::exact::SearchParams;
     use crate::series::DatasetBuffer;
@@ -247,7 +252,7 @@ mod tests {
             assert!(series_lb <= dtw + 1e-6, "seed={seed}: {series_lb} > {dtw}");
             for bits in 1..=crate::sax::MAX_CARD_BITS {
                 let word = IsaxWord::from_sax(&sax, bits);
-                let node_lb = kernel.node_lb_sq(&word);
+                let node_lb = kernel.node_lb_sq(word.view());
                 assert!(node_lb <= series_lb + 1e-9, "bits={bits}");
             }
         }

@@ -537,21 +537,25 @@ pub fn approximate_answer(index: &Index, query: &BatchQuery) -> BatchAnswer {
     }
 }
 
-/// Deterministic calibration probes: series drawn from spread positions
-/// of the index itself, perturbed by a fixed xorshift stream and
+/// Deterministic calibration probes: series drawn from spread ids of
+/// the index itself, perturbed by a fixed xorshift stream and
 /// re-normalized — realistic queries (near the data distribution, not
 /// exact matches) without any RNG dependency or external query set.
+/// The index keeps no id-to-position map, so each probe's position is
+/// found by a scan of the permutation (`count` scans per calibration).
 fn calibration_probes(index: &Index, count: usize) -> Vec<Vec<f32>> {
     let n = index.num_series();
     if n == 0 {
         return Vec::new();
     }
     let count = count.min(n).max(1);
+    let layout = index.layout();
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     (0..count)
         .map(|i| {
             let id = (i * n / count + n / (2 * count)).min(n - 1) as u32;
-            let mut q = index.series_by_id(id).to_vec();
+            let p = layout.scan_to_id().iter().position(|&s| s == id);
+            let mut q = layout.series(p.expect("ids cover 0..n")).to_vec();
             for v in &mut q {
                 x ^= x << 13;
                 x ^= x >> 7;

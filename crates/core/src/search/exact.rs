@@ -37,7 +37,7 @@ use crate::distance::simd::prefetch_series;
 use crate::index::Index;
 use crate::layout::LeafLayout;
 use crate::sync::PhaseBarrier;
-use crate::tree::{Node, RootSoa, RootSubtree};
+use crate::tree::{Forest, RootSoa};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -311,7 +311,7 @@ impl StealView {
 /// share a line: workers traversing different batches do not
 /// false-share.
 #[repr(align(128))]
-struct BatchState<'a> {
+struct BatchState {
     /// Next unclaimed subtree offset inside the batch range (`Fetch&Add`).
     next_subtree: AtomicUsize,
     /// All subtrees of this batch have been claimed and traversed.
@@ -321,7 +321,7 @@ struct BatchState<'a> {
     /// Queues of this batch only. Each worker that traverses the batch
     /// fills a local [`BoundedPqSet`] and appends its queues here once,
     /// when it leaves the batch — the only lock of the traversal phase.
-    pqs: Mutex<Vec<LeafPq<'a>>>,
+    pqs: Mutex<Vec<LeafPq>>,
 }
 
 /// Builds the Euclidean kernel for `query` and seeds a [`SharedBsf`]
@@ -348,7 +348,7 @@ pub(crate) struct ExecShared<'e, K: ?Sized, R: ?Sized> {
     view: &'e StealView,
     on_improve: &'e (dyn Fn(f64, u32) + Sync),
     service: &'e (dyn Fn() + Sync),
-    forest: &'e [RootSubtree],
+    forest: &'e Forest,
     root_soa: &'e RootSoa,
     layout: &'e LeafLayout,
     help_th: usize,
@@ -358,12 +358,12 @@ pub(crate) struct ExecShared<'e, K: ?Sized, R: ?Sized> {
     active: Vec<usize>,
     /// The index's cached partition for this query's batch count.
     batches: Arc<RsBatches>,
-    bstates: Vec<BatchState<'e>>,
+    bstates: Vec<BatchState>,
     /// Traversal-phase batch-claiming cursor (`Fetch&Add`).
     bcnt: AtomicUsize,
     /// (global batch id, queue) pairs in ascending-min order, filled by
     /// tid 0 between the barriers.
-    sorted: RwLock<Vec<(usize, Mutex<LeafPq<'e>>)>>,
+    sorted: RwLock<Vec<(usize, Mutex<LeafPq>)>>,
     // Work counters: workers accumulate in per-thread locals and flush
     // once, so the hot loops never touch shared cache lines.
     lb_node: AtomicU64,
@@ -448,7 +448,8 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
     /// table-backed kernels — an iSAX forest over high-entropy data is
     /// wide and shallow, so the root level is where almost all node
     /// bounds happen), prunes against the shared threshold, and
-    /// descends surviving inner roots through the reused stack.
+    /// descends surviving inner roots through the reused stack of node
+    /// ids (left child pushed first, so the right one is popped first).
     ///
     /// Surviving leaves go into a **worker-local** [`BoundedPqSet`]
     /// (sealed at `TH`, provisioned from the `heaps` scratch), so the
@@ -459,8 +460,8 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
     fn traverse_batch(
         &self,
         bi: usize,
-        stack: &mut Vec<&'e Node>,
-        heaps: &mut Vec<super::pqueue::SpareHeap>,
+        stack: &mut Vec<u32>,
+        heaps: &mut Vec<LeafPq>,
         lb_node_local: &mut u64,
         leaves_local: &mut u64,
     ) {
@@ -492,37 +493,33 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
                 if lb >= thr {
                     continue; // prune the whole subtree
                 }
-                match &self.forest[ti].node {
-                    Node::Leaf(leaf) => {
-                        pqs.push_with(lb, leaf, heaps);
-                        *leaves_local += 1;
+                let root = self.forest.root_node(ti);
+                let Some(children) = self.forest.children(root) else {
+                    let leaf = self.forest.leaf_id(root).expect("a leaf root");
+                    pqs.push_with(lb, leaf, heaps);
+                    *leaves_local += 1;
+                    continue;
+                };
+                // Iterative descent with an explicit (reused) stack;
+                // inner nodes are rare enough that their bounds stay
+                // per-word. The root's data-tight bound holds for every
+                // series below it, so a node's bound is the larger of
+                // the two.
+                let root_lb = lb;
+                stack.clear();
+                stack.extend(children);
+                while let Some(node) = stack.pop() {
+                    let lb = self.kernel.node_lb_sq(self.forest.word(node)).max(root_lb);
+                    *lb_node_local += 1;
+                    if lb >= self.results.threshold_sq() {
+                        continue;
                     }
-                    Node::Inner { children, .. } => {
-                        // Iterative descent with an explicit (reused)
-                        // stack; inner nodes are rare enough that their
-                        // bounds stay per-word. The root's data-tight
-                        // bound holds for every series below it, so a
-                        // node's bound is the larger of the two.
-                        let root_lb = lb;
-                        stack.clear();
-                        stack.push(&children[0]);
-                        stack.push(&children[1]);
-                        while let Some(node) = stack.pop() {
-                            let lb = self.kernel.node_lb_sq(node.word()).max(root_lb);
-                            *lb_node_local += 1;
-                            if lb >= self.results.threshold_sq() {
-                                continue;
-                            }
-                            match node {
-                                Node::Inner { children, .. } => {
-                                    stack.push(&children[0]);
-                                    stack.push(&children[1]);
-                                }
-                                Node::Leaf(leaf) => {
-                                    pqs.push_with(lb, leaf, heaps);
-                                    *leaves_local += 1;
-                                }
-                            }
+                    match self.forest.children(node) {
+                        Some(children) => stack.extend(children),
+                        None => {
+                            let leaf = self.forest.leaf_id(node).expect("a leaf");
+                            pqs.push_with(lb, leaf, heaps);
+                            *leaves_local += 1;
                         }
                     }
                 }
@@ -535,16 +532,16 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
 
     /// Whether every leaf of `q` lies under a root subtree of global
     /// RS-batch `batch` — the one-batch-per-queue invariant that lets a
-    /// thief take queues by batch id. A leaf's root is the subtree
-    /// keyed by the top bit of each segment of the leaf's region.
+    /// thief take queues by batch id. The forest is in pre-order, so the
+    /// batch's roots own one contiguous range of leaf ids.
     fn queue_in_batch(&self, q: &LeafPq, batch: usize) -> bool {
-        let roots = &self.forest[self.batches.range(batch)];
-        q.iter().all(|c| {
-            let w = &c.leaf.word;
-            let lo: Vec<u8> = (0..w.segments()).map(|s| w.full_range(s).0 as u8).collect();
-            let key = crate::buffers::root_key_of_sax(&lo);
-            roots.binary_search_by_key(&key, |t| t.key).is_ok()
-        })
+        let roots = self.batches.range(batch);
+        if roots.is_empty() {
+            return q.is_empty();
+        }
+        let lo = self.forest.root(roots.start).node.leaf_ids().start;
+        let hi = self.forest.root(roots.end - 1).node.leaf_ids().end;
+        q.iter().all(|c| (lo..hi).contains(&c.leaf))
     }
 
     /// The three-phase per-thread engine body. All `n_threads`
@@ -569,19 +566,18 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
         let WorkerScratch {
             lb_block,
             survivors,
-            stack: spare_stack,
+            stack,
             heaps,
         } = scratch;
         // --- Phase 1: tree traversal over RS-batches -------------------
         let mut lb_node_local = 0u64;
         let mut leaves_local = 0u64;
-        let mut stack: Vec<&Node> = spare_stack.take();
         loop {
             let bi = self.bcnt.fetch_add(1, Ordering::Relaxed);
             if bi >= self.active.len() {
                 break;
             }
-            self.traverse_batch(bi, &mut stack, heaps, &mut lb_node_local, &mut leaves_local);
+            self.traverse_batch(bi, stack, heaps, &mut lb_node_local, &mut leaves_local);
             self.bstates[bi].complete.store(true, Ordering::Release);
         }
         // Helping pass (Algorithm 2, lines 11–14): join batches that are
@@ -590,17 +586,10 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
             if !bstate.complete.load(Ordering::Acquire)
                 && bstate.helped.fetch_add(1, Ordering::Relaxed) < self.help_th
             {
-                self.traverse_batch(
-                    bi,
-                    &mut stack,
-                    heaps,
-                    &mut lb_node_local,
-                    &mut leaves_local,
-                );
+                self.traverse_batch(bi, stack, heaps, &mut lb_node_local, &mut leaves_local);
                 bstate.complete.store(true, Ordering::Release);
             }
         }
-        spare_stack.put(stack);
         self.lb_node.fetch_add(lb_node_local, Ordering::Relaxed);
         self.leaves.fetch_add(leaves_local, Ordering::Relaxed);
         barrier.wait();
@@ -675,7 +664,7 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
                 continue; // a helper node took this batch
             }
             while let Some((cand, thr)) = self.pop_live(q, heaps) {
-                let range = cand.leaf.slice.range();
+                let range = self.forest.leaf(cand.leaf).range();
                 let n_cand = range.len();
                 if n_cand == 0 {
                     continue;
@@ -729,23 +718,20 @@ impl<'e, K: QueryKernel + ?Sized, R: ResultSet + ?Sized> ExecShared<'e, K, R> {
     /// (empty, or its minimum can no longer win — the rest of a min-heap
     /// is prunable too). The first worker to find the queue spent takes
     /// its heap, so later visitors find it empty at once, and recycles
-    /// the allocation into its scratch; the empty zero-capacity heap it
-    /// leaves behind never enters a spare pool.
-    fn pop_live(
-        &self,
-        q: &Mutex<LeafPq<'e>>,
-        heaps: &mut Vec<super::pqueue::SpareHeap>,
-    ) -> Option<(LeafCandidate<'e>, f64)> {
+    /// the cleared allocation into its scratch; the empty zero-capacity
+    /// heap it leaves behind never enters a spare pool.
+    fn pop_live(&self, q: &Mutex<LeafPq>, heaps: &mut Vec<LeafPq>) -> Option<(LeafCandidate, f64)> {
         let mut q = q.lock();
         let thr = self.results.threshold_sq();
         match q.pop() {
             Some(cand) if cand.lb_sq < thr => Some((cand, thr)),
             _ => {
-                let spent = std::mem::take(&mut *q);
+                let mut spent = std::mem::take(&mut *q);
                 drop(q);
                 let cap = spent.capacity();
                 if cap > 0 && cap <= MAX_SPARE_HEAP_CAP && heaps.len() < MAX_SPARE_HEAPS {
-                    heaps.push(spent.into_spare());
+                    spent.clear();
+                    heaps.push(spent);
                 }
                 None
             }

@@ -19,14 +19,14 @@
 //! be bounded in one tight pass ([`QueryKernel::lb_block_sq`]).
 
 use crate::layout::LeafLayout;
-use crate::sax::{IsaxWord, MindistTable};
-use crate::tree::{RootSoa, RootSubtree};
+use crate::sax::{MindistTable, WordRef};
+use crate::tree::{Forest, RootSoa};
 
 /// The distance family of a query (see module docs for the contract).
 pub trait QueryKernel: Sync {
     /// Lower bound (squared) from the query to any series in `word`'s
     /// region.
-    fn node_lb_sq(&self, word: &IsaxWord) -> f64;
+    fn node_lb_sq(&self, word: WordRef<'_>) -> f64;
 
     /// Lower bound (squared) from the query to a series with
     /// full-cardinality SAX word `sax`.
@@ -66,14 +66,14 @@ pub trait QueryKernel: Sync {
     /// by its series' actual SAX envelope.
     fn root_lb_block(
         &self,
-        forest: &[RootSubtree],
+        forest: &Forest,
         _roots: &RootSoa,
         range: std::ops::Range<usize>,
         out: &mut [f64],
     ) {
         debug_assert_eq!(range.len(), out.len());
-        for (slot, tree) in out.iter_mut().zip(&forest[range]) {
-            *slot = self.node_lb_sq(tree.node.word());
+        for (slot, r) in out.iter_mut().zip(range) {
+            *slot = self.node_lb_sq(forest.word(forest.root_node(r)));
         }
     }
 
@@ -122,7 +122,7 @@ impl<'q> EdKernel<'q> {
 
 impl QueryKernel for EdKernel<'_> {
     #[inline]
-    fn node_lb_sq(&self, word: &IsaxWord) -> f64 {
+    fn node_lb_sq(&self, word: WordRef<'_>) -> f64 {
         self.table.word_lb_sq(word)
     }
 
@@ -140,7 +140,7 @@ impl QueryKernel for EdKernel<'_> {
     #[inline]
     fn root_lb_block(
         &self,
-        _forest: &[RootSubtree],
+        _forest: &Forest,
         roots: &RootSoa,
         range: std::ops::Range<usize>,
         out: &mut [f64],
@@ -157,7 +157,7 @@ impl QueryKernel for EdKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sax::{mindist_paa_isax_sq, mindist_paa_sax_sq, sax_word_into};
+    use crate::sax::{mindist_paa_isax_sq, mindist_paa_sax_sq, sax_word_into, IsaxWord};
     use crate::series::znormalize;
 
     fn pseudo_series(seed: u64, len: usize) -> Vec<f32> {
@@ -193,7 +193,7 @@ mod tests {
             assert!(series_lb <= real + 1e-6);
             for bits in 1..=8u8 {
                 let word = IsaxWord::from_sax(&sax, bits);
-                let node_lb = kernel.node_lb_sq(&word);
+                let node_lb = kernel.node_lb_sq(word.view());
                 assert!(node_lb <= series_lb + 1e-9, "bits={bits}");
             }
         }
@@ -214,7 +214,7 @@ mod tests {
             for bits in 1..=8u8 {
                 let word = IsaxWord::from_sax(&sax, bits);
                 let want = mindist_paa_isax_sq(kernel.qpaa(), &word, len);
-                assert_eq!(kernel.node_lb_sq(&word).to_bits(), want.to_bits());
+                assert_eq!(kernel.node_lb_sq(word.view()).to_bits(), want.to_bits());
             }
         }
     }

@@ -22,7 +22,7 @@ pub fn seed_from_approx_leaf(index: &Index, kernel: &EdKernel, knn: &SharedKnn) 
         return;
     };
     let layout = index.layout();
-    for p in leaf.slice.range() {
+    for p in leaf.range() {
         let bound = knn.threshold_sq();
         if let Some(d) =
             crate::distance::euclidean_sq_early_abandon(kernel.query(), layout.series(p), bound)
@@ -49,13 +49,15 @@ pub(crate) fn seed_knn<'q>(
     (kernel, knn, initial)
 }
 
-/// Brute-force k-NN oracle.
+/// Brute-force k-NN oracle: every series in scan order, sorted by
+/// `(distance, original id)`.
 pub fn knn_brute_force(index: &Index, query: &[f32], k: usize) -> KnnAnswer {
+    let layout = index.layout();
     let mut all: Vec<(f64, u32)> = (0..index.num_series())
-        .map(|id| {
+        .map(|p| {
             (
-                crate::distance::euclidean_sq(query, index.series_by_id(id as u32)),
-                id as u32,
+                crate::distance::euclidean_sq(query, layout.series(p)),
+                layout.original_id(p),
             )
         })
         .collect();
@@ -147,7 +149,11 @@ mod tests {
         let layout = idx.layout();
         // The ids of the leaf storing `id`, and the root it hangs under.
         let leaf_of = |id: u32| {
-            let p = layout.scan_pos(id);
+            let p = layout
+                .scan_to_id()
+                .iter()
+                .position(|&x| x == id)
+                .expect("an id");
             let mut found = None;
             for (r, t) in idx.forest().iter().enumerate() {
                 t.node.for_each_leaf(&mut |leaf| {
@@ -170,7 +176,7 @@ mod tests {
                 let mut qsax = vec![0u8; 8];
                 crate::sax::sax_word_into(&idx.query_paa(&q), &mut qsax);
                 let key = crate::buffers::root_key_of_sax(&qsax);
-                if idx.forest().binary_search_by_key(&key, |t| t.key).is_ok() {
+                if idx.forest().keys().binary_search(&key).is_ok() {
                     return None;
                 }
                 let approx = idx.approx_search(&q);
@@ -218,7 +224,6 @@ mod tests {
         // The full scan: every distance to completion, in scan order.
         let layout = idx.layout();
         let full: Vec<(f64, u32)> = leaf
-            .slice
             .range()
             .map(|p| {
                 let d = crate::distance::euclidean_sq_early_abandon(

@@ -12,30 +12,29 @@
 //! rest on queue sizes: the processing phase shares every live queue
 //! leaf by leaf once a worker's own claims run out.
 
-use crate::tree::Leaf;
 use std::collections::BinaryHeap;
 
 /// A leaf candidate ordered by its lower-bound distance (min first).
-#[derive(Debug)]
-pub struct LeafCandidate<'a> {
+#[derive(Debug, Clone, Copy)]
+pub struct LeafCandidate {
     /// Squared `mindist` of the leaf's region to the query.
     pub lb_sq: f64,
-    /// The leaf (borrowed from the index; never moved between nodes).
-    pub leaf: &'a Leaf,
+    /// The leaf's id in the index forest ([`crate::tree::Forest::leaf`]).
+    pub leaf: u32,
 }
 
-impl PartialEq for LeafCandidate<'_> {
+impl PartialEq for LeafCandidate {
     fn eq(&self, other: &Self) -> bool {
         self.lb_sq == other.lb_sq
     }
 }
-impl Eq for LeafCandidate<'_> {}
-impl PartialOrd for LeafCandidate<'_> {
+impl Eq for LeafCandidate {}
+impl PartialOrd for LeafCandidate {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for LeafCandidate<'_> {
+impl Ord for LeafCandidate {
     /// Inverted so that `BinaryHeap` (a max-heap) pops the **smallest**
     /// lower bound first.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
@@ -45,11 +44,11 @@ impl Ord for LeafCandidate<'_> {
 
 /// A min-priority queue of leaf candidates.
 #[derive(Debug, Default)]
-pub struct LeafPq<'a> {
-    heap: BinaryHeap<LeafCandidate<'a>>,
+pub struct LeafPq {
+    heap: BinaryHeap<LeafCandidate>,
 }
 
-impl<'a> LeafPq<'a> {
+impl LeafPq {
     /// An empty queue.
     pub fn new() -> Self {
         LeafPq {
@@ -67,13 +66,13 @@ impl<'a> LeafPq<'a> {
 
     /// Inserts a candidate.
     #[inline]
-    pub fn push(&mut self, lb_sq: f64, leaf: &'a Leaf) {
+    pub fn push(&mut self, lb_sq: f64, leaf: u32) {
         self.heap.push(LeafCandidate { lb_sq, leaf });
     }
 
     /// Removes and returns the smallest-lower-bound candidate.
     #[inline]
-    pub fn pop(&mut self) -> Option<LeafCandidate<'a>> {
+    pub fn pop(&mut self) -> Option<LeafCandidate> {
         self.heap.pop()
     }
 
@@ -102,52 +101,14 @@ impl<'a> LeafPq<'a> {
     }
 
     /// The queued candidates, in heap (not priority) order.
-    pub fn iter(&self) -> impl Iterator<Item = &LeafCandidate<'a>> {
+    pub fn iter(&self) -> impl Iterator<Item = &LeafCandidate> {
         self.heap.iter()
     }
 
-    /// Ensures capacity for at least `cap` total candidates.
-    #[inline]
-    pub fn reserve(&mut self, cap: usize) {
-        let len = self.heap.len();
-        if cap > len {
-            self.heap.reserve(cap - len);
-        }
-    }
-
-    /// Clears the queue and surrenders its allocation for reuse by a
-    /// later query (the batch engine's scratch arenas).
-    pub fn into_spare(self) -> SpareHeap {
-        let mut v = self.heap.into_vec();
-        v.clear();
-        SpareHeap(super::scratch::recycle_empty(v))
-    }
-}
-
-/// An **empty**, lifetime-erased [`LeafPq`] allocation. The batch
-/// engine's per-worker scratch holds these between queries so bounded
-/// queues are provisioned from recycled heaps instead of fresh
-/// allocations.
-#[derive(Default)]
-pub struct SpareHeap(Vec<LeafCandidate<'static>>);
-
-impl std::fmt::Debug for SpareHeap {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The vector is empty by invariant; only the capacity matters.
-        f.debug_tuple("SpareHeap")
-            .field(&format_args!("capacity: {}", self.0.capacity()))
-            .finish()
-    }
-}
-
-impl SpareHeap {
-    /// Rebinds the allocation to the current query's lifetime (safe:
-    /// the vector is empty and `'static` outlives `'a`).
-    pub fn into_pq<'a>(self) -> LeafPq<'a> {
-        let v: Vec<LeafCandidate<'a>> = self.0;
-        LeafPq {
-            heap: BinaryHeap::from(v),
-        }
+    /// Empties the queue, keeping its allocation (the batch engine's
+    /// scratch holds spent queues for reuse by later queries).
+    pub fn clear(&mut self) {
+        self.heap.clear();
     }
 }
 
@@ -155,17 +116,15 @@ impl SpareHeap {
 /// when it reaches `th`. The engine keeps one per worker per batch
 /// visit, so pushes take no lock.
 #[derive(Debug)]
-pub struct BoundedPqSet<'a> {
+pub struct BoundedPqSet {
     th: usize,
-    /// Whether `active` has been provisioned (preallocated or drawn from
-    /// a spare). [`BoundedPqSet::deferred`] sets this false so the first
-    /// push can provision from the pushing worker's scratch.
-    provisioned: bool,
-    active: LeafPq<'a>,
-    sealed: Vec<LeafPq<'a>>,
+    /// The queue being filled; one without an allocation yet (see
+    /// [`BoundedPqSet::deferred`]) is provisioned on the next push.
+    active: LeafPq,
+    sealed: Vec<LeafPq>,
 }
 
-impl<'a> BoundedPqSet<'a> {
+impl BoundedPqSet {
     /// Heap slots preallocated for a bounded queue: exactly `th` (a
     /// queue seals the moment it reaches `th` entries), capped so an
     /// unbounded or absurdly large threshold does not reserve memory up
@@ -183,7 +142,6 @@ impl<'a> BoundedPqSet<'a> {
         assert!(th > 0, "threshold must be positive");
         BoundedPqSet {
             th,
-            provisioned: true,
             active: LeafPq::with_capacity(Self::prealloc(th)),
             sealed: Vec::new(),
         }
@@ -191,24 +149,23 @@ impl<'a> BoundedPqSet<'a> {
 
     /// Like [`BoundedPqSet::new`], but defers provisioning the first
     /// queue until the first [`BoundedPqSet::push_with`], which draws it
-    /// from the pushing worker's spare-heap scratch.
+    /// from the pushing worker's spare queues.
     pub fn deferred(th: usize) -> Self {
         assert!(th > 0, "threshold must be positive");
         BoundedPqSet {
             th,
-            provisioned: false,
             active: LeafPq::new(),
             sealed: Vec::new(),
         }
     }
 
-    /// Provisions a threshold-sized queue, recycling a spare allocation
+    /// Provisions a threshold-sized queue, recycling an (empty) spare
     /// when one is available.
-    fn provision(th: usize, spares: &mut Vec<SpareHeap>) -> LeafPq<'a> {
+    fn provision(th: usize, spares: &mut Vec<LeafPq>) -> LeafPq {
         match spares.pop() {
-            Some(s) => {
-                let mut q = s.into_pq();
-                q.reserve(Self::prealloc(th));
+            Some(mut q) => {
+                debug_assert!(q.is_empty(), "spare queues are empty");
+                q.heap.reserve(Self::prealloc(th));
                 q
             }
             None => LeafPq::with_capacity(Self::prealloc(th)),
@@ -219,16 +176,15 @@ impl<'a> BoundedPqSet<'a> {
     /// threshold ("the thread gives up this priority queue and initiates
     /// a new one"). The replacement queue is preallocated at the
     /// threshold size, so rollover never grows heaps incrementally.
-    pub fn push(&mut self, lb_sq: f64, leaf: &'a Leaf) {
+    pub fn push(&mut self, lb_sq: f64, leaf: u32) {
         self.push_with(lb_sq, leaf, &mut Vec::new());
     }
 
     /// [`BoundedPqSet::push`] drawing provisioned/rollover queues from
     /// `spares` (a worker's scratch arena) before allocating fresh ones.
-    pub fn push_with(&mut self, lb_sq: f64, leaf: &'a Leaf, spares: &mut Vec<SpareHeap>) {
-        if !self.provisioned {
+    pub fn push_with(&mut self, lb_sq: f64, leaf: u32, spares: &mut Vec<LeafPq>) {
+        if self.active.capacity() == 0 {
             self.active = Self::provision(self.th, spares);
-            self.provisioned = true;
         }
         self.active.push(lb_sq, leaf);
         if self.active.len() >= self.th {
@@ -250,7 +206,7 @@ impl<'a> BoundedPqSet<'a> {
 
     /// Consumes the set, appending every non-empty queue to `out`
     /// (sealed queues are full by construction).
-    pub fn append_to(self, out: &mut Vec<LeafPq<'a>>) {
+    pub fn append_to(self, out: &mut Vec<LeafPq>) {
         out.extend(self.sealed);
         if !self.active.is_empty() {
             out.push(self.active);
@@ -261,30 +217,18 @@ impl<'a> BoundedPqSet<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sax::IsaxWord;
 
-    fn queues(set: BoundedPqSet<'_>) -> Vec<LeafPq<'_>> {
+    fn queues(set: BoundedPqSet) -> Vec<LeafPq> {
         let mut out = Vec::new();
         set.append_to(&mut out);
         out
     }
 
-    fn leaf() -> Leaf {
-        Leaf {
-            word: IsaxWord {
-                symbols: vec![0; 4],
-                card_bits: vec![1; 4],
-            },
-            slice: crate::tree::LeafSlice { offset: 0, len: 3 },
-        }
-    }
-
     #[test]
     fn pq_pops_in_ascending_lb_order() {
-        let l = leaf();
         let mut pq = LeafPq::new();
         for lb in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            pq.push(lb, &l);
+            pq.push(lb, 7);
         }
         let mut got = Vec::new();
         while let Some(c) = pq.pop() {
@@ -295,20 +239,18 @@ mod tests {
 
     #[test]
     fn min_lb_tracks_peek() {
-        let l = leaf();
         let mut pq = LeafPq::new();
         assert_eq!(pq.min_lb_sq(), None);
-        pq.push(4.0, &l);
-        pq.push(2.0, &l);
+        pq.push(4.0, 7);
+        pq.push(2.0, 7);
         assert_eq!(pq.min_lb_sq(), Some(2.0));
     }
 
     #[test]
     fn bounded_set_seals_at_threshold() {
-        let l = leaf();
         let mut set = BoundedPqSet::new(3);
         for i in 0..8 {
-            set.push(i as f64, &l);
+            set.push(i as f64, 7);
         }
         assert_eq!(set.total_len(), 8);
         let queues = queues(set);
@@ -321,11 +263,10 @@ mod tests {
 
     #[test]
     fn bounded_set_preallocates_threshold_capacity() {
-        let l = leaf();
         let mut set = BoundedPqSet::new(64);
         assert!(set.active.capacity() >= 64, "initial queue preallocated");
         for i in 0..64 {
-            set.push(i as f64, &l);
+            set.push(i as f64, 7);
         }
         assert_eq!(set.sealed.len(), 1);
         assert!(
@@ -336,10 +277,9 @@ mod tests {
 
     #[test]
     fn unbounded_set_keeps_one_queue() {
-        let l = leaf();
         let mut set = BoundedPqSet::new(usize::MAX);
         for i in 0..100 {
-            set.push(i as f64, &l);
+            set.push(i as f64, 7);
         }
         let queues = queues(set);
         assert_eq!(queues.len(), 1);
@@ -354,28 +294,32 @@ mod tests {
 
     #[test]
     fn spare_heap_roundtrip_recycles_allocation() {
-        let l = leaf();
         let mut pq = LeafPq::with_capacity(128);
         for i in 0..100 {
-            pq.push(i as f64, &l);
+            pq.push(i as f64, i);
         }
-        let spare = pq.into_spare();
-        let pq2: LeafPq = spare.into_pq();
-        assert!(pq2.is_empty(), "spares are always empty");
-        assert!(pq2.capacity() >= 128, "allocation survives the roundtrip");
+        pq.clear();
+        assert!(pq.is_empty());
+        let mut spares = vec![pq];
+        let mut set = BoundedPqSet::deferred(4);
+        set.push_with(1.0, 7, &mut spares);
+        assert!(spares.is_empty(), "the cleared queue was reused");
+        assert!(
+            set.active.capacity() >= 128,
+            "allocation survives the roundtrip"
+        );
     }
 
     #[test]
     fn deferred_set_provisions_from_spares() {
-        let l = leaf();
-        let mut spares = vec![LeafPq::with_capacity(512).into_spare()];
+        let mut spares = vec![LeafPq::with_capacity(512)];
         let mut set = BoundedPqSet::deferred(4);
         assert_eq!(set.active.capacity(), 0, "deferred: nothing provisioned");
-        set.push_with(1.0, &l, &mut spares);
+        set.push_with(1.0, 7, &mut spares);
         assert!(spares.is_empty(), "first push consumed the spare");
         assert!(set.active.capacity() >= 4);
         for i in 0..7 {
-            set.push_with(i as f64, &l, &mut spares);
+            set.push_with(i as f64, 7, &mut spares);
         }
         assert_eq!(set.total_len(), 8);
         assert_eq!(queues(set).len(), 2);

@@ -7,55 +7,11 @@
 //! resident. A [`WorkerScratch`] lives as long as its worker thread and
 //! is *cleared, not reallocated* between queries.
 //!
-//! The only subtlety is lifetimes: traversal stacks hold `&Node` and
-//! priority-queue heaps hold `&Leaf`, both borrowed from the index of
-//! the *current* query, while the scratch outlives any single query. The
-//! arenas therefore store **empty** collections with their lifetime
-//! parameter erased to `'static`: taking an allocation out re-binds it
-//! to the current query's lifetime (a safe covariant coercion), and
-//! returning one erases the lifetime again via [`recycle_empty`] — sound
-//! because an empty collection contains no borrows at all, only a raw
-//! allocation.
+//! Traversal stacks and queues hold plain `u32` node and leaf ids into
+//! the index forest, not borrows of it, so every arena is an ordinary
+//! `Vec` that outlives any single query.
 
-use crate::tree::Node;
-
-/// Converts an empty `Vec<T>` into an empty `Vec<U>` of a
-/// layout-identical element type (in practice: the same type up to
-/// lifetime parameters), keeping the allocation.
-pub(crate) fn recycle_empty<T, U>(mut v: Vec<T>) -> Vec<U> {
-    assert!(
-        std::mem::size_of::<T>() == std::mem::size_of::<U>()
-            && std::mem::align_of::<T>() == std::mem::align_of::<U>(),
-        "recycle_empty requires layout-identical element types"
-    );
-    v.clear();
-    let cap = v.capacity();
-    let ptr = v.as_mut_ptr();
-    std::mem::forget(v);
-    // SAFETY: the vector is empty, so no `T` value is ever reinterpreted
-    // as a `U`; length 0 is trivially valid; the allocation was made by
-    // `Vec<T>` and the size/align assertion above guarantees `Vec<U>`
-    // frees it under the same layout.
-    unsafe { Vec::from_raw_parts(ptr.cast::<U>(), 0, cap) }
-}
-
-/// A spare traversal-stack allocation (`Vec<&Node>`), empty between
-/// queries.
-#[derive(Default)]
-pub(crate) struct SpareStack(Vec<&'static Node>);
-
-impl SpareStack {
-    /// Takes the allocation out as an empty stack borrowing at `'a`
-    /// (covariant: `'static` outlives `'a`).
-    pub(crate) fn take<'a>(&mut self) -> Vec<&'a Node> {
-        std::mem::take(&mut self.0)
-    }
-
-    /// Returns a stack's allocation for the next query.
-    pub(crate) fn put(&mut self, stack: Vec<&Node>) {
-        self.0 = recycle_empty(stack);
-    }
-}
+use super::pqueue::LeafPq;
 
 /// Per-worker scratch: every field keeps its allocation across queries.
 #[derive(Default)]
@@ -67,11 +23,11 @@ pub(crate) struct WorkerScratch {
     /// Surviving scan positions of the current leaf (phase 3); cleared —
     /// not reallocated — between leaves.
     pub(crate) survivors: Vec<usize>,
-    /// Spare iterative-traversal stack (phase 1).
-    pub(crate) stack: SpareStack,
-    /// Spare priority-queue heap allocations, drawn on queue rollover
-    /// (phase 1) and refilled from drained queues (phase 3).
-    pub(crate) heaps: Vec<super::pqueue::SpareHeap>,
+    /// Node ids of the iterative traversal below inner roots (phase 1).
+    pub(crate) stack: Vec<u32>,
+    /// Empty priority queues, drawn on queue rollover (phase 1) and
+    /// refilled from drained queues (phase 3).
+    pub(crate) heaps: Vec<LeafPq>,
 }
 
 impl WorkerScratch {
@@ -103,74 +59,3 @@ impl WorkerScratch {
 /// unbounded-`TH` run never parks a giant allocation in the scratch).
 pub(crate) const MAX_SPARE_HEAPS: usize = 64;
 pub(crate) const MAX_SPARE_HEAP_CAP: usize = 1 << 16;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn recycle_empty_keeps_capacity() {
-        let mut v: Vec<u64> = Vec::with_capacity(123);
-        v.extend_from_slice(&[1, 2, 3]);
-        let r: Vec<u64> = recycle_empty(v);
-        assert!(r.is_empty());
-        assert!(r.capacity() >= 123);
-    }
-
-    #[test]
-    fn spare_stack_roundtrip_keeps_capacity() {
-        let mut spare = SpareStack::default();
-        {
-            let mut s: Vec<&Node> = spare.take();
-            assert_eq!(s.capacity(), 0);
-            s.reserve(64);
-            spare.put(s);
-        }
-        let s: Vec<&Node> = spare.take();
-        assert!(s.capacity() >= 64);
-    }
-
-    // The next three tests are part of the Miri tier (`cargo run -p
-    // xtask -- miri` runs this module under the interpreter): they
-    // drive the raw `Vec::from_raw_parts` recycling through enough
-    // cycles that a double-free, use-after-free, or per-cycle leak is
-    // caught by Miri's allocation tracking.
-
-    #[test]
-    fn recycle_empty_survives_1000_cycles_without_leak() {
-        let mut v: Vec<u64> = Vec::with_capacity(32);
-        for round in 0..1000 {
-            v.push(round);
-            let r: Vec<i64> = recycle_empty(v);
-            assert!(r.is_empty());
-            assert!(r.capacity() >= 32);
-            v = recycle_empty(r);
-        }
-        // Dropping `v` here must free the one original allocation.
-    }
-
-    #[test]
-    fn spare_stack_survives_1000_cycles_without_leak() {
-        let node = Node::Leaf(crate::tree::Leaf {
-            word: crate::sax::IsaxWord {
-                symbols: Vec::new(),
-                card_bits: Vec::new(),
-            },
-            slice: crate::tree::LeafSlice { offset: 0, len: 0 },
-        });
-        let mut spare = SpareStack::default();
-        for _ in 0..1000 {
-            let mut s: Vec<&Node> = spare.take();
-            s.push(&node);
-            s.reserve(16);
-            spare.put(s);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "layout-identical")]
-    fn recycle_empty_rejects_layout_mismatch() {
-        let v: Vec<u64> = Vec::with_capacity(8);
-        let _: Vec<u8> = recycle_empty(v);
-    }
-}

@@ -11,20 +11,20 @@
 //! choices and the leaf permutation depend only on the data), so slot
 //! ranges mean the same thing on every node of a replication group.
 //!
-//! [`build_forest`] therefore returns the forest *plus* the scan
-//! permutation (`scan position -> original series id`) that the layout
-//! is materialized from.
+//! The forest is one flat pre-order arena ([`Forest`]) indexed by `u32`
+//! ids. [`build_forest`] returns it *plus* the scan permutation (`scan
+//! position -> original series id`) the layout is materialized from.
 
 use crate::buffers::{SummarizationBuffer, SummarizationBuffers, Summaries};
 use crate::layout::LeafLayout;
-use crate::sax::{IsaxWord, MAX_CARD_BITS};
+use crate::sax::{IsaxWord, WordRef, MAX_CARD_BITS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A contiguous range of scan-layout slots (see
 /// `crate::layout::LeafLayout`).
 ///
-/// **Contract:** leaf slices of one index partition `[0, num_series)` —
-/// pairwise disjoint, and every position covered by exactly one leaf.
+/// **Contract:** the leaf slices of one index tile `[0, num_series)` in
+/// leaf order — every position covered by exactly one leaf.
 /// Within a slice, positions are ordered by ascending original series
 /// id (dataset order), which is what keeps construction — and hence the
 /// replication/stealing protocol — deterministic. The mapping from
@@ -59,107 +59,294 @@ impl LeafSlice {
     }
 }
 
-/// A leaf node: an iSAX region plus the scan-layout slots of the series
-/// whose summaries fall in that region.
-#[derive(Debug)]
-pub struct Leaf {
-    /// The iSAX region this leaf covers.
-    pub word: IsaxWord,
-    /// The leaf's contiguous slot range in the scan layout.
-    pub slice: LeafSlice,
+/// Marks a leaf in [`Forest`]'s per-node split array (no segment has
+/// this index: words have at most 64 segments).
+const LEAF: u8 = u8::MAX;
+
+/// The whole index forest in one arena, in **pre-order**: a node's left
+/// child is the next node and its right child follows the left subtree.
+/// Per root it holds a key (ascending), a series count and a node; per
+/// node the split segment ([`LEAF`] for a leaf), the word (`segments`
+/// symbol bytes, then `segments` cardinality bytes) and one `u32` link —
+/// the right child's index, or a leaf's leaf index; per leaf its
+/// [`LeafSlice`]. So every subtree's nodes and leaves form contiguous
+/// ranges, and the slices tile the scan positions in leaf order (the
+/// builder lays the permutation out that way; the loader checks it).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Forest {
+    segments: usize,
+    keys: Vec<u64>,
+    sizes: Vec<u32>,
+    root_nodes: Vec<u32>,
+    splits: Vec<u8>,
+    words: Vec<u8>,
+    links: Vec<u32>,
+    leaves: Vec<LeafSlice>,
 }
 
-/// A tree node.
-#[derive(Debug)]
-pub enum Node {
-    /// Inner node refined on `split_seg`; `children[b]` covers the half
-    /// whose next bit on that segment is `b`.
-    Inner {
-        /// Region covered by this node.
-        word: IsaxWord,
-        /// Segment whose cardinality the split refined.
-        split_seg: usize,
-        /// The two half-region children.
-        children: [Box<Node>; 2],
-    },
-    /// Leaf node.
-    Leaf(Leaf),
-}
-
-impl Node {
-    /// The iSAX region of this node.
-    pub fn word(&self) -> &IsaxWord {
-        match self {
-            Node::Inner { word, .. } => word,
-            Node::Leaf(l) => &l.word,
+impl Forest {
+    /// An empty forest over words of `segments` segments.
+    pub(crate) fn new(segments: usize) -> Self {
+        Forest {
+            segments,
+            ..Forest::default()
         }
     }
 
-    /// Number of leaves below (and including) this node.
-    pub fn leaf_count(&self) -> usize {
-        match self {
-            Node::Inner { children, .. } => {
-                children[0].leaf_count() + children[1].leaf_count()
-            }
-            Node::Leaf(_) => 1,
+    /// Number of root subtrees.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the forest has no roots.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The root keys, ascending (binary-searchable).
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
+    }
+
+    /// Root `r`.
+    pub fn root(&self, r: usize) -> RootRef<'_> {
+        RootRef {
+            key: self.keys[r],
+            size: self.sizes[r] as usize,
+            node: self.node(self.root_nodes[r]),
         }
+    }
+
+    /// The roots in key order.
+    pub fn iter(&self) -> Roots<'_> {
+        let roots = std::iter::repeat_n(self, self.len()).zip(0..self.len());
+        roots.map(|(forest, r)| forest.root(r))
+    }
+
+    /// Number of nodes, inner and leaf.
+    pub fn node_count(&self) -> usize {
+        self.splits.len()
+    }
+
+    /// Number of leaves.
+    pub fn leaf_count(&self) -> usize {
+        self.leaves.len()
+    }
+
+    /// Node `node` as a navigable reference.
+    pub fn node(&self, node: u32) -> NodeRef<'_> {
+        NodeRef {
+            forest: self,
+            id: node,
+        }
+    }
+
+    /// The node id of root `r`.
+    #[inline]
+    pub fn root_node(&self, r: usize) -> u32 {
+        self.root_nodes[r]
+    }
+
+    /// The iSAX word of node `node`.
+    #[inline]
+    pub fn word(&self, node: u32) -> WordRef<'_> {
+        let at = node as usize * 2 * self.segments;
+        let (symbols, rest) = self.words[at..at + 2 * self.segments].split_at(self.segments);
+        WordRef {
+            symbols,
+            card_bits: rest,
+        }
+    }
+
+    /// The `[left, right]` children of node `node`, or `None` for a leaf.
+    #[inline]
+    pub fn children(&self, node: u32) -> Option<[u32; 2]> {
+        (self.splits[node as usize] != LEAF).then(|| [node + 1, self.links[node as usize]])
+    }
+
+    /// The segment node `node` splits on, or `None` for a leaf.
+    pub fn split_seg(&self, node: u32) -> Option<usize> {
+        let s = self.splits[node as usize];
+        (s != LEAF).then_some(s as usize)
+    }
+
+    /// The leaf id of node `node`, or `None` for an inner node.
+    #[inline]
+    pub fn leaf_id(&self, node: u32) -> Option<u32> {
+        (self.splits[node as usize] == LEAF).then(|| self.links[node as usize])
+    }
+
+    /// The scan slots of leaf `leaf`.
+    #[inline]
+    pub fn leaf(&self, leaf: u32) -> LeafSlice {
+        self.leaves[leaf as usize]
+    }
+
+    /// Heap bytes of the arena: exactly its array lengths.
+    pub fn size_bytes(&self) -> usize {
+        let u32s = self.sizes.len() + self.root_nodes.len() + self.links.len();
+        let bytes = self.splits.len() + self.words.len();
+        self.keys.len() * 8 + u32s * 4 + bytes + self.leaves.len() * 8
+    }
+
+    /// Starts root subtree `key`; the nodes pushed next are its pre-order.
+    pub(crate) fn push_root(&mut self, key: u64) {
+        self.keys.push(key);
+        self.sizes.push(0);
+        self.root_nodes.push(self.node_count() as u32);
+    }
+
+    /// Appends an inner node splitting on segment `seg`; returns its id.
+    /// The right child of inner node `p` passes `right_of = Some(p)`.
+    pub(crate) fn push_inner(&mut self, word: WordRef, right_of: Option<u32>, seg: usize) -> u32 {
+        debug_assert!(seg < self.segments);
+        self.push_node(word, right_of, seg as u8, 0)
+    }
+
+    /// Appends a leaf holding `slice` (`right_of` as in
+    /// [`Forest::push_inner`]), adding its length to the root's size.
+    pub(crate) fn push_leaf(&mut self, word: WordRef, right_of: Option<u32>, slice: LeafSlice) {
+        let leaf = self.leaves.len() as u32;
+        self.leaves.push(slice);
+        *self.sizes.last_mut().expect("a leaf belongs to a root") += slice.len;
+        self.push_node(word, right_of, LEAF, leaf);
+    }
+
+    fn push_node(&mut self, word: WordRef, right_of: Option<u32>, split: u8, link: u32) -> u32 {
+        debug_assert_eq!(word.symbols.len(), self.segments);
+        let id = self.node_count() as u32;
+        if let Some(parent) = right_of {
+            self.links[parent as usize] = id;
+        }
+        self.splits.push(split);
+        self.words.extend_from_slice(word.symbols);
+        self.words.extend_from_slice(word.card_bits);
+        self.links.push(link);
+        id
+    }
+
+    /// Appends every root of `other`, leaf slices shifted by `scan_base`.
+    fn append(&mut self, other: &Forest, scan_base: u32) {
+        let (node_base, leaf_base) = (self.node_count() as u32, self.leaf_count() as u32);
+        self.keys.extend_from_slice(&other.keys);
+        self.sizes.extend_from_slice(&other.sizes);
+        self.root_nodes
+            .extend(other.root_nodes.iter().map(|&n| n + node_base));
+        self.splits.extend_from_slice(&other.splits);
+        self.words.extend_from_slice(&other.words);
+        for (&split, &link) in other.splits.iter().zip(&other.links) {
+            let base = if split == LEAF { leaf_base } else { node_base };
+            self.links.push(link + base);
+        }
+        self.leaves.extend(other.leaves.iter().map(|l| LeafSlice {
+            offset: l.offset + scan_base,
+            len: l.len,
+        }));
+    }
+
+    /// Drops spare capacity, so [`Forest::size_bytes`] is what is held.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.keys.shrink_to_fit();
+        self.sizes.shrink_to_fit();
+        self.root_nodes.shrink_to_fit();
+        self.splits.shrink_to_fit();
+        self.words.shrink_to_fit();
+        self.links.shrink_to_fit();
+        self.leaves.shrink_to_fit();
+    }
+}
+
+impl<'a> IntoIterator for &'a Forest {
+    type Item = RootRef<'a>;
+    type IntoIter = Roots<'a>;
+
+    fn into_iter(self) -> Roots<'a> {
+        self.iter()
+    }
+}
+
+/// The roots of a [`Forest`], in key order.
+pub type Roots<'a> = std::iter::Map<
+    std::iter::Zip<std::iter::RepeatN<&'a Forest>, std::ops::Range<usize>>,
+    fn((&'a Forest, usize)) -> RootRef<'a>,
+>;
+
+/// One root subtree of a [`Forest`].
+#[derive(Debug, Clone, Copy)]
+pub struct RootRef<'a> {
+    /// Root-word key of the originating buffer.
+    pub key: u64,
+    /// Number of series in the subtree.
+    pub size: usize,
+    /// The subtree's root node.
+    pub node: NodeRef<'a>,
+}
+
+/// A node of a [`Forest`].
+#[derive(Clone, Copy)]
+pub struct NodeRef<'a> {
+    forest: &'a Forest,
+    id: u32,
+}
+
+impl std::fmt::Debug for NodeRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NodeRef").field("id", &self.id).finish()
+    }
+}
+
+impl<'a> NodeRef<'a> {
+    /// The iSAX region of this node.
+    pub fn word(&self) -> WordRef<'a> {
+        self.forest.word(self.id)
+    }
+
+    /// The arena ids of this node's subtree: up to its right spine's leaf.
+    pub fn nodes(&self) -> std::ops::Range<u32> {
+        let mut last = self.id;
+        while let Some([_, right]) = self.forest.children(last) {
+            last = right;
+        }
+        self.id..last + 1
+    }
+
+    /// Calls `f` on every leaf below (and including) this node, in
+    /// left-to-right order.
+    pub fn for_each_leaf(&self, f: &mut impl FnMut(LeafRef<'a>)) {
+        for node in self.nodes() {
+            if let Some(leaf) = self.forest.leaf_id(node) {
+                let slice = self.forest.leaf(leaf);
+                f(LeafRef {
+                    word: self.forest.word(node),
+                    slice,
+                });
+            }
+        }
+    }
+
+    /// The ids of the leaves below (and including) this node: leaves
+    /// are numbered in pre-order, so they form one range.
+    pub fn leaf_ids(&self) -> std::ops::Range<u32> {
+        let nodes = self.nodes();
+        let first = nodes.clone().find_map(|node| self.forest.leaf_id(node));
+        let last = self.forest.leaf_id(nodes.end - 1);
+        first.expect("a subtree has leaves")..last.expect("a subtree ends in a leaf") + 1
     }
 
     /// Number of series stored below this node.
     pub fn series_count(&self) -> usize {
-        match self {
-            Node::Inner { children, .. } => {
-                children[0].series_count() + children[1].series_count()
-            }
-            Node::Leaf(l) => l.slice.len(),
-        }
-    }
-
-    /// Maximum depth below this node (a lone leaf has depth 1).
-    pub fn depth(&self) -> usize {
-        match self {
-            Node::Inner { children, .. } => 1 + children[0].depth().max(children[1].depth()),
-            Node::Leaf(_) => 1,
-        }
-    }
-
-    /// Approximate heap size of the subtree in bytes (words + nodes);
-    /// feeds the index-size experiment (Figure 14). Per-leaf id storage
-    /// lives in the scan layout and is accounted there.
-    pub fn size_bytes(&self) -> usize {
-        let word_bytes = |w: &IsaxWord| w.symbols.len() * 2;
-        match self {
-            Node::Inner { word, children, .. } => {
-                std::mem::size_of::<Node>()
-                    + word_bytes(word)
-                    + children[0].size_bytes()
-                    + children[1].size_bytes()
-            }
-            Node::Leaf(l) => std::mem::size_of::<Node>() + word_bytes(&l.word),
-        }
-    }
-
-    /// Calls `f` on every leaf below this node, in left-to-right order.
-    pub fn for_each_leaf<'a>(&'a self, f: &mut impl FnMut(&'a Leaf)) {
-        match self {
-            Node::Inner { children, .. } => {
-                children[0].for_each_leaf(f);
-                children[1].for_each_leaf(f);
-            }
-            Node::Leaf(l) => f(l),
-        }
+        self.leaf_ids().map(|l| self.forest.leaf(l).len()).sum()
     }
 }
 
-/// One root subtree: the tree grown from a single summarization buffer.
-#[derive(Debug)]
-pub struct RootSubtree {
-    /// Root-word key of the originating buffer.
-    pub key: u64,
-    /// The subtree.
-    pub node: Node,
-    /// Number of series in the subtree.
-    pub size: usize,
+/// A leaf of a [`Forest`]: an iSAX region plus the scan-layout slots of
+/// the series whose summaries fall in that region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeafRef<'a> {
+    /// The iSAX region this leaf covers.
+    pub word: WordRef<'a>,
+    /// The leaf's contiguous slot range in the scan layout.
+    pub slice: LeafSlice,
 }
 
 /// Segment-major (SoA) planes of the forest's **root bounds**: byte
@@ -186,7 +373,7 @@ pub struct RootSubtree {
 /// the same order never gives a larger bound).
 ///
 /// Built once at index assembly (both the build and the ODY2 load path)
-/// by folding each leaf's row-major SAX words into its root's min/max;
+/// by folding each root's row-major SAX words into its min/max;
 /// never persisted — it is a pure function of the forest and the layout.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RootSoa {
@@ -202,60 +389,55 @@ pub struct RootSoa {
 
 impl RootSoa {
     /// Builds the data-tight planes: per root and segment, the min / max
-    /// symbol over the root's series in `layout` (a min/max over each of
-    /// its leaves' scan ranges). A root that stores no series keeps its
-    /// word's range.
+    /// symbol over the root's series in `layout` (a min/max over the
+    /// root's scan range: its leaves tile it, see [`Forest`]). A root
+    /// that stores no series keeps its word's range.
     ///
     /// # Panics
-    /// Panics if the root words disagree on segment count, or a leaf
-    /// slice lies outside the layout.
-    pub fn build(forest: &[RootSubtree], layout: &LeafLayout) -> Self {
+    /// Panics if the forest's roots hold more series than the layout.
+    pub fn build(forest: &Forest, layout: &LeafLayout) -> Self {
         let mut soa = Self::from_words(forest.iter().map(|t| t.node.word()));
         let (len, segments) = (soa.len, soa.segments);
         let mut lo_w = vec![u8::MAX; segments];
         let mut hi_w = vec![u8::MIN; segments];
+        let mut start = 0;
         for (r, tree) in forest.iter().enumerate() {
+            let range = start..start + tree.size;
+            start = range.end;
+            if range.is_empty() {
+                continue;
+            }
             lo_w.fill(u8::MAX);
             hi_w.fill(u8::MIN);
-            let mut stored = false;
-            tree.node.for_each_leaf(&mut |leaf| {
-                stored |= !leaf.slice.is_empty();
-                for word in layout.sax_block(leaf.slice.range()).chunks_exact(segments) {
-                    for ((l, h), &s) in lo_w.iter_mut().zip(hi_w.iter_mut()).zip(word) {
-                        (*l, *h) = ((*l).min(s), (*h).max(s));
-                    }
+            for word in layout.sax_block(range).chunks_exact(segments) {
+                for ((l, h), &s) in lo_w.iter_mut().zip(hi_w.iter_mut()).zip(word) {
+                    (*l, *h) = ((*l).min(s), (*h).max(s));
                 }
-            });
-            if stored {
-                for i in 0..segments {
-                    (soa.lo[i * len + r], soa.hi[i * len + r]) = (lo_w[i], hi_w[i]);
-                }
+            }
+            for i in 0..segments {
+                (soa.lo[i * len + r], soa.hi[i * len + r]) = (lo_w[i], hi_w[i]);
             }
         }
         soa
     }
 
     /// Builds the planes from an explicit word sequence: each root's
-    /// interval is its word's full range ([`IsaxWord::full_range`]).
+    /// interval is its word's full range ([`WordRef::full_range`]).
     ///
     /// # Panics
     /// Panics if the words disagree on segment count.
-    pub fn from_words<'a>(words: impl ExactSizeIterator<Item = &'a IsaxWord>) -> Self {
+    pub fn from_words<'a>(words: impl ExactSizeIterator<Item = WordRef<'a>>) -> Self {
         let len = words.len();
-        let mut segments = 0;
-        let mut lo = Vec::new();
-        let mut hi = Vec::new();
+        let (mut lo, mut hi, mut segments) = (Vec::new(), Vec::new(), 0);
         for (r, word) in words.enumerate() {
             if r == 0 {
-                segments = word.segments();
-                lo = vec![0u8; segments * len];
-                hi = vec![0u8; segments * len];
+                segments = word.symbols.len();
+                (lo, hi) = (vec![0u8; segments * len], vec![0u8; segments * len]);
             }
-            assert_eq!(word.segments(), segments, "ragged root word {r}");
+            assert_eq!(word.symbols.len(), segments, "ragged root word {r}");
             for i in 0..segments {
                 let (l, h) = word.full_range(i);
-                lo[i * len + r] = l as u8;
-                hi[i * len + r] = h as u8;
+                (lo[i * len + r], hi[i * len + r]) = (l as u8, h as u8);
             }
         }
         RootSoa {
@@ -331,143 +513,83 @@ impl RootSoa {
 
 /// Picks the segment to split: the lowest-cardinality segment whose
 /// refinement actually separates the ids; among equal cardinalities the
-/// most balanced split wins. Returns `None` when no segment can separate
-/// (all remaining summaries identical, or all segments saturated).
+/// most balanced split wins (the first on ties). If no such segment
+/// separates, the first refinable segment that does. Returns `None` when
+/// no segment can separate (all remaining summaries identical, or all
+/// segments saturated).
 fn choose_split(word: &IsaxWord, ids: &[u32], summaries: &Summaries) -> Option<usize> {
-    let segs = word.segments();
-    let min_bits = (0..segs)
-        .filter(|&s| word.card_bits[s] < MAX_CARD_BITS)
-        .map(|s| word.card_bits[s])
-        .min()?;
-    let mut best: Option<(usize, usize)> = None; // (imbalance, seg)
-    for seg in 0..segs {
-        if word.card_bits[seg] != min_bits {
-            continue;
-        }
+    let refinable = |seg: &usize| word.card_bits[*seg] < MAX_CARD_BITS;
+    // The split's imbalance, or `None` when it leaves one half empty.
+    let imbalance = |seg: usize| {
         let shift = MAX_CARD_BITS - word.card_bits[seg] - 1;
         let ones = ids
             .iter()
             .filter(|&&id| (summaries.sax(id)[seg] >> shift) & 1 == 1)
             .count();
-        if ones == 0 || ones == ids.len() {
-            continue; // does not separate
-        }
-        let imbalance = ids.len().abs_diff(2 * ones);
-        if best.is_none_or(|(bi, _)| imbalance < bi) {
-            best = Some((imbalance, seg));
-        }
-    }
-    match best {
-        Some((_, seg)) => Some(seg),
-        None => {
-            // No minimum-cardinality segment separates: fall back to any
-            // refinable segment that does.
-            for seg in 0..segs {
-                if word.card_bits[seg] >= MAX_CARD_BITS {
-                    continue;
-                }
-                let shift = MAX_CARD_BITS - word.card_bits[seg] - 1;
-                let ones = ids
-                    .iter()
-                    .filter(|&&id| (summaries.sax(id)[seg] >> shift) & 1 == 1)
-                    .count();
-                if ones > 0 && ones < ids.len() {
-                    return Some(seg);
-                }
-            }
-            None
-        }
-    }
+        (ones > 0 && ones < ids.len()).then(|| ids.len().abs_diff(2 * ones))
+    };
+    let segs = 0..word.segments();
+    let min_bits = segs
+        .clone()
+        .filter(refinable)
+        .map(|s| word.card_bits[s])
+        .min()?;
+    segs.clone()
+        .filter(|&s| word.card_bits[s] == min_bits)
+        .filter_map(|s| Some((imbalance(s)?, s)))
+        .min()
+        .map(|(_, s)| s)
+        .or_else(|| segs.filter(refinable).find(|&s| imbalance(s).is_some()))
 }
 
-/// Recursively builds a node for `word` covering `ids`, appending each
-/// finished leaf's ids to `perm` (the subtree-local scan permutation)
-/// and recording the covered range as the leaf's slice.
-fn build_node(
-    word: IsaxWord,
-    ids: Vec<u32>,
-    summaries: &Summaries,
-    leaf_capacity: usize,
-    perm: &mut Vec<u32>,
-) -> Node {
-    let make_leaf = |word: IsaxWord, ids: Vec<u32>, perm: &mut Vec<u32>| {
-        let slice = LeafSlice {
-            offset: perm.len() as u32,
-            len: ids.len() as u32,
-        };
-        perm.extend_from_slice(&ids);
-        Node::Leaf(Leaf { word, slice })
-    };
-    if ids.len() <= leaf_capacity {
-        return make_leaf(word, ids, perm);
-    }
-    let Some(seg) = choose_split(&word, &ids, summaries) else {
-        // Identical summaries beyond capacity: keep an oversized leaf.
-        return make_leaf(word, ids, perm);
-    };
-    let shift = MAX_CARD_BITS - word.card_bits[seg] - 1;
-    let (mut zeros, mut ones) = (Vec::new(), Vec::new());
-    for id in ids {
-        if (summaries.sax(id)[seg] >> shift) & 1 == 1 {
-            ones.push(id);
-        } else {
-            zeros.push(id);
-        }
-    }
-    let child0 = build_node(word.refine(seg, 0), zeros, summaries, leaf_capacity, perm);
-    let child1 = build_node(word.refine(seg, 1), ones, summaries, leaf_capacity, perm);
-    Node::Inner {
-        word,
-        split_seg: seg,
-        children: [Box::new(child0), Box::new(child1)],
-    }
-}
-
-/// Builds the root subtree of one summarization buffer, returning the
-/// subtree (leaf slices local to this subtree, i.e. starting at 0) and
-/// its scan permutation (local position -> original series id).
+/// Builds the root subtree of one summarization buffer: a one-root
+/// forest (leaf slices starting at 0) and its scan permutation.
+///
+/// Nodes are emitted in pre-order from an explicit work list: a split
+/// pushes the right half, then the left, so the left subtree is laid out
+/// (and its series appended to the permutation) first.
 pub fn build_root_subtree(
     buffer: &SummarizationBuffer,
     summaries: &Summaries,
     leaf_capacity: usize,
-) -> (RootSubtree, Vec<u32>) {
-    let segs = summaries.segments();
-    let mut symbols = vec![0u8; segs];
-    for (i, sym) in symbols.iter_mut().enumerate() {
-        *sym = ((buffer.key >> (segs - 1 - i)) & 1) as u8;
-    }
-    let word = IsaxWord {
-        symbols,
-        card_bits: vec![1; segs],
-    };
+) -> (Forest, Vec<u32>) {
+    let mut forest = Forest::new(summaries.segments());
+    forest.push_root(buffer.key);
     let mut perm = Vec::with_capacity(buffer.ids.len());
-    let node = build_node(word, buffer.ids.clone(), summaries, leaf_capacity, &mut perm);
-    (
-        RootSubtree {
-            key: buffer.key,
-            node,
-            size: buffer.ids.len(),
-        },
-        perm,
-    )
-}
-
-/// Shifts every leaf slice below `node` by `base` scan positions
-/// (relocating a subtree-local permutation into the global one).
-fn shift_slices(node: &mut Node, base: u32) {
-    match node {
-        Node::Inner { children, .. } => {
-            shift_slices(&mut children[0], base);
-            shift_slices(&mut children[1], base);
-        }
-        Node::Leaf(l) => l.slice.offset += base,
+    // (region, ids, the inner node whose right child this is)
+    let root = IsaxWord::from_root_key(buffer.key, summaries.segments());
+    let mut todo = vec![(root, buffer.ids.clone(), None)];
+    while let Some((word, ids, right_of)) = todo.pop() {
+        // Identical summaries beyond capacity keep an oversized leaf.
+        let split = (ids.len() > leaf_capacity)
+            .then(|| choose_split(&word, &ids, summaries))
+            .flatten();
+        let Some(seg) = split else {
+            let slice = LeafSlice {
+                offset: perm.len() as u32,
+                len: ids.len() as u32,
+            };
+            perm.extend_from_slice(&ids);
+            forest.push_leaf(word.view(), right_of, slice);
+            continue;
+        };
+        let shift = MAX_CARD_BITS - word.card_bits[seg] - 1;
+        let (ones, zeros): (Vec<u32>, Vec<u32>) = ids
+            .into_iter()
+            .partition(|&id| (summaries.sax(id)[seg] >> shift) & 1 == 1);
+        let node = forest.push_inner(word.view(), right_of, seg);
+        todo.push((word.refine(seg, 1), ones, Some(node)));
+        todo.push((word.refine(seg, 0), zeros, None));
     }
+    (forest, perm)
 }
 
 /// Builds all root subtrees in parallel: `n_threads` workers claim buffers
 /// with `Fetch&Add` and grow them independently (the embarrassingly
-/// parallel phase the paper inherits from MESSI). Output order matches
-/// buffer order (ascending key), independent of thread interleaving.
+/// parallel phase the paper inherits from MESSI). Each worker returns its
+/// `(buffer index, subtree)` results when the scope joins; they are then
+/// placed in buffer order (ascending key), so the output does not depend
+/// on thread interleaving.
 ///
 /// Returns the forest plus the global scan permutation: subtree-local
 /// permutations concatenated in buffer order, with every leaf slice
@@ -478,75 +600,46 @@ pub fn build_forest(
     summaries: &Summaries,
     leaf_capacity: usize,
     n_threads: usize,
-) -> (Vec<RootSubtree>, Vec<u32>) {
+) -> (Forest, Vec<u32>) {
     let nb = buffers.len();
-    let mut slots: Vec<Option<(RootSubtree, Vec<u32>)>> = Vec::with_capacity(nb);
-    slots.resize_with(nb, || None);
     let next = AtomicUsize::new(0);
     let n_threads = n_threads.max(1).min(nb.max(1));
-    let slots_ptr = SlotsPtr::new(&mut slots);
+    let mut slots: Vec<Option<(Forest, Vec<u32>)>> = (0..nb).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            let next = &next;
-            let slots_ptr = &slots_ptr;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= nb {
-                    break;
-                }
-                let st = build_root_subtree(&buffers.buffers[i], summaries, leaf_capacity);
-                // SAFETY: `i < nb` (checked above) keeps the write in
-                // bounds, and the `fetch_add` claim hands each index to
-                // exactly one thread, so no slot is written twice or
-                // concurrently; the scope joins all writers before the
-                // vector is read.
-                unsafe {
-                    *slots_ptr.0.add(i) = Some(st);
-                }
-            });
+        let workers: Vec<_> = (0..n_threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= nb {
+                            break mine;
+                        }
+                        let st = build_root_subtree(&buffers.buffers[i], summaries, leaf_capacity);
+                        mine.push((i, st));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            let mine = worker
+                .join()
+                .unwrap_or_else(|e| std::panic::resume_unwind(e));
+            for (i, st) in mine {
+                slots[i] = Some(st);
+            }
         }
     });
-    let mut forest = Vec::with_capacity(nb);
+    let mut forest = Forest::new(summaries.segments());
     let mut perm = Vec::with_capacity(summaries.num_series());
     for slot in slots {
-        let (mut st, local) = slot.expect("every buffer index was claimed");
-        shift_slices(&mut st.node, perm.len() as u32);
+        let (st, local) = slot.expect("every buffer index was claimed");
+        forest.append(&st, perm.len() as u32);
         perm.extend_from_slice(&local);
-        forest.push(st);
     }
+    forest.shrink_to_fit();
     (forest, perm)
 }
-
-/// One [`build_forest`] output slot: a built subtree plus its local
-/// leaf-order permutation, `None` until its claiming thread writes it.
-type SubtreeSlot = Option<(RootSubtree, Vec<u32>)>;
-
-/// Pointer into the borrowed subtree-slot vector of [`build_forest`],
-/// shared across its worker threads.
-///
-/// # Invariants
-///
-/// * The wrapper holds the `&'a mut` borrow it was built from (via
-///   `PhantomData`), so the pointer cannot outlive — or alias a safe
-///   re-borrow of — the slot vector while any thread still holds it.
-/// * Writers only reach slots through [`build_forest`]'s `fetch_add`
-///   index claiming, so each slot is written by exactly one thread.
-#[derive(Debug)]
-struct SlotsPtr<'a>(*mut SubtreeSlot, std::marker::PhantomData<&'a mut [SubtreeSlot]>);
-
-impl<'a> SlotsPtr<'a> {
-    fn new(target: &'a mut [SubtreeSlot]) -> Self {
-        SlotsPtr(target.as_mut_ptr(), std::marker::PhantomData)
-    }
-}
-
-// SAFETY: the wrapped pointer is derived from an exclusive borrow that
-// the `PhantomData` keeps alive, and concurrent writes go to distinct
-// claimed slots (see the type invariants), so moving the handle to —
-// and sharing it with — other threads cannot race.
-unsafe impl Send for SlotsPtr<'_> {}
-// SAFETY: as above — `&SlotsPtr` only exposes writes to claimed slots.
-unsafe impl Sync for SlotsPtr<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -573,7 +666,7 @@ mod tests {
         DatasetBuffer::from_vec(data, len)
     }
 
-    fn forest_for(n: usize, cap: usize) -> (Vec<RootSubtree>, Vec<u32>, Summaries) {
+    fn forest_for(n: usize, cap: usize) -> (Forest, Vec<u32>, Summaries) {
         let data = walk_dataset(n, 64, 1234);
         let summaries = Summaries::compute(&data, 8, 2);
         let buffers = SummarizationBuffers::build(&summaries);
@@ -657,25 +750,52 @@ mod tests {
 
     #[test]
     fn children_partition_parent_region() {
-        fn check(node: &Node) {
-            if let Node::Inner {
-                word,
-                split_seg,
-                children,
-            } = node
-            {
-                for (b, child) in children.iter().enumerate() {
-                    let cw = child.word();
-                    assert_eq!(cw.card_bits[*split_seg], word.card_bits[*split_seg] + 1);
-                    assert_eq!(cw.symbols[*split_seg] & 1, b as u8);
-                    check(child);
+        let (forest, _, _) = forest_for(700, 10);
+        let mut inner = 0;
+        for node in 0..forest.node_count() as u32 {
+            let Some(children) = forest.children(node) else {
+                continue;
+            };
+            inner += 1;
+            let (word, seg) = (forest.word(node), forest.split_seg(node).expect("inner"));
+            for (b, child) in children.into_iter().enumerate() {
+                let cw = forest.word(child);
+                assert_eq!(cw.card_bits[seg], word.card_bits[seg] + 1);
+                assert_eq!(cw.symbols[seg] & 1, b as u8);
+            }
+        }
+        assert!(inner > 0, "some root split");
+    }
+
+    #[test]
+    fn arena_is_pre_order_and_leaves_tile_the_scan_space() {
+        let (forest, _, _) = forest_for(900, 8);
+        let mut next_leaf = 0u32;
+        let mut next_slot = 0u32;
+        for (r, t) in forest.iter().enumerate() {
+            let nodes = t.node.nodes();
+            let next_root = forest.root_nodes.get(r + 1).copied();
+            assert_eq!(next_root.unwrap_or(forest.node_count() as u32), nodes.end);
+            for node in nodes {
+                if let Some([left, right]) = forest.children(node) {
+                    assert_eq!(left, node + 1, "left child follows its parent");
+                    assert_eq!(
+                        forest.node(left).nodes().end,
+                        right,
+                        "right follows left subtree"
+                    );
+                } else {
+                    let leaf = forest.leaf_id(node).expect("a leaf");
+                    assert_eq!(leaf, next_leaf, "leaves in pre-order");
+                    let slice = forest.leaf(leaf);
+                    assert_eq!(slice.offset, next_slot, "slices tile the scan space");
+                    next_leaf += 1;
+                    next_slot += slice.len;
                 }
             }
         }
-        let (forest, _, _) = forest_for(700, 10);
-        for t in &forest {
-            check(&t.node);
-        }
+        assert_eq!(next_leaf as usize, forest.leaf_count());
+        assert_eq!(next_slot, 900);
     }
 
     #[test]
@@ -687,7 +807,7 @@ mod tests {
         let summaries = Summaries::compute(&data, 4, 2);
         let buffers = SummarizationBuffers::build(&summaries);
         let (forest, perm) = build_forest(&buffers, &summaries, 6, 2);
-        assert!(forest.iter().any(|t| matches!(t.node, Node::Inner { .. })));
+        assert!(forest.iter().any(|t| t.node.leaf_ids().len() > 1));
         let layout = LeafLayout::build(&data, &summaries, perm.clone());
         let soa = RootSoa::build(&forest, &layout);
         assert_eq!((soa.len(), soa.segments()), (forest.len(), 4));
@@ -725,16 +845,8 @@ mod tests {
         let buffers = SummarizationBuffers::build(&summaries);
         let (f1, p1) = build_forest(&buffers, &summaries, 10, 1);
         let (f4, p4) = build_forest(&buffers, &summaries, 10, 4);
-        assert_eq!(f1.len(), f4.len());
         assert_eq!(p1, p4, "scan permutation must not depend on threads");
-        for (a, b) in f1.iter().zip(&f4) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.size, b.size);
-            let mut la = Vec::new();
-            let mut lb = Vec::new();
-            a.node.for_each_leaf(&mut |l| la.push(l.slice));
-            b.node.for_each_leaf(&mut |l| lb.push(l.slice));
-            assert_eq!(la, lb);
-        }
+        assert!(f1 == f4, "forest must not depend on threads");
+        assert_eq!(f1.size_bytes(), f4.size_bytes());
     }
 }

@@ -1,13 +1,13 @@
 //! The Miri tier's test subset (`cargo run -p xtask -- miri` runs this
-//! file — plus the `scratch` unit tests — under the interpreter).
+//! file under the interpreter).
 //!
 //! Miri executes real Rust semantics with full allocation and borrow
 //! tracking, so these tests check the crate's load-bearing unsafe for
 //! UB the type system cannot see: the pool's job lifetime erasure
-//! (`erase_job`), the striped raw-pointer summary and forest-slot
-//! writes, and the scratch recycling. Sizes are tiny — Miri is orders
-//! of magnitude slower than native — but every unsafe path is crossed
-//! with real threads (thread pinning is `cfg`'d out under Miri).
+//! (`erase_job`) and the striped raw-pointer summary writes. Sizes are
+//! tiny — Miri is orders of magnitude slower than native — but every
+//! unsafe path is crossed with real threads (thread pinning is `cfg`'d
+//! out under Miri).
 //!
 //! Gated behind the `miri-safe` feature so the plain test tier does not
 //! run the same exercises twice.
@@ -60,9 +60,12 @@ fn striped_summary_writes_match_sequential_at_small_sizes() {
     }
 }
 
-/// `build_forest`'s `SlotsPtr` writes (claimed-slot raw-pointer
-/// stores) run inside `Index::build`; building with several threads
-/// must produce a well-formed index.
+/// A whole multi-threaded `Index::build`: the striped summary writes,
+/// then `build_forest`'s workers, whose `(buffer index, subtree)`
+/// results are placed in buffer order after their scope joins (safe
+/// code, but the build is the path every index takes, so it runs under
+/// the interpreter too). Several threads must produce a well-formed
+/// index.
 #[test]
 fn parallel_index_build_is_ub_free() {
     let idx = tiny_index(48, 3);

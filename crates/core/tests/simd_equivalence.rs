@@ -211,14 +211,14 @@ fn root_word_sweep_matches_word_lb_for_all_segment_counts() {
                 IsaxWord { symbols, card_bits }
             })
             .collect();
-        let roots = RootSoa::from_words(words.iter());
+        let roots = RootSoa::from_words(words.iter().map(IsaxWord::view));
         let q = pseudo_series(4321, series_len);
         let table = MindistTable::from_paa(&paa(&q, segments), series_len);
         for range in [0..n, 0..8, 3..20, 5..6, 33..41, 40..41, 17..17] {
             let mut got = vec![0.0f64; range.len()];
             table.root_lb_block(&roots, range.clone(), &mut got);
             for (j, g) in got.iter().enumerate() {
-                let want = table.word_lb_sq(&words[range.start + j]);
+                let want = table.word_lb_sq(words[range.start + j].view());
                 assert_eq!(
                     g.to_bits(),
                     want.to_bits(),

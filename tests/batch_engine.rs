@@ -342,8 +342,8 @@ fn on_lanes<T: Send + Sync>(
 /// Exact DTW k-NN by brute force: the `k` smallest banded DTW distances.
 fn dtw_knn_brute_force(index: &Index, q: &[f32], window: usize, k: usize) -> Vec<f64> {
     let mut all: Vec<f64> = (0..index.num_series())
-        .map(|id| {
-            dtw_banded(q, index.series_by_id(id as u32), window, f64::INFINITY)
+        .map(|p| {
+            dtw_banded(q, index.layout().series(p), window, f64::INFINITY)
                 .expect("an unbounded DTW never abandons")
         })
         .collect();

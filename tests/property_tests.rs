@@ -15,6 +15,7 @@
 //!   scalar references.
 #![recursion_limit = "512"]
 
+use odyssey::core::buffers::Summaries;
 use odyssey::core::distance::{
     dtw_banded, euclidean_sq, euclidean_sq_early_abandon, keogh_envelope, lb_keogh_sq,
 };
@@ -102,7 +103,7 @@ proptest! {
         for bits in 1..=8u8 {
             let word = IsaxWord::from_sax(&sax, bits);
             let want_node = mindist_paa_isax_sq(&qp, &word, 64);
-            prop_assert_eq!(kernel.node_lb_sq(&word).to_bits(), want_node.to_bits());
+            prop_assert_eq!(kernel.node_lb_sq(word.view()).to_bits(), want_node.to_bits());
         }
         // The batched block pass must agree with the scalar path.
         let mut out = [0.0f64];
@@ -328,7 +329,7 @@ proptest! {
             2,
         );
         let forest = index.forest();
-        prop_assert!(forest.iter().any(|t| t.node.leaf_count() > 1), "no split root");
+        prop_assert!(forest.iter().any(|t| t.node.leaf_ids().len() > 1), "no split root");
         let qb = odyssey::workloads::generator::random_walk(1, 32, seed ^ 0x5EED);
         let q = qb.series(0);
         let ed = EdKernel::new(q, segs);
@@ -378,8 +379,9 @@ proptest! {
         // the chain that makes pruning over the permuted layout exact.
         // Also pins the layout's position/id coherence.
         let data = odyssey::workloads::generator::noisy_walk(250, 48, seed);
+        let summaries = Summaries::compute(&data, segs, 1);
         let index = Index::build(
-            data,
+            data.clone(),
             IndexConfig::new(48).with_segments(segs).with_leaf_capacity(cap),
             2,
         );
@@ -393,15 +395,15 @@ proptest! {
                 if ok.is_err() {
                     return;
                 }
-                let node_lb = kernel.node_lb_sq(&leaf.word);
+                let node_lb = kernel.node_lb_sq(leaf.word);
                 for p in leaf.slice.range() {
                     let id = layout.original_id(p);
-                    if layout.sax(p) != index.sax_by_id(id) {
+                    if layout.sax(p) != summaries.sax(id) {
                         ok = Err("scan sax diverges from summaries");
                         return;
                     }
-                    if layout.series(p) != index.series_by_id(id) {
-                        ok = Err("scan data diverges from id lookup");
+                    if layout.series(p) != data.series(id as usize) {
+                        ok = Err("scan data diverges from the dataset row");
                         return;
                     }
                     let series_lb = kernel.series_lb_sq(layout.sax(p));

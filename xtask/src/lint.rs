@@ -74,8 +74,6 @@ const UNSAFE_WHITELIST: &[&str] = &[
     "crates/core/src/distance/simd/avx.rs",
     "crates/core/src/distance/simd/mod.rs",
     "crates/core/src/search/engine.rs",
-    "crates/core/src/search/scratch.rs",
-    "crates/core/src/tree.rs",
 ];
 
 /// Files allowed to contain `transmute` (only `erase_job`).
@@ -544,14 +542,14 @@ mod tests {
     #[test]
     fn commented_unsafe_in_whitelisted_module_passes() {
         let src = "fn f() {\n    // SAFETY: justified.\n    unsafe { g(); }\n}\n";
-        assert!(rules("crates/core/src/tree.rs", src).is_empty());
+        assert!(rules("crates/core/src/buffers.rs", src).is_empty());
     }
 
     #[test]
     fn missing_safety_comment_is_flagged() {
         let src = "fn f() {\n    unsafe { g(); }\n}\n";
         assert_eq!(
-            rules("crates/core/src/tree.rs", src),
+            rules("crates/core/src/buffers.rs", src),
             vec!["safety-comment"]
         );
     }
@@ -586,7 +584,7 @@ mod tests {
     #[test]
     fn transmute_outside_engine_is_flagged() {
         let src = "fn f() { let _ = std::mem::transmute::<u8, i8>(0); }\n";
-        assert_eq!(rules("crates/core/src/tree.rs", src), vec!["transmute"]);
+        assert_eq!(rules("crates/core/src/buffers.rs", src), vec!["transmute"]);
         assert!(!rules("crates/core/src/search/engine.rs", src).contains(&"transmute"));
     }
 

@@ -166,8 +166,8 @@ fn nightly_has(probe: &[&str]) -> bool {
 
 /// The Miri tier: interpret the `miri-safe` test subset of
 /// `odyssey-core` under Miri, which checks the load-bearing unsafe
-/// (job lifetime erasure, allocation recycling, striped raw-pointer
-/// writes) for UB the type system cannot see.
+/// (job lifetime erasure, striped raw-pointer summary writes) for UB
+/// the type system cannot see.
 fn cmd_miri(root: &Path) -> ExitCode {
     if !nightly_has(&["miri", "--version"]) {
         eprintln!(
@@ -178,8 +178,7 @@ fn cmd_miri(root: &Path) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    // The feature-gated integration subset, then the recycling unit
-    // tests (crate-private internals, so they live in the lib).
+    // The feature-gated integration subset.
     let ok = run_status(
         Command::new("cargo")
             .current_dir(root)
@@ -193,18 +192,6 @@ fn cmd_miri(root: &Path) -> ExitCode {
                 "miri-safe",
                 "--test",
                 "miri_safe",
-            ]),
-    ) && run_status(
-        Command::new("cargo")
-            .current_dir(root)
-            .args([
-                "+nightly",
-                "miri",
-                "test",
-                "-p",
-                "odyssey-core",
-                "--lib",
-                "scratch::",
             ]),
     );
     if ok {
